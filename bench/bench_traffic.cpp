@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "machine/profiles.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -257,16 +258,6 @@ SoakResult run_soak(std::size_t min_jobs) {
   return out;
 }
 
-std::string format_number(double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -366,11 +357,12 @@ int main(int argc, char** argv) {
                    json_out.c_str());
       return 2;
     }
+    using homp::json_number;
     out << "{\n\"bench\": \"traffic\",\n\"machine\": \"full\",\n"
-        << "\"overload_factor\": " << format_number(kOverloadFactor) << ",\n"
-        << "\"gold_p99_unloaded_s\": " << format_number(p99_unloaded) << ",\n"
-        << "\"gold_p99_overload_s\": " << format_number(p99_loaded) << ",\n"
-        << "\"gold_p99_ratio\": " << format_number(ratio) << ",\n"
+        << "\"overload_factor\": " << json_number(kOverloadFactor) << ",\n"
+        << "\"gold_p99_unloaded_s\": " << json_number(p99_unloaded) << ",\n"
+        << "\"gold_p99_overload_s\": " << json_number(p99_loaded) << ",\n"
+        << "\"gold_p99_ratio\": " << json_number(ratio) << ",\n"
         << "\"unloaded\": " << unloaded.summary_json
         << ",\n\"overload\": " << loaded.summary_json << "}\n";
   }

@@ -7,46 +7,17 @@
 #include "advise/report_keys.h"
 #include "advise/session.h"
 #include "common/error.h"
+#include "common/json.h"
 
 namespace homp::advise {
 
 namespace {
-
-/// The registry's deterministic rendering rule: integers bare, all other
-/// finite doubles through %.17g.
-std::string num(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Compact rendering for the text report.
 std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-void escape_into(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"') {
-      os << "\\\"";
-    } else if (c == '\\') {
-      os << "\\\\";
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
 }
 
 std::size_t capped(std::size_t n, std::size_t top) {
@@ -86,23 +57,16 @@ void write_report_json(const std::vector<Inspection>& findings,
      << "\": [";
   for (std::size_t i = 0; i < n; ++i) {
     const Inspection& f = findings[i];
-    os << (i ? ",\n" : "\n") << "    {\"kind\": \"";
-    escape_into(os, f.kind);
-    os << "\", \"severity\": \"";
-    escape_into(os, f.severity);
-    os << "\", \"device\": \"";
-    escape_into(os, f.device);
-    os << "\", \"tenant\": \"";
-    escape_into(os, f.tenant);
-    os << "\", \"saving_s\": " << num(f.saving_s)
+    os << (i ? ",\n" : "\n") << "    {\"kind\": " << json_quote(f.kind)
+       << ", \"severity\": " << json_quote(f.severity)
+       << ", \"device\": " << json_quote(f.device)
+       << ", \"tenant\": " << json_quote(f.tenant)
+       << ", \"saving_s\": " << json_number(f.saving_s)
        << ", \"runs_present\": " << f.runs_present
        << ", \"runs_total\": " << f.runs_total
        << ", \"persistent\": " << (f.persistent ? "true" : "false")
-       << ", \"evidence\": \"";
-    escape_into(os, f.evidence);
-    os << "\", \"knob\": \"";
-    escape_into(os, f.knob);
-    os << "\"}";
+       << ", \"evidence\": " << json_quote(f.evidence)
+       << ", \"knob\": " << json_quote(f.knob) << '}';
   }
   os << "\n  ]\n}\n";
 }
@@ -264,10 +228,10 @@ void write_entry_text(const DiffEntry& e, std::ostream& os) {
 }
 
 void write_entry_json(const DiffEntry& e, std::ostream& os) {
-  os << "    {\"key\": \"";
-  escape_into(os, e.key);
-  os << "\", \"before\": " << num(e.before) << ", \"after\": " << num(e.after)
-     << ", \"rel\": " << num(e.rel)
+  os << "    {\"key\": " << json_quote(e.key)
+     << ", \"before\": " << json_number(e.before)
+     << ", \"after\": " << json_number(e.after)
+     << ", \"rel\": " << json_number(e.rel)
      << ", \"structural\": " << (e.structural ? "true" : "false") << '}';
 }
 
@@ -295,7 +259,7 @@ void write_diff(const DiffResult& r, double tolerance, std::ostream& os) {
 
 void write_diff_json(const DiffResult& r, double tolerance, std::ostream& os) {
   os << "{\n  \"" << kDiffVersionKey
-     << "\": 1,\n  \"tolerance\": " << num(tolerance) << ",\n  \""
+     << "\": 1,\n  \"tolerance\": " << json_number(tolerance) << ",\n  \""
      << kRegressionsKey << "\": [";
   for (std::size_t i = 0; i < r.regressions.size(); ++i) {
     os << (i ? ",\n" : "\n");

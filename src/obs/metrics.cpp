@@ -1,47 +1,13 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
 #include "common/error.h"
+#include "common/json.h"
 
 namespace homp::obs {
-
-namespace {
-
-/// Deterministic number rendering shared by both exporters: integers
-/// print without a fraction, everything else round-trips via %.17g.
-std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void json_escape_into(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"') {
-      os << "\\\"";
-    } else if (c == '\\') {
-      os << "\\\\";
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
 
 void Histogram::observe(double v) noexcept {
   int idx = 0;
@@ -161,13 +127,13 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [key, m] : metrics_) {
     os << (first ? "\n" : ",\n") << R"(    {"name": ")";
     first = false;
-    json_escape_into(os, key.first);
+    json_escape(os, key.first);
     os << R"(", "labels": ")";
-    json_escape_into(os, key.second);
+    json_escape(os, key.second);
     os << R"(", "type": ")" << to_string(m.type) << '"';
     if (m.type == MetricType::kHistogram) {
       os << ", \"count\": " << m.hist.count()
-         << ", \"sum\": " << format_number(m.hist.sum())
+         << ", \"sum\": " << json_number(m.hist.sum())
          << ", \"buckets\": [";
       // Cumulative counts; buckets past the last occupied one collapse
       // into the +Inf entry to keep the document small.
@@ -179,7 +145,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
       for (int i = 0; i <= last && i < Histogram::kNumBuckets - 1; ++i) {
         cum += m.hist.bucket(i);
         if (i > 0) os << ", ";
-        os << R"({"le": )" << format_number(Histogram::upper_bound(i))
+        os << R"({"le": )" << json_number(Histogram::upper_bound(i))
            << R"(, "count": )" << cum << '}';
       }
       // A comma is due whenever any finite row was emitted above — also
@@ -188,7 +154,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
       if (last >= 0) os << ", ";
       os << R"({"le": "+Inf", "count": )" << m.hist.count() << "}]";
     } else {
-      os << ", \"value\": " << format_number(m.value);
+      os << ", \"value\": " << json_number(m.value);
     }
     os << '}';
   }
@@ -211,19 +177,19 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
         const double ub = Histogram::upper_bound(i);
         os << name << "_bucket{" << labels << (labels.empty() ? "" : ",")
            << "le=\""
-           << (std::isinf(ub) ? std::string("+Inf") : format_number(ub))
+           << (std::isinf(ub) ? std::string("+Inf") : json_number(ub))
            << "\"} " << cum << '\n';
       }
       os << name << "_sum";
       if (!labels.empty()) os << '{' << labels << '}';
-      os << ' ' << format_number(m.hist.sum()) << '\n';
+      os << ' ' << json_number(m.hist.sum()) << '\n';
       os << name << "_count";
       if (!labels.empty()) os << '{' << labels << '}';
       os << ' ' << m.hist.count() << '\n';
     } else {
       os << name;
       if (!labels.empty()) os << '{' << labels << '}';
-      os << ' ' << format_number(m.value) << '\n';
+      os << ' ' << json_number(m.value) << '\n';
     }
   }
 }

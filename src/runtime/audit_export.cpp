@@ -1,59 +1,28 @@
 #include "runtime/audit_export.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "sched/algorithm.h"
 
 namespace homp::rt {
 
 namespace {
 
-/// Deterministic number rendering, the registry's rule: integers print
-/// without a fraction, everything else round-trips via %.17g.
-std::string num(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void escape_into(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"') {
-      os << "\\\"";
-    } else if (c == '\\') {
-      os << "\\\\";
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
 void write_prediction(const PredictionErrorStats& e, std::ostream& os) {
-  os << "{\"model1_mean\": " << num(e.model1_mean())
-     << ", \"model2_mean\": " << num(e.model2_mean())
-     << ", \"profile_mean\": " << num(e.profile_mean())
+  os << "{\"model1_mean\": " << json_number(e.model1_mean())
+     << ", \"model2_mean\": " << json_number(e.model2_mean())
+     << ", \"profile_mean\": " << json_number(e.profile_mean())
      << ", \"model_samples\": " << e.model_samples
      << ", \"profile_samples\": " << e.profile_samples
-     << ", \"model1_min\": " << num(e.model1_err_min)
-     << ", \"model1_max\": " << num(e.model1_err_max)
-     << ", \"model2_min\": " << num(e.model2_err_min)
-     << ", \"model2_max\": " << num(e.model2_err_max)
-     << ", \"profile_min\": " << num(e.profile_err_min)
-     << ", \"profile_max\": " << num(e.profile_err_max) << '}';
+     << ", \"model1_min\": " << json_number(e.model1_err_min)
+     << ", \"model1_max\": " << json_number(e.model1_err_max)
+     << ", \"model2_min\": " << json_number(e.model2_err_min)
+     << ", \"model2_max\": " << json_number(e.model2_err_max)
+     << ", \"profile_min\": " << json_number(e.profile_err_min)
+     << ", \"profile_max\": " << json_number(e.profile_err_max) << '}';
 }
 
 }  // namespace
@@ -65,7 +34,7 @@ void write_audit_json(const OffloadResult& res, std::ostream& os) {
 
   os << "{\n  \"homp_audit_version\": " << kAuditVersion
      << ",\n  \"algorithm\": \"" << sched::to_string(res.algorithm_used)
-     << "\",\n  \"total_time_s\": " << num(res.total_time)
+     << "\",\n  \"total_time_s\": " << json_number(res.total_time)
      << ",\n  \"chunks_issued\": " << res.chunks_issued
      << ",\n  \"degraded\": " << (res.degraded ? "true" : "false")
      << ",\n  \"has_cutoff\": " << (res.has_cutoff ? "true" : "false");
@@ -77,11 +46,11 @@ void write_audit_json(const OffloadResult& res, std::ostream& os) {
     }
     os << "], \"weights\": [";
     for (std::size_t i = 0; i < res.cutoff.weights.size(); ++i) {
-      os << (i ? ", " : "") << num(res.cutoff.weights[i]);
+      os << (i ? ", " : "") << json_number(res.cutoff.weights[i]);
     }
     os << "], \"pre_weights\": [";
     for (std::size_t i = 0; i < res.cutoff.pre_weights.size(); ++i) {
-      os << (i ? ", " : "") << num(res.cutoff.pre_weights[i]);
+      os << (i ? ", " : "") << json_number(res.cutoff.pre_weights[i]);
     }
     os << "]}";
   }
@@ -89,13 +58,12 @@ void write_audit_json(const OffloadResult& res, std::ostream& os) {
   os << ",\n  \"devices\": [";
   for (std::size_t s = 0; s < res.devices.size(); ++s) {
     const DeviceStats& d = res.devices[s];
-    os << (s ? ",\n" : "\n") << "    {\"name\": \"";
-    escape_into(os, d.device_name);
-    os << "\", \"id\": " << d.device_id << ", \"slot\": " << s
-       << ", \"finish_time_s\": " << num(d.finish_time)
+    os << (s ? ",\n" : "\n") << "    {\"name\": " << json_quote(d.device_name)
+       << ", \"id\": " << d.device_id << ", \"slot\": " << s
+       << ", \"finish_time_s\": " << json_number(d.finish_time)
        << ", \"chunks\": " << d.chunks << ", \"iterations\": " << d.iterations
-       << ", \"bytes_in\": " << num(d.bytes_in)
-       << ", \"bytes_out\": " << num(d.bytes_out)
+       << ", \"bytes_in\": " << json_number(d.bytes_in)
+       << ", \"bytes_out\": " << json_number(d.bytes_out)
        << ", \"tardy_chunks\": " << d.tardy_chunks
        << ", \"spec_copies_run\": " << d.spec_copies_run
        << ", \"spec_copies_won\": " << d.spec_copies_won
@@ -113,19 +81,17 @@ void write_audit_json(const OffloadResult& res, std::ostream& os) {
         d.slot >= 0 && static_cast<std::size_t>(d.slot) < res.devices.size()
             ? res.devices[static_cast<std::size_t>(d.slot)].device_name
             : "";
-    os << (i ? ",\n" : "\n") << "    {\"time_s\": " << num(d.time)
-       << ", \"slot\": " << d.slot << ", \"device\": \"";
-    escape_into(os, device);
-    os << "\", \"kind\": \"" << to_string(d.kind)
+    os << (i ? ",\n" : "\n") << "    {\"time_s\": " << json_number(d.time)
+       << ", \"slot\": " << d.slot << ", \"device\": " << json_quote(device)
+       << ", \"kind\": \"" << to_string(d.kind)
        << "\", \"begin\": " << d.range.lo << ", \"end\": " << d.range.hi
-       << ", \"chunk_bytes\": " << num(d.chunk_bytes)
-       << ", \"model1_s\": " << num(d.predicted_model1_s)
-       << ", \"model2_s\": " << num(d.predicted_model2_s)
-       << ", \"profile_s\": " << num(d.predicted_profile_s)
-       << ", \"ewma_iter_s\": " << num(d.ewma_iter_s)
-       << ", \"actual_s\": " << num(d.actual_s) << ", \"detail\": \"";
-    escape_into(os, d.detail);
-    os << "\"}";
+       << ", \"chunk_bytes\": " << json_number(d.chunk_bytes)
+       << ", \"model1_s\": " << json_number(d.predicted_model1_s)
+       << ", \"model2_s\": " << json_number(d.predicted_model2_s)
+       << ", \"profile_s\": " << json_number(d.predicted_profile_s)
+       << ", \"ewma_iter_s\": " << json_number(d.ewma_iter_s)
+       << ", \"actual_s\": " << json_number(d.actual_s)
+       << ", \"detail\": " << json_quote(d.detail) << '}';
   }
   os << "\n  ]\n}\n";
 }

@@ -1,54 +1,12 @@
 #include "runtime/trace.h"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "common/error.h"
+#include "common/json.h"
 
 namespace homp::rt {
-
-namespace {
-/// Full JSON string escaping: quotes, backslashes, and every control
-/// character (labels interpolate chunk ranges and fault detail strings,
-/// which must never be able to break the document).
-void json_escape_into(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\b':
-        os << "\\b";
-        break;
-      case '\f':
-        os << "\\f";
-        break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-}  // namespace
 
 namespace {
 /// Shared body: spans, then optional instant fault/recovery/decision
@@ -105,12 +63,14 @@ void write_events(const std::vector<TraceSpan>& spans,
     if (!first) os << ",\n";
     first = false;
     os << R"(  {"name": ")";
-    json_escape_into(os, std::string(to_string(s.phase)) +
-                             (s.label.empty() ? "" : " " + s.label));
+    // Labels interpolate chunk ranges and fault detail strings; full
+    // escaping keeps them from ever breaking the document.
+    json_escape(os, std::string(to_string(s.phase)) +
+                        (s.label.empty() ? "" : " " + s.label));
     os << R"(", "cat": "homp", "ph": "X", "pid": 0, "tid": )" << s.slot
        << R"(, "ts": )" << s.t0 * 1e6 << R"(, "dur": )"
        << (s.t1 - s.t0) * 1e6 << R"(, "args": {"device": ")";
-    json_escape_into(os, s.device);
+    json_escape(os, s.device);
     os << R"("}})";
   }
   if (faults != nullptr) {
@@ -118,8 +78,8 @@ void write_events(const std::vector<TraceSpan>& spans,
       if (!first) os << ",\n";
       first = false;
       os << R"(  {"name": "fault: )";
-      json_escape_into(os, std::string(sim::to_string(f.kind)) +
-                               (f.detail.empty() ? "" : " " + f.detail));
+      json_escape(os, std::string(sim::to_string(f.kind)) +
+                          (f.detail.empty() ? "" : " " + f.detail));
       os << R"(", "cat": "fault", "ph": "i", "s": "t", "pid": 0, "tid": )"
          << f.slot << R"(, "ts": )" << f.time * 1e6
          << R"(, "args": {"fatal": )" << (f.fatal ? "true" : "false")
@@ -131,8 +91,8 @@ void write_events(const std::vector<TraceSpan>& spans,
       if (!first) os << ",\n";
       first = false;
       os << R"(  {"name": ")";
-      json_escape_into(os, std::string(to_string(r.action)) +
-                               (r.detail.empty() ? "" : " " + r.detail));
+      json_escape(os, std::string(to_string(r.action)) +
+                          (r.detail.empty() ? "" : " " + r.detail));
       os << R"(", "cat": "recovery", "ph": "i", "s": "t", "pid": 0, )"
          << R"("tid": )" << r.slot << R"(, "ts": )" << r.time * 1e6 << "}";
     }
@@ -150,7 +110,7 @@ void write_events(const std::vector<TraceSpan>& spans,
         label += ' ';
         label += d.range.to_string();
       }
-      json_escape_into(os, label);
+      json_escape(os, label);
       os << R"(", "cat": "decision", "ph": "i", "s": "t", "pid": 0, )"
          << R"("tid": )" << d.slot << R"(, "ts": )" << d.time * 1e6
          << R"(, "args": {"chunk_bytes": )" << d.chunk_bytes
@@ -159,7 +119,7 @@ void write_events(const std::vector<TraceSpan>& spans,
          << R"(, "profile_s": )" << d.predicted_profile_s
          << R"(, "ewma_iter_s": )" << d.ewma_iter_s << R"(, "actual_s": )"
          << d.actual_s << R"(, "detail": ")";
-      json_escape_into(os, d.detail);
+      json_escape(os, d.detail);
       os << R"("}})";
     }
   }
@@ -170,8 +130,8 @@ void write_events(const std::vector<TraceSpan>& spans,
       if (!first) os << ",\n";
       first = false;
       os << R"(  {"name": ")";
-      json_escape_into(os, std::string(to_string(c.track)) + " (" +
-                               device_of(c.slot) + ")");
+      json_escape(os, std::string(to_string(c.track)) + " (" +
+                          device_of(c.slot) + ")");
       os << R"(", "cat": "counter", "ph": "C", "pid": 0, "tid": )" << c.slot
          << R"(, "ts": )" << c.time * 1e6 << R"(, "args": {"value": )"
          << c.value << "}}";
@@ -183,7 +143,7 @@ void write_events(const std::vector<TraceSpan>& spans,
     first = false;
     os << R"(  {"name": "thread_name", "ph": "M", "pid": 0, "tid": )"
        << slot << R"(, "args": {"name": ")";
-    json_escape_into(os, device);
+    json_escape(os, device);
     os << R"("}})";
   }
   os << "\n]\n";

@@ -2,46 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <ostream>
 
+#include "common/json.h"
 #include "obs/metric_names.h"
 
 namespace homp::serve {
 
 namespace {
-
-// Same deterministic formatting contract as the metrics registry
-// (docs/OBSERVABILITY.md): integral doubles print as integers, the rest
-// as %.17g, so the summary round-trips bit-exactly across runs.
-std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void json_escape_into(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"') {
-      os << "\\\"";
-    } else if (c == '\\') {
-      os << "\\\\";
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
 
 double nearest_rank(std::vector<double>& v, double q) {
   if (v.empty()) return 0.0;
@@ -78,11 +47,11 @@ struct Agg {
     os << "\"completed\": " << completed << ", \"failed\": " << failed
        << ", \"cancelled\": " << cancelled
        << ", \"iterations\": " << iterations
-       << ", \"p50_latency_s\": " << format_number(nearest_rank(latencies, 0.50))
-       << ", \"p99_latency_s\": " << format_number(nearest_rank(latencies, 0.99))
-       << ", \"p50_queue_wait_s\": " << format_number(nearest_rank(waits, 0.50))
+       << ", \"p50_latency_s\": " << json_number(nearest_rank(latencies, 0.50))
+       << ", \"p99_latency_s\": " << json_number(nearest_rank(latencies, 0.99))
+       << ", \"p50_queue_wait_s\": " << json_number(nearest_rank(waits, 0.50))
        << ", \"goodput_iters_per_s\": "
-       << format_number(makespan > 0.0
+       << json_number(makespan > 0.0
                             ? static_cast<double>(iterations) / makespan
                             : 0.0);
   }
@@ -227,7 +196,7 @@ void ServeReport::write_summary_json(std::ostream& os) const {
   const auto breaches = validate();
 
   os << "{\n  \"schema\": \"homp-serve-report-v2\",\n";
-  os << "  \"makespan_s\": " << format_number(makespan_s) << ",\n";
+  os << "  \"makespan_s\": " << json_number(makespan_s) << ",\n";
   os << "  \"jobs\": " << jobs.size() << ",\n";
   os << "  \"shed\": {\"final_level\": " << final_shed_level
      << ", \"transitions\": " << shed_transitions
@@ -237,7 +206,7 @@ void ServeReport::write_summary_json(std::ostream& os) const {
   for (std::size_t i = 0; i < breaches.size(); ++i) {
     if (i > 0) os << ", ";
     os << '"';
-    json_escape_into(os, breaches[i]);
+    json_escape(os, breaches[i]);
     os << '"';
   }
   os << "],\n";
@@ -271,7 +240,7 @@ void ServeReport::write_summary_json(std::ostream& os) const {
     const auto& c = counts[t];
     if (t > 0) os << ", ";
     os << '"';
-    json_escape_into(os, tenants[t]);
+    json_escape(os, tenants[t]);
     os << "\": {\"class\": \"" << to_string(tenant_priority[t])
        << "\", \"submitted\": " << c.submitted
        << ", \"admitted\": " << c.admitted << ", \"blocked\": " << c.blocked
@@ -296,7 +265,7 @@ void ServeReport::write_summary_json(std::ostream& os) const {
       if (!first_cls) os << ", ";
       first_cls = false;
       os << '"';
-      json_escape_into(os, cls_name);
+      json_escape(os, cls_name);
       os << "\": " << count;
     }
     os << "}}";
@@ -306,7 +275,7 @@ void ServeReport::write_summary_json(std::ostream& os) const {
 
 void ServeReport::write_audit_json(std::ostream& os) const {
   os << "{\n  \"homp_serve_audit_version\": 1,\n"
-     << "  \"makespan_s\": " << format_number(makespan_s)
+     << "  \"makespan_s\": " << json_number(makespan_s)
      << ",\n  \"final_shed_level\": " << final_shed_level
      << ",\n  \"shed_transitions\": " << shed_transitions
      << ",\n  \"speculation_shed_jobs\": " << speculation_shed_jobs;
@@ -315,7 +284,7 @@ void ServeReport::write_audit_json(std::ostream& os) const {
   for (std::size_t t = 0; t < tenants.size(); ++t) {
     const auto& c = counts[t];
     os << (t ? ",\n" : "\n") << "    {\"name\": \"";
-    json_escape_into(os, tenants[t]);
+    json_escape(os, tenants[t]);
     os << "\", \"class\": \"" << to_string(tenant_priority[t])
        << "\", \"submitted\": " << c.submitted
        << ", \"admitted\": " << c.admitted << ", \"blocked\": " << c.blocked
@@ -333,12 +302,12 @@ void ServeReport::write_audit_json(std::ostream& os) const {
   os << "\n  ],\n  \"events\": [";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const ServeEvent& e = events[i];
-    os << (i ? ",\n" : "\n") << "    {\"time_s\": " << format_number(e.time)
+    os << (i ? ",\n" : "\n") << "    {\"time_s\": " << json_number(e.time)
        << ", \"kind\": \"" << to_string(e.kind) << "\", \"tenant\": \"";
-    json_escape_into(os, e.tenant);
+    json_escape(os, e.tenant);
     os << "\", \"job_id\": " << e.job_id << ", \"class\": \""
        << to_string(e.priority) << "\", \"detail\": \"";
-    json_escape_into(os, e.detail);
+    json_escape(os, e.detail);
     os << "\"}";
   }
   os << "\n  ]\n}\n";
@@ -359,7 +328,7 @@ void ServeReport::write_trace_json(std::ostream& os) const {
     sep();
     os << R"({"name": "process_name", "ph": "M", "pid": )" << (t + 1)
        << R"(, "tid": 0, "args": {"name": ")";
-    json_escape_into(os, tenants[t]);
+    json_escape(os, tenants[t]);
     os << "\"}}";
   }
 
@@ -383,16 +352,16 @@ void ServeReport::write_trace_json(std::ostream& os) const {
         os << R"({"name": "thread_name", "ph": "M", "pid": )" << pid
            << R"(, "tid": )" << tid << R"(, "args": {"name": "job)"
            << j.job_id << ' ';
-        json_escape_into(os, span.device);
+        json_escape(os, span.device);
         os << "\"}}";
       }
       sep();
       os << R"({"name": ")" << rt::to_string(span.phase)
          << R"(", "cat": "offload", "ph": "X", "pid": )" << pid
-         << R"(, "tid": )" << tid << R"(, "ts": )" << format_number(us(span.t0))
-         << R"(, "dur": )" << format_number(us(span.t1 - span.t0))
+         << R"(, "tid": )" << tid << R"(, "ts": )" << json_number(us(span.t0))
+         << R"(, "dur": )" << json_number(us(span.t1 - span.t0))
          << R"(, "args": {"label": ")";
-      json_escape_into(os, span.label);
+      json_escape(os, span.label);
       os << "\"}}";
     }
   }
@@ -405,9 +374,9 @@ void ServeReport::write_trace_json(std::ostream& os) const {
     sep();
     os << R"({"name": ")" << to_string(e.kind)
        << R"(", "cat": "serve", "ph": "i", "s": "g", "pid": )" << pid
-       << R"(, "tid": 0, "ts": )" << format_number(us(e.time))
+       << R"(, "tid": 0, "ts": )" << json_number(us(e.time))
        << R"(, "args": {"job": )" << e.job_id << R"(, "detail": ")";
-    json_escape_into(os, e.detail);
+    json_escape(os, e.detail);
     os << "\"}}";
   }
 
