@@ -2,11 +2,12 @@
 #define HOMP_FUZZ_DRIVER_H
 
 /// \file driver.h
-/// Corpus loop of the homp-fuzz harness (docs/FUZZING.md): generate
-/// scenarios seed, seed+1, ..., run each through the differential oracle,
+/// The homp-fuzz pipeline (docs/FUZZING.md), one for both modes: generate
+/// scenarios seed, seed+1, ..., run each through the mode's oracle,
 /// shrink failures and emit self-contained repro files, and render one
 /// deterministic summary — byte-identical for identical (seed, count,
-/// limits), which the determinism acceptance test pins.
+/// limits), which the determinism acceptance test pins. This header holds
+/// the single-offload mode and replay; serve_driver.h holds serve mode.
 
 #include <cstdint>
 #include <string>
@@ -17,35 +18,38 @@
 
 namespace homp::fuzz {
 
-struct FuzzConfig {
+/// Corpus knobs both modes share.
+struct CorpusConfig {
   std::uint64_t seed = 1;  ///< first scenario seed; scenario i uses seed+i
   int count = 100;         ///< scenarios to run
-  GeneratorLimits limits;
 
-  /// Directory for repro-<seed>.{ini,toml} pairs; created on demand.
+  /// Directory for the repro pairs; created on demand.
   std::string repro_dir = "machines/fuzz";
 
   /// Minimize failing scenarios before emitting their repro.
   bool shrink_failures = true;
   int shrink_budget = 48;  ///< oracle runs the shrinker may spend per failure
 
+  /// Stop emitting repro files (but keep counting) after this many
+  /// failures, so a systematically broken build cannot flood the disk.
+  int max_repros = 8;
+
+  /// Sweep the corpus under homp-dsan (docs/DETERMINISM.md): conflicts
+  /// surface as "dsan-determinism" failures and dsan-repro-<seed> files.
+  bool dsan = false;
+};
+
+struct FuzzConfig : CorpusConfig {
+  GeneratorLimits limits;
+
   /// Deliberately plant the acceptance-test violation into every
   /// scenario: integrity verification off plus a scripted silent compute
   /// corruption (scenario.h plant_corrupt_commit).
   bool plant = false;
 
-  /// Sweep the corpus under homp-dsan (docs/DETERMINISM.md): every
-  /// scenario runs with the determinism sanitizer attached; conflicts
-  /// surface as "dsan-determinism" failures and dsan-repro-<seed> files.
-  bool dsan = false;
-
   /// Self-test plant: a same-timestamp write-write conflict dsan must
   /// catch (scenario.h plant_dsan_conflict). Implies dsan mode.
   bool plant_dsan = false;
-
-  /// Stop emitting repro files (but keep counting) after this many
-  /// failures, so a systematically broken build cannot flood the disk.
-  int max_repros = 8;
 };
 
 /// One failing scenario as the summary reports it.
@@ -73,13 +77,15 @@ struct FuzzSummary {
 /// errors.
 FuzzSummary run_fuzz(const FuzzConfig& cfg);
 
-/// Re-run the scenario recorded in a repro .toml (the paired machine .ini
-/// is resolved relative to the .toml's directory). Returns whether the
+/// Re-run the scenario recorded in a repro .toml of either mode (a
+/// [serve] section marks a serve repro); the paired machine .ini is
+/// resolved relative to the .toml's directory. Returns whether the
 /// recorded invariant failed again.
 struct ReplayOutcome {
+  bool serve = false;  ///< the repro was a serve-mode scenario
   bool reproduced = false;
   std::string recorded_invariant;
-  std::string recorded_algorithm;
+  std::string recorded_algorithm;     ///< single-offload repros only
   std::vector<Violation> violations;  ///< what this run actually reported
 };
 

@@ -25,18 +25,6 @@ double q3(Prng& rng, double lo, double hi) {
   return lo + step * static_cast<double>(rng.below(1001));
 }
 
-long long irange(Prng& rng, long long lo, long long hi) {
-  return lo + static_cast<long long>(
-                  rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
-double rate(Prng& rng, double cap) {
-  // Multiples of 0.0005, always < cap and representable in 6 digits.
-  const auto steps = static_cast<std::uint64_t>(cap / 0.0005);
-  if (steps == 0) return 0.0;
-  return 0.0005 * static_cast<double>(rng.below(steps + 1));
-}
-
 mach::DeviceDescriptor make_host(Prng& rng) {
   mach::DeviceDescriptor d;
   d.name = "host";
@@ -132,13 +120,25 @@ sim::FaultProfile make_fault_profile(Prng& rng, bool watchdog,
 const char* kKernelNames[6] = {"axpy",      "matvec", "matmul",
                                "stencil2d", "sum",    "bm2d"};
 
-sim::FaultKind parse_fault_kind(const std::string& s, int line) {
+sim::FaultKind parse_fault_kind(const TomlLine& l) {
   for (int k = 0; k < sim::kNumCountedKinds; ++k) {
     const auto kind = static_cast<sim::FaultKind>(k);
-    if (iequals(s, sim::to_string(kind))) return kind;
+    if (iequals(l.value, sim::to_string(kind))) return kind;
   }
-  throw ConfigError("scenario line " + std::to_string(line) +
-                    ": unknown fault kind '" + s + "'");
+  l.fail("unknown fault kind '" + l.value + "'");
+}
+
+}  // namespace
+
+long long irange(Prng& rng, long long lo, long long hi) {
+  return lo + static_cast<long long>(
+                  rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+double rate(Prng& rng, double cap) {
+  const auto steps = static_cast<std::uint64_t>(cap / 0.0005);
+  if (steps == 0) return 0.0;
+  return 0.0005 * static_cast<double>(rng.below(steps + 1));
 }
 
 std::string fmt_double(double v) {
@@ -146,8 +146,6 @@ std::string fmt_double(double v) {
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
-
-}  // namespace
 
 long long ScenarioSpec::loop_iterations() const {
   // The unmaterialized case carries the loop shape without allocating.
@@ -356,116 +354,62 @@ ParsedScenario parse_scenario(const std::string& text) {
   ParsedScenario out;
   ScenarioSpec& s = out.scenario;
   s.kernel.clear();
-  s.faults.clear();
-
-  std::istringstream in(text);
-  std::string line;
-  std::string section;
-  sim::ScriptedFault* fault = nullptr;
-  int lineno = 0;
-  auto bad = [&](const std::string& why) {
-    throw ConfigError("scenario line " + std::to_string(lineno) + ": " + why);
-  };
-
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const std::string t(trim(line));
-    if (t.empty()) continue;
-    if (t.front() == '[') {
-      if (t.back() != ']') bad("unterminated section header");
-      section = t.substr(1, t.size() - 2);
-      if (starts_with(section, "fault.")) {
+  read_toml(text, "scenario", [&](const TomlLine& l) {
+    const std::string& key = l.key;
+    if (key.empty()) {
+      if (starts_with(l.section, "fault.")) {
         s.faults.emplace_back();
-        fault = &s.faults.back();
-      } else if (section != "scenario" && section != "sched" &&
-                 section != "options") {
-        bad("unknown section [" + section + "]");
+      } else if (l.section != "scenario" && l.section != "sched" &&
+                 l.section != "options") {
+        l.fail("unknown section [" + l.section + "]");
       }
-      continue;
-    }
-    const auto eq = t.find('=');
-    if (eq == std::string::npos) bad("expected key = value");
-    const std::string key(trim(t.substr(0, eq)));
-    const std::string val(trim(t.substr(eq + 1)));
-    if (key.empty() || val.empty()) bad("empty key or value");
-
-    auto as_ll = [&]() -> long long {
-      try {
-        return std::stoll(val);
-      } catch (...) {
-        bad("'" + key + "' needs an integer, got '" + val + "'");
-      }
-      return 0;
-    };
-    auto as_u64 = [&]() -> std::uint64_t {
-      try {
-        return std::stoull(val);
-      } catch (...) {
-        bad("'" + key + "' needs an unsigned integer, got '" + val + "'");
-      }
-      return 0;
-    };
-    auto as_double = [&]() -> double {
-      try {
-        return std::stod(val);
-      } catch (...) {
-        bad("'" + key + "' needs a number, got '" + val + "'");
-      }
-      return 0.0;
-    };
-    auto as_bool = [&]() -> bool {
-      if (iequals(val, "true")) return true;
-      if (iequals(val, "false")) return false;
-      bad("'" + key + "' needs true/false, got '" + val + "'");
-      return false;
-    };
-
-    if (section == "scenario") {
-      if (key == "seed") s.seed = as_u64();
-      else if (key == "kernel") s.kernel = val;
-      else if (key == "n") s.n = as_ll();
-      else if (key == "machine_file") out.machine_file = val;
-      else if (key == "invariant") out.invariant = val;
-      else if (key == "algorithm") out.algorithm = val;
-      else bad("unknown [scenario] key '" + key + "'");
-    } else if (section == "sched") {
+    } else if (l.section == "scenario") {
+      if (key == "seed") s.seed = l.as_u64();
+      else if (key == "kernel") s.kernel = l.value;
+      else if (key == "n") s.n = l.as_ll();
+      else if (key == "machine_file") out.machine_file = l.value;
+      else if (key == "invariant") out.invariant = l.value;
+      else if (key == "algorithm") out.algorithm = l.value;
+      else l.fail("unknown [scenario] key '" + key + "'");
+    } else if (l.section == "sched") {
+      auto& c = s.sched;
       if (key == "dynamic_chunk_fraction")
-        s.sched.dynamic_chunk_fraction = as_double();
+        c.dynamic_chunk_fraction = l.as_double();
       else if (key == "guided_chunk_fraction")
-        s.sched.guided_chunk_fraction = as_double();
-      else if (key == "sample_fraction") s.sched.sample_fraction = as_double();
-      else if (key == "cutoff_ratio") s.sched.cutoff_ratio = as_double();
-      else if (key == "min_chunk") s.sched.min_chunk = as_ll();
+        c.guided_chunk_fraction = l.as_double();
+      else if (key == "sample_fraction") c.sample_fraction = l.as_double();
+      else if (key == "cutoff_ratio") c.cutoff_ratio = l.as_double();
+      else if (key == "min_chunk") c.min_chunk = l.as_ll();
       else if (key == "cyclic_block_fraction")
-        s.sched.cyclic_block_fraction = as_double();
+        c.cyclic_block_fraction = l.as_double();
       else if (key == "cyclic_absolute_block")
-        s.sched.cyclic_absolute_block = as_ll();
+        c.cyclic_absolute_block = l.as_ll();
       else if (key == "steal_grain_fraction")
-        s.sched.steal_grain_fraction = as_double();
-      else bad("unknown [sched] key '" + key + "'");
-    } else if (section == "options") {
-      if (key == "noise_seed") s.noise_seed = as_u64();
-      else if (key == "fault_seed") s.fault_seed = as_u64();
-      else if (key == "integrity") s.integrity = as_bool();
-      else if (key == "watchdog") s.watchdog = as_bool();
-      else if (key == "parallel_offload") s.parallel_offload = as_bool();
-      else if (key == "step_budget") s.step_budget = as_ll();
-      else if (key == "dsan") s.dsan = as_bool();
-      else if (key == "plant_dsan_conflict") s.plant_dsan_conflict = as_bool();
-      else bad("unknown [options] key '" + key + "'");
-    } else if (fault != nullptr && starts_with(section, "fault.")) {
-      if (key == "device") fault->device_id = static_cast<int>(as_ll());
-      else if (key == "kind") fault->kind = parse_fault_kind(val, lineno);
-      else if (key == "op") fault->op = as_ll();
-      else if (key == "at_s") fault->at_s = as_double();
-      else if (key == "factor") fault->factor = as_double();
-      else bad("unknown [fault] key '" + key + "'");
+        c.steal_grain_fraction = l.as_double();
+      else l.fail("unknown [sched] key '" + key + "'");
+    } else if (l.section == "options") {
+      if (key == "noise_seed") s.noise_seed = l.as_u64();
+      else if (key == "fault_seed") s.fault_seed = l.as_u64();
+      else if (key == "integrity") s.integrity = l.as_bool();
+      else if (key == "watchdog") s.watchdog = l.as_bool();
+      else if (key == "parallel_offload") s.parallel_offload = l.as_bool();
+      else if (key == "step_budget") s.step_budget = l.as_ll();
+      else if (key == "dsan") s.dsan = l.as_bool();
+      else if (key == "plant_dsan_conflict")
+        s.plant_dsan_conflict = l.as_bool();
+      else l.fail("unknown [options] key '" + key + "'");
+    } else if (starts_with(l.section, "fault.")) {
+      sim::ScriptedFault& f = s.faults.back();
+      if (key == "device") f.device_id = static_cast<int>(l.as_ll());
+      else if (key == "kind") f.kind = parse_fault_kind(l);
+      else if (key == "op") f.op = l.as_ll();
+      else if (key == "at_s") f.at_s = l.as_double();
+      else if (key == "factor") f.factor = l.as_double();
+      else l.fail("unknown [fault] key '" + key + "'");
     } else {
-      bad("key '" + key + "' outside any section");
+      l.fail("key '" + key + "' outside any section");
     }
-  }
+  });
   if (s.kernel.empty()) {
     throw ConfigError("scenario file has no [scenario] kernel entry");
   }

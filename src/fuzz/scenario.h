@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "common/prng.h"
+#include "fuzz/toml.h"
 #include "machine/device.h"
 #include "sched/scheduler.h"
 #include "sim/fault.h"
@@ -100,6 +102,15 @@ long long quantize_trip(const std::string& kernel, long long n);
 /// Smallest valid problem size for `kernel` — the shrinker's floor.
 long long min_trip(const std::string& kernel);
 
+/// Draws both generators share: a uniform integer in [lo, hi], and a
+/// fault rate as a multiple of 0.0005 in [0, cap] (exactly representable
+/// in the machine text's 6 digits).
+long long irange(Prng& rng, long long lo, long long hi);
+double rate(Prng& rng, double cap);
+
+/// A double at %.17g, so repro files round-trip exactly.
+std::string fmt_double(double v);
+
 /// Mutate `s` into the planted-violation configuration the acceptance
 /// test requires: integrity verification disabled plus a scripted
 /// silent compute corruption on the first accelerator. The oracle's
@@ -119,14 +130,7 @@ std::string to_toml(const ScenarioSpec& s,
                     const std::string& invariant = "",
                     const std::string& algorithm = "");
 
-/// Parsed repro file: the scenario (machine left empty — load it from
-/// `machine_file`) plus the recorded failure.
-struct ParsedScenario {
-  ScenarioSpec scenario;
-  std::string machine_file;
-  std::string invariant;
-  std::string algorithm;
-};
+using ParsedScenario = ParsedRepro<ScenarioSpec>;
 
 /// Parse to_toml() output. Throws ConfigError with a line number on
 /// malformed input.

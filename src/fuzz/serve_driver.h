@@ -2,40 +2,25 @@
 #define HOMP_FUZZ_SERVE_DRIVER_H
 
 /// \file serve_driver.h
-/// Corpus loop of homp-fuzz's serve mode (docs/FUZZING.md "--serve"):
-/// generate serve scenarios seed, seed+1, ..., run each through the
-/// serve-invariant oracle, greedily shrink failures (drop jobs, drop
-/// tenants, halve sizes, clear fault scripts) and emit self-contained
-/// serve-repro-<seed>.{ini,toml} pairs, then render one deterministic
-/// summary — byte-identical for identical (seed, count, limits).
+/// Serve mode of the homp-fuzz pipeline (docs/FUZZING.md "--serve"): the
+/// corpus loop, shrinker and replay of driver.h, fed with multi-tenant
+/// serve scenarios and the serve-invariant oracle. Failures land as
+/// serve-repro-<seed>.{ini,toml} pairs; replay them with replay().
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "fuzz/driver.h"
 #include "fuzz/serve_oracle.h"
 #include "fuzz/serve_scenario.h"
 
 namespace homp::fuzz {
 
-struct ServeFuzzConfig {
-  std::uint64_t seed = 1;  ///< first scenario seed; scenario i uses seed+i
-  int count = 100;         ///< scenarios to run
+/// With `dsan` set, every scenario's first pass runs under homp-dsan.
+struct ServeFuzzConfig : CorpusConfig {
   ServeGeneratorLimits limits;
-
-  /// Directory for serve-repro-<seed>.{ini,toml} pairs; created on demand.
-  std::string repro_dir = "machines/fuzz";
-
-  bool shrink_failures = true;
-  int shrink_budget = 48;  ///< oracle runs the shrinker may spend per failure
-
-  /// Stop emitting repro files (but keep counting) after this many
-  /// failures, so a systematically broken build cannot flood the disk.
-  int max_repros = 8;
-
-  /// Run every scenario's first pass under homp-dsan
-  /// (docs/DETERMINISM.md); conflicts surface as "dsan-determinism".
-  bool dsan = false;
 };
 
 /// One failing serve scenario as the summary reports it.
@@ -65,16 +50,6 @@ struct ServeFuzzSummary {
 /// Run the serve corpus. Throws ConfigError only for unusable
 /// configuration; scenario failures are data, not errors.
 ServeFuzzSummary run_serve_fuzz(const ServeFuzzConfig& cfg);
-
-/// Re-run the serve scenario recorded in a serve-repro .toml (the paired
-/// machine .ini is resolved relative to the .toml's directory).
-struct ServeReplayOutcome {
-  bool reproduced = false;
-  std::string recorded_invariant;
-  std::vector<Violation> violations;  ///< what this run actually reported
-};
-
-ServeReplayOutcome serve_replay(const std::string& toml_path);
 
 }  // namespace homp::fuzz
 

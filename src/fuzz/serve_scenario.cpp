@@ -1,12 +1,10 @@
 #include "fuzz/serve_scenario.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "common/checksum.h"
 #include "common/error.h"
-#include "common/prng.h"
 #include "common/strings.h"
 #include "fuzz/scenario.h"
 #include "sched/algorithm.h"
@@ -14,19 +12,6 @@
 namespace homp::fuzz {
 
 namespace {
-
-long long irange(Prng& rng, long long lo, long long hi) {
-  return lo + static_cast<long long>(
-                  rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
-/// Rates as multiples of 0.0005 — small enough to stay transient-heavy,
-/// exactly representable, never >= 1.
-double rate(Prng& rng, double cap) {
-  const auto steps = static_cast<std::uint64_t>(cap / 0.0005);
-  if (steps == 0) return 0.0;
-  return 0.0005 * static_cast<double>(rng.below(steps + 1));
-}
 
 /// The algorithm families serve scenarios draw from. kHistoryAuto is
 /// excluded: it needs a primed ThroughputHistory the server does not
@@ -68,7 +53,11 @@ sim::FaultProfile draw_tenant_fault(Prng& rng) {
     return f;
   }
   if (band == 7) {  // molasses: admission-invisible 16-64x chunk slowdown
-    f.slowdown_rate = 0.9 + 0.001 * static_cast<double>(rng.below(101));
+    // A rate must stay below 1: the top step (1.0, which validation
+    // rejects) folds onto 0.999, keeping every other draw as it was.
+    f.slowdown_rate =
+        0.9 + 0.001 * static_cast<double>(
+                          std::min<std::uint64_t>(rng.below(101), 99));
     f.slowdown_factor = static_cast<double>(1LL << irange(rng, 4, 6));
     return f;
   }
@@ -82,25 +71,17 @@ sim::FaultProfile draw_tenant_fault(Prng& rng) {
   return f;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+serve::PriorityClass parse_priority(const TomlLine& l) {
+  if (iequals(l.value, "gold")) return serve::PriorityClass::kGold;
+  if (iequals(l.value, "silver")) return serve::PriorityClass::kSilver;
+  if (iequals(l.value, "bronze")) return serve::PriorityClass::kBronze;
+  l.fail("unknown priority '" + l.value + "'");
 }
 
-serve::PriorityClass parse_priority(const std::string& s, int line) {
-  if (iequals(s, "gold")) return serve::PriorityClass::kGold;
-  if (iequals(s, "silver")) return serve::PriorityClass::kSilver;
-  if (iequals(s, "bronze")) return serve::PriorityClass::kBronze;
-  throw ConfigError("serve scenario line " + std::to_string(line) +
-                    ": unknown priority '" + s + "'");
-}
-
-serve::BackpressureMode parse_backpressure(const std::string& s, int line) {
-  if (iequals(s, "reject")) return serve::BackpressureMode::kReject;
-  if (iequals(s, "block")) return serve::BackpressureMode::kBlock;
-  throw ConfigError("serve scenario line " + std::to_string(line) +
-                    ": unknown backpressure '" + s + "'");
+serve::BackpressureMode parse_backpressure(const TomlLine& l) {
+  if (iequals(l.value, "reject")) return serve::BackpressureMode::kReject;
+  if (iequals(l.value, "block")) return serve::BackpressureMode::kBlock;
+  l.fail("unknown backpressure '" + l.value + "'");
 }
 
 }  // namespace
@@ -285,147 +266,84 @@ bool is_serve_scenario(const std::string& text) {
 ParsedServeScenario parse_serve_scenario(const std::string& text) {
   ParsedServeScenario out;
   ServeScenarioSpec& s = out.scenario;
-
-  std::istringstream in(text);
-  std::string line;
-  std::string section;
-  serve::TenantSpec* tenant = nullptr;
-  ServeJobEntry* job = nullptr;
-  int lineno = 0;
   bool saw_serve = false;
-  auto bad = [&](const std::string& why) {
-    throw ConfigError("serve scenario line " + std::to_string(lineno) + ": " +
-                      why);
-  };
-
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const std::string t(trim(line));
-    if (t.empty()) continue;
-    if (t.front() == '[') {
-      if (t.back() != ']') bad("unterminated section header");
-      section = t.substr(1, t.size() - 2);
-      tenant = nullptr;
-      job = nullptr;
-      if (section == "serve") {
-        saw_serve = true;
-      } else if (starts_with(section, "tenant.")) {
-        s.tenants.emplace_back();
-        tenant = &s.tenants.back();
-      } else if (starts_with(section, "job.")) {
-        s.jobs.emplace_back();
-        job = &s.jobs.back();
-      } else {
-        bad("unknown section [" + section + "]");
-      }
-      continue;
-    }
-    const auto eq = t.find('=');
-    if (eq == std::string::npos) bad("expected key = value");
-    const std::string key(trim(t.substr(0, eq)));
-    const std::string val(trim(t.substr(eq + 1)));
-    if (key.empty() || val.empty()) bad("empty key or value");
-
-    auto as_ll = [&]() -> long long {
-      try {
-        return std::stoll(val);
-      } catch (...) {
-        bad("'" + key + "' needs an integer, got '" + val + "'");
-      }
-      return 0;
-    };
-    auto as_u64 = [&]() -> std::uint64_t {
-      try {
-        return std::stoull(val);
-      } catch (...) {
-        bad("'" + key + "' needs an unsigned integer, got '" + val + "'");
-      }
-      return 0;
-    };
-    auto as_double = [&]() -> double {
-      try {
-        return std::stod(val);
-      } catch (...) {
-        bad("'" + key + "' needs a number, got '" + val + "'");
-      }
-      return 0.0;
-    };
-    auto as_bool = [&]() -> bool {
-      if (iequals(val, "true")) return true;
-      if (iequals(val, "false")) return false;
-      bad("'" + key + "' needs true/false, got '" + val + "'");
-      return false;
-    };
-
-    if (section == "serve") {
+  read_toml(text, "serve scenario", [&](const TomlLine& l) {
+    const std::string& key = l.key;
+    if (key.empty()) {
+      if (l.section == "serve") saw_serve = true;
+      else if (starts_with(l.section, "tenant.")) s.tenants.emplace_back();
+      else if (starts_with(l.section, "job.")) s.jobs.emplace_back();
+      else l.fail("unknown section [" + l.section + "]");
+    } else if (l.section == "serve") {
       auto& o = s.options;
-      if (key == "seed") s.seed = as_u64();
-      else if (key == "machine_file") out.machine_file = val;
-      else if (key == "invariant") out.invariant = val;
-      else if (key == "serve_seed") o.seed = as_u64();
-      else if (key == "device_mem_bytes") o.device_mem_bytes = as_double();
+      if (key == "seed") s.seed = l.as_u64();
+      else if (key == "machine_file") out.machine_file = l.value;
+      else if (key == "invariant") out.invariant = l.value;
+      else if (key == "serve_seed") o.seed = l.as_u64();
+      else if (key == "device_mem_bytes") o.device_mem_bytes = l.as_double();
       else if (key == "max_devices_per_job")
-        o.max_devices_per_job = static_cast<int>(as_ll());
+        o.max_devices_per_job = static_cast<int>(l.as_ll());
       else if (key == "shed_l1_depth")
-        o.shed_l1_depth = static_cast<std::size_t>(as_ll());
+        o.shed_l1_depth = static_cast<std::size_t>(l.as_ll());
       else if (key == "shed_l2_depth")
-        o.shed_l2_depth = static_cast<std::size_t>(as_ll());
+        o.shed_l2_depth = static_cast<std::size_t>(l.as_ll());
       else if (key == "shed_l3_depth")
-        o.shed_l3_depth = static_cast<std::size_t>(as_ll());
-      else if (key == "shed_hysteresis") o.shed_hysteresis = as_double();
+        o.shed_l3_depth = static_cast<std::size_t>(l.as_ll());
+      else if (key == "shed_hysteresis") o.shed_hysteresis = l.as_double();
       else if (key == "shed_l2_device_cap")
-        o.shed_l2_device_cap = static_cast<int>(as_ll());
-      else if (key == "floor_fraction") o.floor_fraction = as_double();
+        o.shed_l2_device_cap = static_cast<int>(l.as_ll());
+      else if (key == "floor_fraction") o.floor_fraction = l.as_double();
       else if (key == "breaker_threshold")
-        o.breaker_threshold = static_cast<int>(as_ll());
+        o.breaker_threshold = static_cast<int>(l.as_ll());
       else if (key == "breaker_cooldown_base_s")
-        o.breaker_cooldown_base_s = as_double();
+        o.breaker_cooldown_base_s = l.as_double();
       else if (key == "breaker_cooldown_growth")
-        o.breaker_cooldown_growth = as_double();
+        o.breaker_cooldown_growth = l.as_double();
       else if (key == "breaker_cooldown_cap_s")
-        o.breaker_cooldown_cap_s = as_double();
-      else if (key == "materialize") o.materialize = as_bool();
-      else if (key == "step_budget") o.base.harness.step_budget = as_ll();
-      else if (key == "dsan") s.dsan = as_bool();
-      else bad("unknown [serve] key '" + key + "'");
-    } else if (tenant != nullptr) {
-      auto& f = tenant->fault;
-      if (key == "name") tenant->name = val;
-      else if (key == "priority") tenant->priority = parse_priority(val, lineno);
-      else if (key == "weight") tenant->weight = as_double();
+        o.breaker_cooldown_cap_s = l.as_double();
+      else if (key == "materialize") o.materialize = l.as_bool();
+      else if (key == "step_budget") o.base.harness.step_budget = l.as_ll();
+      else if (key == "dsan") s.dsan = l.as_bool();
+      else l.fail("unknown [serve] key '" + key + "'");
+    } else if (starts_with(l.section, "tenant.")) {
+      serve::TenantSpec& tenant = s.tenants.back();
+      auto& f = tenant.fault;
+      if (key == "name") tenant.name = l.value;
+      else if (key == "priority") tenant.priority = parse_priority(l);
+      else if (key == "weight") tenant.weight = l.as_double();
       else if (key == "backpressure")
-        tenant->backpressure = parse_backpressure(val, lineno);
+        tenant.backpressure = parse_backpressure(l);
       else if (key == "max_queue_depth")
-        tenant->max_queue_depth = static_cast<std::size_t>(as_ll());
-      else if (key == "transfer_fault_rate") f.transfer_fault_rate = as_double();
-      else if (key == "launch_fault_rate") f.launch_fault_rate = as_double();
-      else if (key == "slowdown_rate") f.slowdown_rate = as_double();
-      else if (key == "slowdown_factor") f.slowdown_factor = as_double();
-      else if (key == "hang_rate") f.hang_rate = as_double();
-      else if (key == "degrade_rate") f.degrade_rate = as_double();
-      else if (key == "degrade_factor") f.degrade_factor = as_double();
+        tenant.max_queue_depth = static_cast<std::size_t>(l.as_ll());
+      else if (key == "transfer_fault_rate")
+        f.transfer_fault_rate = l.as_double();
+      else if (key == "launch_fault_rate") f.launch_fault_rate = l.as_double();
+      else if (key == "slowdown_rate") f.slowdown_rate = l.as_double();
+      else if (key == "slowdown_factor") f.slowdown_factor = l.as_double();
+      else if (key == "hang_rate") f.hang_rate = l.as_double();
+      else if (key == "degrade_rate") f.degrade_rate = l.as_double();
+      else if (key == "degrade_factor") f.degrade_factor = l.as_double();
       else if (key == "corrupt_transfer_rate")
-        f.corrupt_transfer_rate = as_double();
+        f.corrupt_transfer_rate = l.as_double();
       else if (key == "corrupt_compute_rate")
-        f.corrupt_compute_rate = as_double();
-      else if (key == "fail_at_s") f.fail_at_s = as_double();
-      else bad("unknown [tenant] key '" + key + "'");
-    } else if (job != nullptr) {
-      if (key == "tenant") job->tenant = static_cast<int>(as_ll());
-      else if (key == "at_s") job->at_s = as_double();
-      else if (key == "kernel") job->job.kernel = val;
-      else if (key == "n") job->job.n = as_ll();
-      else if (key == "devices") job->job.devices = static_cast<int>(as_ll());
-      else if (key == "deadline_s") job->job.deadline_s = as_double();
+        f.corrupt_compute_rate = l.as_double();
+      else if (key == "fail_at_s") f.fail_at_s = l.as_double();
+      else l.fail("unknown [tenant] key '" + key + "'");
+    } else if (starts_with(l.section, "job.")) {
+      ServeJobEntry& job = s.jobs.back();
+      if (key == "tenant") job.tenant = static_cast<int>(l.as_ll());
+      else if (key == "at_s") job.at_s = l.as_double();
+      else if (key == "kernel") job.job.kernel = l.value;
+      else if (key == "n") job.job.n = l.as_ll();
+      else if (key == "devices") job.job.devices = static_cast<int>(l.as_ll());
+      else if (key == "deadline_s") job.job.deadline_s = l.as_double();
       else if (key == "algorithm")
-        job->job.algorithm = sched::algorithm_from_string(val);
-      else bad("unknown [job] key '" + key + "'");
+        job.job.algorithm = sched::algorithm_from_string(l.value);
+      else l.fail("unknown [job] key '" + key + "'");
     } else {
-      bad("key '" + key + "' outside any section");
+      l.fail("key '" + key + "' outside any section");
     }
-  }
+  });
   if (!saw_serve) {
     throw ConfigError("serve scenario file has no [serve] section");
   }

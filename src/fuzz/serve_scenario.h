@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/toml.h"
 #include "machine/device.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
@@ -75,13 +76,7 @@ std::string serve_to_toml(const ServeScenarioSpec& s,
                           const std::string& machine_file = "",
                           const std::string& invariant = "");
 
-/// Parsed serve repro: the scenario (machine left empty — load it from
-/// `machine_file`) plus the recorded failure.
-struct ParsedServeScenario {
-  ServeScenarioSpec scenario;
-  std::string machine_file;
-  std::string invariant;
-};
+using ParsedServeScenario = ParsedRepro<ServeScenarioSpec>;
 
 /// Parse serve_to_toml() output. Throws ConfigError with a line number
 /// on malformed input.

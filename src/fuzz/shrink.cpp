@@ -3,22 +3,66 @@
 #include <algorithm>
 
 #include "fuzz/oracle.h"
+#include "fuzz/serve_oracle.h"
 #include "sim/fault.h"
 
 namespace homp::fuzz {
 
 namespace {
 
-bool still_fails(const ScenarioSpec& candidate, const std::string& invariant,
-                 int& runs_left) {
-  if (runs_left <= 0) return false;
-  --runs_left;
-  const OracleReport r = run_oracle(candidate);
-  for (const auto& v : r.violations) {
-    if (v.invariant == invariant) return true;
-  }
-  return false;
+std::vector<Violation> violations_of(const ScenarioSpec& s) {
+  return run_oracle(s).violations;
 }
+
+std::vector<Violation> violations_of(const ServeScenarioSpec& s) {
+  return run_serve_oracle(s).violations;
+}
+
+/// The acceptance loop both modes share. A mode's sweep proposes
+/// candidates through attempt(), which spends one oracle run and adopts
+/// the candidate when the invariant still fails; sweeps repeat until one
+/// accepts nothing or the budget is spent.
+template <class Spec>
+class Shrinker {
+ public:
+  Shrinker(const Spec& failing, const std::string& invariant, int budget)
+      : invariant_(invariant), budget_(budget) {
+    out_.scenario = failing;
+  }
+
+  const Spec& cur() const noexcept { return out_.scenario; }
+  bool spent() const noexcept { return out_.oracle_runs >= budget_; }
+
+  bool attempt(Spec cand) {
+    if (spent()) return false;
+    ++out_.oracle_runs;
+    const auto found = violations_of(cand);
+    if (std::none_of(found.begin(), found.end(), [&](const Violation& v) {
+          return v.invariant == invariant_;
+        })) {
+      return false;
+    }
+    out_.scenario = std::move(cand);
+    ++out_.accepted;
+    progressed_ = true;
+    return true;
+  }
+
+  Shrunk<Spec> run(void (*sweep)(Shrinker&)) {
+    for (bool again = true; again && !spent();) {
+      progressed_ = false;
+      sweep(*this);
+      again = progressed_;
+    }
+    return std::move(out_);
+  }
+
+ private:
+  std::string invariant_;
+  int budget_;
+  Shrunk<Spec> out_;
+  bool progressed_ = false;
+};
 
 /// Remove accelerator `dev` (a device index >= 1) and everything that
 /// referenced it: its fault-script entries go away, higher device ids
@@ -52,69 +96,99 @@ ScenarioSpec drop_device(const ScenarioSpec& s, int dev) {
   return c;
 }
 
+void sweep_offload(Shrinker<ScenarioSpec>& sh) {
+  // 1. Fewer devices. Iterate back to front so an accepted drop leaves
+  //    earlier indices valid; always keep the host plus one accelerator.
+  for (int dev = static_cast<int>(sh.cur().machine.devices.size()) - 1;
+       dev >= 1 && sh.cur().machine.devices.size() > 2; --dev) {
+    sh.attempt(drop_device(sh.cur(), dev));
+  }
+
+  // 2. Smaller trip count (respecting the kernel's size floor).
+  while (sh.cur().n > min_trip(sh.cur().kernel) && !sh.spent()) {
+    ScenarioSpec cand = sh.cur();
+    cand.n = quantize_trip(cand.kernel, cand.n / 2);
+    if (cand.n == sh.cur().n || !sh.attempt(std::move(cand))) break;
+  }
+
+  // 3. Fewer fault-script entries.
+  for (int i = static_cast<int>(sh.cur().faults.size()) - 1;
+       i >= 0 && !sh.spent(); --i) {
+    ScenarioSpec cand = sh.cur();
+    cand.faults.erase(cand.faults.begin() + i);
+    sh.attempt(std::move(cand));
+  }
+
+  // 4. Quiet rate-based fault profiles, one device at a time.
+  for (std::size_t d = 1; d < sh.cur().machine.devices.size() && !sh.spent();
+       ++d) {
+    if (!sh.cur().machine.devices[d].fault.any()) continue;
+    ScenarioSpec cand = sh.cur();
+    cand.machine.devices[d].fault = sim::FaultProfile{};
+    sh.attempt(std::move(cand));
+  }
+}
+
+/// Every candidate stays a valid scenario: jobs always reference live
+/// tenants and sizes stay kernel-quantized.
+void sweep_serve(Shrinker<ServeScenarioSpec>& sh) {
+  // 1. Drop individual jobs (an empty run exercises nothing).
+  for (std::size_t i = 0;
+       i < sh.cur().jobs.size() && sh.cur().jobs.size() > 1 && !sh.spent();) {
+    ServeScenarioSpec cand = sh.cur();
+    cand.jobs.erase(cand.jobs.begin() + static_cast<std::ptrdiff_t>(i));
+    if (!sh.attempt(std::move(cand))) ++i;
+  }
+
+  // 2. Drop whole tenants with their jobs, remapping the survivors.
+  for (std::size_t t = 0; t < sh.cur().tenants.size() &&
+                          sh.cur().tenants.size() > 1 && !sh.spent();) {
+    const int gone = static_cast<int>(t);
+    ServeScenarioSpec cand = sh.cur();
+    cand.tenants.erase(cand.tenants.begin() + gone);
+    std::erase_if(cand.jobs,
+                  [gone](const ServeJobEntry& e) { return e.tenant == gone; });
+    for (auto& e : cand.jobs) {
+      if (e.tenant > gone) --e.tenant;
+    }
+    if (cand.jobs.empty() || !sh.attempt(std::move(cand))) ++t;
+  }
+
+  // 3. Halve job sizes (kernel-quantized, floored at min_trip).
+  for (std::size_t i = 0; i < sh.cur().jobs.size() && !sh.spent(); ++i) {
+    while (sh.cur().jobs[i].job.n > min_trip(sh.cur().jobs[i].job.kernel) &&
+           !sh.spent()) {
+      ServeScenarioSpec cand = sh.cur();
+      serve::JobSpec& job = cand.jobs[i].job;
+      job.n = quantize_trip(job.kernel, job.n / 2);
+      if (job.n == sh.cur().jobs[i].job.n || !sh.attempt(std::move(cand))) {
+        break;
+      }
+    }
+  }
+
+  // 4. Clear per-tenant fault scripts.
+  for (std::size_t t = 0; t < sh.cur().tenants.size() && !sh.spent(); ++t) {
+    if (!sh.cur().tenants[t].fault.any()) continue;
+    ServeScenarioSpec cand = sh.cur();
+    cand.tenants[t].fault = sim::FaultProfile{};
+    sh.attempt(std::move(cand));
+  }
+}
+
 }  // namespace
 
 ShrinkResult shrink(const ScenarioSpec& failing, const std::string& invariant,
                     int max_oracle_runs) {
-  ShrinkResult out;
-  out.scenario = failing;
-  int runs_left = max_oracle_runs;
+  return Shrinker<ScenarioSpec>(failing, invariant, max_oracle_runs)
+      .run(sweep_offload);
+}
 
-  bool progressed = true;
-  while (progressed && runs_left > 0) {
-    progressed = false;
-    ScenarioSpec& cur = out.scenario;
-
-    // 1. Fewer devices. Iterate back to front so an accepted drop leaves
-    //    earlier indices valid; always keep the host plus one accelerator.
-    for (int dev = static_cast<int>(cur.machine.devices.size()) - 1;
-         dev >= 1 && cur.machine.devices.size() > 2; --dev) {
-      ScenarioSpec cand = drop_device(cur, dev);
-      if (still_fails(cand, invariant, runs_left)) {
-        cur = std::move(cand);
-        ++out.accepted;
-        progressed = true;
-      }
-    }
-
-    // 2. Smaller trip count (respecting the kernel's size floor).
-    while (cur.n > min_trip(cur.kernel) && runs_left > 0) {
-      ScenarioSpec cand = cur;
-      cand.n = quantize_trip(cand.kernel, cand.n / 2);
-      if (cand.n == cur.n) break;
-      if (!still_fails(cand, invariant, runs_left)) break;
-      cur = std::move(cand);
-      ++out.accepted;
-      progressed = true;
-    }
-
-    // 3. Fewer fault-script entries.
-    for (int i = static_cast<int>(cur.faults.size()) - 1;
-         i >= 0 && runs_left > 0; --i) {
-      ScenarioSpec cand = cur;
-      cand.faults.erase(cand.faults.begin() + i);
-      if (still_fails(cand, invariant, runs_left)) {
-        cur = std::move(cand);
-        ++out.accepted;
-        progressed = true;
-      }
-    }
-
-    // 4. Quiet rate-based fault profiles, one device at a time.
-    for (std::size_t d = 1; d < cur.machine.devices.size() && runs_left > 0;
-         ++d) {
-      if (!cur.machine.devices[d].fault.any()) continue;
-      ScenarioSpec cand = cur;
-      cand.machine.devices[d].fault = sim::FaultProfile{};
-      if (still_fails(cand, invariant, runs_left)) {
-        cur = std::move(cand);
-        ++out.accepted;
-        progressed = true;
-      }
-    }
-  }
-  out.oracle_runs = max_oracle_runs - runs_left;
-  return out;
+Shrunk<ServeScenarioSpec> shrink(const ServeScenarioSpec& failing,
+                                 const std::string& invariant,
+                                 int max_oracle_runs) {
+  return Shrinker<ServeScenarioSpec>(failing, invariant, max_oracle_runs)
+      .run(sweep_serve);
 }
 
 }  // namespace homp::fuzz

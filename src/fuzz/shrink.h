@@ -5,30 +5,40 @@
 /// Greedy scenario minimization for homp-fuzz (docs/FUZZING.md).
 ///
 /// Given a scenario that violates an invariant, the shrinker tries ever
-/// smaller candidates — drop an accelerator, halve the trip count, drop a
-/// fault-script entry, zero a device's fault rates — and keeps a
+/// smaller candidates through its mode's edit passes and keeps a
 /// candidate whenever the oracle still reports the *same* invariant
-/// failing (any algorithm). The loop repeats until a full pass makes no
-/// progress or the oracle-run budget is exhausted, so a repro file
-/// describes the smallest machine/loop/fault combination that still
-/// exhibits the failure.
+/// failing (any algorithm). Single-offload scenarios drop an accelerator,
+/// halve the trip count, drop a fault-script entry and zero a device's
+/// fault rates; serve scenarios drop a job, drop a tenant with its jobs,
+/// halve job sizes and clear a tenant's fault script. The passes repeat
+/// until a full sweep makes no progress or the oracle-run budget is
+/// exhausted, so a repro file describes the smallest combination that
+/// still exhibits the failure.
 
 #include <string>
 
 #include "fuzz/scenario.h"
+#include "fuzz/serve_scenario.h"
 
 namespace homp::fuzz {
 
-struct ShrinkResult {
-  ScenarioSpec scenario;  ///< the minimized scenario
-  int oracle_runs = 0;    ///< budget spent
-  int accepted = 0;       ///< candidates that kept the failure
+template <class Spec>
+struct Shrunk {
+  Spec scenario;        ///< the minimized scenario
+  int oracle_runs = 0;  ///< budget spent
+  int accepted = 0;     ///< candidates that kept the failure
 };
 
+using ShrinkResult = Shrunk<ScenarioSpec>;
+
 /// Minimize `failing` while `invariant` keeps failing. `max_oracle_runs`
-/// bounds total work (each oracle run sweeps all ten algorithms).
+/// bounds total work (one oracle run sweeps all ten algorithms, or runs a
+/// serve scenario twice).
 ShrinkResult shrink(const ScenarioSpec& failing, const std::string& invariant,
-                    int max_oracle_runs = 64);
+                    int max_oracle_runs);
+Shrunk<ServeScenarioSpec> shrink(const ServeScenarioSpec& failing,
+                                 const std::string& invariant,
+                                 int max_oracle_runs);
 
 }  // namespace homp::fuzz
 

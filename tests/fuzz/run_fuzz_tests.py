@@ -10,7 +10,8 @@ Contract under test (docs/FUZZING.md):
     the oracle catches, the shrinker minimizes, and the driver writes as
     a self-contained repro pair (.toml + .ini);
   * `--replay` on that repro re-runs it deterministically and exits 0
-    reporting the same invariant failing;
+    reporting the same invariant failing; a serve repro replays through
+    the same flag;
   * usage errors exit 2.
 
 Needs the homp-fuzz binary: pass --fuzz-bin, as the ctest entry does.
@@ -26,6 +27,8 @@ import unittest
 
 FUZZ_BIN = None  # set by main()
 WORK = None
+GPU4_INI = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "..", "..", "machines", "gpu4.ini")
 
 
 def fuzz(*args, timeout=300):
@@ -151,6 +154,41 @@ class DsanSanitizer(unittest.TestCase):
     def test_serve_mode_rejects_planting(self):
         r = fuzz("--serve", "--plant", "dsan-conflict")
         self.assertEqual(r.returncode, 2)
+
+
+class ServeMode(unittest.TestCase):
+    def write_repro(self, name, kernel):
+        """A hand-written serve repro: one tenant, one job, the recorded
+        invariant serve-progress, and the repository's gpu4 machine."""
+        path = os.path.join(WORK.name, name)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("[serve]\nseed = 1\nmachine_file = %s\n"
+                    "invariant = serve-progress\n\n"
+                    "[tenant.0]\nname = t0\n\n"
+                    "[job.0]\ntenant = 0\nkernel = %s\nn = 64\ndevices = 1\n"
+                    % (GPU4_INI, kernel))
+        return path
+
+    def test_replay_of_hand_written_serve_repro(self):
+        """An unknown kernel aborts the serving run, which the serve
+        oracle reports as serve-progress: the replay reproduces it."""
+        r = fuzz("--replay", self.write_repro("abort.toml", "no-such-kernel"))
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("(serve)", r.stdout)
+        self.assertIn("REPRODUCED", r.stdout)
+
+    def test_replay_of_clean_serve_repro_does_not_reproduce(self):
+        r = fuzz("--replay", self.write_repro("clean.toml", "axpy"))
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("NOT REPRODUCED", r.stdout)
+
+    def test_molasses_top_step_generates(self):
+        """Seed 618 draws the molasses band's top step, which once gave a
+        slowdown rate of 1.0 and an exit-2 generator error."""
+        r = fuzz("--serve", "--seed", "618", "--count", "1",
+                 "--repro-dir", os.path.join(WORK.name, "seed618"))
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertEqual(json.loads(r.stdout)["violations"], 0)
 
 
 class ErrorContract(unittest.TestCase):

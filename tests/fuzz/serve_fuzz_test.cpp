@@ -2,8 +2,9 @@
 // serve-scenario generation must be deterministic and always-valid, the
 // TOML serialization must round-trip exactly, the replay sniffer must
 // tell serve repros from single-offload ones, the serve oracle must pass
-// clean scenarios and catch an injected mid-run abort, and the corpus
-// driver's summary must be byte-identical across same-config runs.
+// clean scenarios and catch an injected mid-run abort, the shrinker must
+// minimize that abort, and the corpus driver's summary must be
+// byte-identical across same-config runs.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "fuzz/serve_driver.h"
 #include "fuzz/serve_oracle.h"
 #include "fuzz/serve_scenario.h"
+#include "fuzz/shrink.h"
 #include "machine/parser.h"
 
 namespace homp {
@@ -94,6 +96,17 @@ TEST(ServeScenario, ParserRejectsGarbageWithLineNumbers) {
       ConfigError);  // job references a missing tenant
 }
 
+TEST(ServeScenario, MolassesTenantsDrawValidSlowdownRates) {
+  // Seed 618 draws the molasses band's top step, which once yielded
+  // slowdown_rate == 1.0 and made generation throw.
+  fuzz::ServeScenarioSpec s;
+  ASSERT_NO_THROW(s = fuzz::generate_serve_scenario(618));
+  for (const auto& t : s.tenants) {
+    EXPECT_LT(t.fault.slowdown_rate, 1.0) << t.name;
+    EXPECT_NO_THROW(t.fault.validate(t.name)) << t.name;
+  }
+}
+
 TEST(ServeOracle, CleanScenarioPassesEveryInvariant) {
   fuzz::ServeGeneratorLimits limits;
   limits.max_devices = 4;
@@ -123,6 +136,27 @@ TEST(ServeOracle, MidRunAbortBecomesProgressViolation) {
   const auto report = fuzz::run_serve_oracle(s);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].invariant, "serve-progress");
+}
+
+TEST(ServeShrink, AbortShrinksToOneTenantAndOneJob) {
+  // The MidRunAbortBecomesProgressViolation shape on a roster of four
+  // tenants and eight jobs: only job 0 matters.
+  auto s = fuzz::generate_serve_scenario(8);
+  s.jobs[0].job.kernel = "no-such-kernel";
+  ASSERT_GT(s.tenants.size(), 1u);
+  ASSERT_GT(s.jobs.size(), 1u);
+
+  const int budget = fuzz::ServeFuzzConfig{}.shrink_budget;
+  const auto shrunk = fuzz::shrink(s, "serve-progress", budget);
+  EXPECT_LE(shrunk.oracle_runs, budget);
+  ASSERT_EQ(shrunk.scenario.tenants.size(), 1u);
+  ASSERT_EQ(shrunk.scenario.jobs.size(), 1u);
+  EXPECT_EQ(shrunk.scenario.jobs[0].tenant, 0);
+  EXPECT_EQ(shrunk.scenario.jobs[0].job.kernel, "no-such-kernel");
+
+  const auto after = fuzz::run_serve_oracle(shrunk.scenario);
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.violations[0].invariant, "serve-progress");
 }
 
 TEST(ServeDriver, CorpusSummaryIsByteIdentical) {
@@ -156,7 +190,8 @@ TEST(ServeDriver, ReplayReproducesARecordedFailure) {
   }
 
   const auto outcome =
-      fuzz::serve_replay((dir / "serve-repro-4.toml").string());
+      fuzz::replay((dir / "serve-repro-4.toml").string());
+  EXPECT_TRUE(outcome.serve);
   EXPECT_EQ(outcome.recorded_invariant, "serve-progress");
   EXPECT_TRUE(outcome.reproduced);
 
@@ -170,8 +205,7 @@ TEST(ServeDriver, ReplayReproducesARecordedFailure) {
     toml << fuzz::serve_to_toml(clean, "serve-repro-1.ini",
                                 "serve-progress");
   }
-  const auto held =
-      fuzz::serve_replay((dir / "serve-repro-1.toml").string());
+  const auto held = fuzz::replay((dir / "serve-repro-1.toml").string());
   EXPECT_FALSE(held.reproduced);
 }
 

@@ -18,16 +18,13 @@
 ///                            1 = it did NOT reproduce,
 ///                            2 = unreadable/malformed repro file.
 
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
-#include "fuzz/driver.h"
 #include "fuzz/serve_driver.h"
 #include "sim/dsan.h"
 
@@ -78,61 +75,60 @@ long long parse_ll(const std::string& flag, const char* value) {
                           std::string(value) + "'");
 }
 
-/// Dispatch --replay on the repro file's own shape.
 int run_replay(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::cerr << "homp-fuzz: cannot open repro file: " << path << "\n";
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-
-  if (homp::fuzz::is_serve_scenario(buf.str())) {
-    const auto outcome = homp::fuzz::serve_replay(path);
-    std::cout << "replay: " << path << " (serve)\n";
-    std::cout << "recorded: " << outcome.recorded_invariant << "\n";
-    for (const auto& v : outcome.violations) {
-      std::cout << "violation: " << v.invariant << " " << v.detail << "\n";
-    }
-    if (outcome.reproduced) {
-      std::cout << "REPRODUCED: invariant '" << outcome.recorded_invariant
-                << "' failed again\n";
-      return 0;
-    }
-    std::cout << "NOT REPRODUCED: invariant '" << outcome.recorded_invariant
-              << "' held this time\n";
-    return 1;
-  }
-
   const auto outcome = homp::fuzz::replay(path);
-  std::cout << "replay: " << path << "\n";
+  std::cout << "replay: " << path << (outcome.serve ? " (serve)" : "")
+            << "\n";
   std::cout << "recorded: " << outcome.recorded_invariant;
   if (!outcome.recorded_algorithm.empty()) {
     std::cout << " (" << outcome.recorded_algorithm << ")";
   }
   std::cout << "\n";
   for (const auto& v : outcome.violations) {
-    std::cout << "violation: " << v.invariant << " [" << v.algorithm << "] "
-              << v.detail << "\n";
+    std::cout << "violation: " << v.invariant;
+    if (!outcome.serve) std::cout << " [" << v.algorithm << "]";
+    std::cout << " " << v.detail << "\n";
   }
-  if (outcome.reproduced) {
-    std::cout << "REPRODUCED: invariant '" << outcome.recorded_invariant
-              << "' failed again\n";
-    return 0;
+  std::cout << (outcome.reproduced ? "" : "NOT ") << "REPRODUCED: invariant '"
+            << outcome.recorded_invariant
+            << (outcome.reproduced ? "' failed again\n" : "' held this time\n");
+  return outcome.reproduced ? 0 : 1;
+}
+
+/// Print a corpus summary (and copy it to `summary_out`), then map it to
+/// the corpus exit code. `totals` is the mode's one-line tally.
+template <class Summary>
+int report(const Summary& summary, const std::string& summary_out,
+           const std::string& totals) {
+  if (!summary_out.empty()) {
+    std::ofstream out(summary_out, std::ios::binary);
+    if (!out.good()) {
+      std::cerr << "homp-fuzz: cannot write " << summary_out << "\n";
+      return 2;
+    }
+    out << summary.json;
   }
-  std::cout << "NOT REPRODUCED: invariant '" << outcome.recorded_invariant
-            << "' held this time\n";
-  return 1;
+  std::cout << summary.json;
+  std::cerr << "homp-fuzz: " << totals << ", " << summary.violations
+            << " violations\n";
+  for (const auto& f : summary.failures) {
+    std::cerr << "  seed " << f.seed << ": " << f.invariant;
+    if constexpr (requires { f.algorithm; }) {
+      std::cerr << " [" << f.algorithm << "]";
+    }
+    std::cerr << (f.repro_toml.empty() ? "" : " -> " + f.repro_toml) << "\n";
+  }
+  return summary.violations == 0 ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using homp::fuzz::FuzzConfig;
-  using homp::fuzz::ServeFuzzConfig;
-  FuzzConfig cfg;
-  ServeFuzzConfig serve_cfg;
+  using homp::fuzz::CorpusConfig;
+  CorpusConfig corpus;  // the flags both modes share
+  homp::fuzz::FuzzConfig cfg;
+  homp::fuzz::ServeFuzzConfig serve_cfg;
+  std::optional<int> max_devices;
   bool serve = false;
   std::string summary_out;
   std::string replay_path;
@@ -152,14 +148,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--serve") {
         serve = true;
       } else if (arg == "--seed") {
-        cfg.seed = static_cast<std::uint64_t>(parse_ll(arg, value()));
-        serve_cfg.seed = cfg.seed;
+        corpus.seed = static_cast<std::uint64_t>(parse_ll(arg, value()));
       } else if (arg == "--count") {
-        cfg.count = static_cast<int>(parse_ll(arg, value()));
-        serve_cfg.count = cfg.count;
+        corpus.count = static_cast<int>(parse_ll(arg, value()));
       } else if (arg == "--max-devices") {
-        cfg.limits.max_devices = static_cast<int>(parse_ll(arg, value()));
-        serve_cfg.limits.max_devices = cfg.limits.max_devices;
+        max_devices = static_cast<int>(parse_ll(arg, value()));
       } else if (arg == "--max-tenants") {
         serve_cfg.limits.max_tenants = static_cast<int>(parse_ll(arg, value()));
       } else if (arg == "--max-jobs") {
@@ -167,13 +160,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--no-faults") {
         serve_cfg.limits.allow_faults = false;
       } else if (arg == "--repro-dir") {
-        cfg.repro_dir = value();
-        serve_cfg.repro_dir = cfg.repro_dir;
+        corpus.repro_dir = value();
       } else if (arg == "--summary-out") {
         summary_out = value();
       } else if (arg == "--no-shrink") {
-        cfg.shrink_failures = false;
-        serve_cfg.shrink_failures = false;
+        corpus.shrink_failures = false;
       } else if (arg == "--plant") {
         const std::string what = value();
         if (what == "corrupt-commit") {
@@ -186,8 +177,7 @@ int main(int argc, char** argv) {
               "' (corrupt-commit or dsan-conflict)");
         }
       } else if (arg == "--dsan") {
-        cfg.dsan = true;
-        serve_cfg.dsan = true;
+        corpus.dsan = true;
       } else if (arg == "--replay") {
         replay_path = value();
       } else {
@@ -195,8 +185,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if ((cfg.dsan || serve_cfg.dsan || cfg.plant_dsan) &&
-        !homp::sim::dsan::compiled_in()) {
+    if ((corpus.dsan || cfg.plant_dsan) && !homp::sim::dsan::compiled_in()) {
       std::cerr << "homp-fuzz: --dsan needs the sanitizer compiled in "
                    "(rebuild without -DHOMP_DSAN=OFF)\n";
       return 2;
@@ -210,49 +199,23 @@ int main(int argc, char** argv) {
       if (cfg.plant || cfg.plant_dsan) {
         throw homp::ConfigError("--plant is not a serve-mode option");
       }
-      const auto summary = homp::fuzz::run_serve_fuzz(serve_cfg);
-      if (!summary_out.empty()) {
-        std::ofstream out(summary_out, std::ios::binary);
-        if (!out.good()) {
-          std::cerr << "homp-fuzz: cannot write " << summary_out << "\n";
-          return 2;
-        }
-        out << summary.json;
-      }
-      std::cout << summary.json;
-      std::cerr << "homp-fuzz: " << summary.scenarios << " serve scenarios, "
-                << summary.jobs << " jobs (" << summary.completed
-                << " completed, " << summary.failed << " failed, "
-                << summary.cancelled << " cancelled), " << summary.violations
-                << " violations\n";
-      for (const auto& f : summary.failures) {
-        std::cerr << "  seed " << f.seed << ": " << f.invariant
-                  << (f.repro_toml.empty() ? "" : " -> " + f.repro_toml)
-                  << "\n";
-      }
-      return summary.violations == 0 ? 0 : 1;
+      static_cast<CorpusConfig&>(serve_cfg) = corpus;
+      if (max_devices) serve_cfg.limits.max_devices = *max_devices;
+      const auto s = homp::fuzz::run_serve_fuzz(serve_cfg);
+      return report(s, summary_out,
+                    std::to_string(s.scenarios) + " serve scenarios, " +
+                        std::to_string(s.jobs) + " jobs (" +
+                        std::to_string(s.completed) + " completed, " +
+                        std::to_string(s.failed) + " failed, " +
+                        std::to_string(s.cancelled) + " cancelled)");
     }
 
-    const auto summary = homp::fuzz::run_fuzz(cfg);
-    if (!summary_out.empty()) {
-      std::ofstream out(summary_out, std::ios::binary);
-      if (!out.good()) {
-        std::cerr << "homp-fuzz: cannot write " << summary_out << "\n";
-        return 2;
-      }
-      out << summary.json;
-    }
-    std::cout << summary.json;
-    std::cerr << "homp-fuzz: " << summary.scenarios << " scenarios, "
-              << summary.offloads << " offloads, " << summary.violations
-              << " violations\n";
-    for (const auto& f : summary.failures) {
-      std::cerr << "  seed " << f.seed << ": " << f.invariant << " ["
-                << f.algorithm << "]"
-                << (f.repro_toml.empty() ? "" : " -> " + f.repro_toml)
-                << "\n";
-    }
-    return summary.violations == 0 ? 0 : 1;
+    static_cast<CorpusConfig&>(cfg) = corpus;
+    if (max_devices) cfg.limits.max_devices = *max_devices;
+    const auto s = homp::fuzz::run_fuzz(cfg);
+    return report(s, summary_out,
+                  std::to_string(s.scenarios) + " scenarios, " +
+                      std::to_string(s.offloads) + " offloads");
   } catch (const std::exception& e) {
     std::cerr << "homp-fuzz: " << e.what() << "\n";
     return 2;
