@@ -13,7 +13,7 @@ What is pinned:
   * fuzz/<case>/<file>     the repro pairs of the planted runs, the only
                            runs that pin a shrink result byte for byte.
 
-homp-fuzz runs inside a scratch directory with the relative
+homp-fuzz runs inside a temporary directory with the relative
 `--repro-dir repros`, so the repro paths a summary records are the same
 on every machine.
 
@@ -103,17 +103,17 @@ def bench_job(bench_dir, name):
     return {"bench/%s.txt" % name: run([os.path.join(bench_dir, name)])}
 
 
-def fig6_files_job(bench_dir, scratch):
-    trace = os.path.join(scratch, "fig6_trace.json")
-    metrics = os.path.join(scratch, "fig6_metrics.json")
+def fig6_files_job(bench_dir, tmp):
+    trace = os.path.join(tmp, "fig6_trace.json")
+    metrics = os.path.join(tmp, "fig6_metrics.json")
     run([os.path.join(bench_dir, "bench_fig6_breakdown"),
          "--trace-out", trace, "--metrics-out", metrics])
     return {"bench/fig6_trace.json": read(trace),
             "bench/fig6_metrics.json": read(metrics)}
 
 
-def fuzz_job(fuzz_bin, scratch, name, args, expect):
-    cwd = os.path.join(scratch, name)
+def fuzz_job(fuzz_bin, tmp, name, args, expect):
+    cwd = os.path.join(tmp, name)
     os.makedirs(cwd)
     stdout = run([fuzz_bin, *args, "--repro-dir", "repros",
                   "--summary-out", "summary.json"], cwd=cwd, expect=expect)
@@ -156,18 +156,18 @@ def main():
     ap.add_argument("--skip-dsan", action="store_true")
     ap.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
     args = ap.parse_args()
-    # homp-fuzz runs in its own scratch directory.
+    # homp-fuzz runs in its own temporary directory.
     args.fuzz_bin = os.path.abspath(args.fuzz_bin)
 
-    with tempfile.TemporaryDirectory(prefix="homp_golden_") as scratch:
+    with tempfile.TemporaryDirectory(prefix="homp_golden_") as tmp:
         jobs = [(bench_job, (args.bench_dir, b)) for b in BENCHES]
-        jobs.append((fig6_files_job, (args.bench_dir, scratch)))
+        jobs.append((fig6_files_job, (args.bench_dir, tmp)))
         expected = set()
         for name, fargs, expect, dsan, ci_only in FUZZ:
             if (dsan and args.skip_dsan) or (ci_only and not args.all):
                 continue
             jobs.append((fuzz_job,
-                         (args.fuzz_bin, scratch, name, fargs, expect)))
+                         (args.fuzz_bin, tmp, name, fargs, expect)))
             expected.update(committed_repros(name))
         produced = {}
         try:
