@@ -5,6 +5,7 @@
 
 #include "common/checksum.h"
 #include "common/error.h"
+#include "common/prng.h"
 #include "common/strings.h"
 #include "fuzz/scenario.h"
 #include "sched/algorithm.h"
