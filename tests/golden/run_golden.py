@@ -19,7 +19,7 @@ on every machine.
 
 Usage:
   run_golden.py --bench-dir DIR --fuzz-bin PATH [--update] [--all]
-                [--skip-dsan] [--jobs N]
+                [--skip-dsan]
 
   --update     rewrite the golden files from this build instead of diffing
   --all        add the larger corpora only CI compares (the fuzz smoke and
@@ -154,7 +154,6 @@ def main():
     ap.add_argument("--update", action="store_true")
     ap.add_argument("--all", action="store_true")
     ap.add_argument("--skip-dsan", action="store_true")
-    ap.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
     args = ap.parse_args()
     # homp-fuzz runs in its own temporary directory.
     args.fuzz_bin = os.path.abspath(args.fuzz_bin)
@@ -171,7 +170,8 @@ def main():
             expected.update(committed_repros(name))
         produced = {}
         try:
-            with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+            with concurrent.futures.ThreadPoolExecutor(
+                    min(4, os.cpu_count() or 1)) as pool:
                 for files in pool.map(lambda j: j[0](*j[1]), jobs):
                     produced.update(files)
         except (RunError, OSError, subprocess.TimeoutExpired) as e:
