@@ -16,9 +16,10 @@ namespace homp::fuzz {
 
 namespace {
 
-// What the pipeline below needs from each mode: its generator and
-// oracle, its repro writer and parser, and the fields its summary
-// reports. The shrinker's edit passes live in shrink.cpp.
+// What the pipeline below needs from each mode: its generator, its repro
+// writer and parser, and the fields its summary reports. The scenario
+// type picks its oracle (the run_oracle overloads) and its edit passes
+// (shrink.cpp).
 
 /// Single-offload scenarios through the differential oracle.
 struct OffloadMode {
@@ -35,7 +36,6 @@ struct OffloadMode {
     if (cfg.plant_dsan) plant_dsan_conflict(s);
     return s;
   }
-  static constexpr auto oracle = &run_oracle;
   static constexpr auto parse = &parse_scenario;
   static constexpr auto to_toml = &fuzz::to_toml;
   static constexpr auto invariants = &invariant_names;
@@ -93,7 +93,6 @@ struct ServeMode {
     if (cfg.dsan) s.dsan = true;
     return s;
   }
-  static constexpr auto oracle = &run_serve_oracle;
   static constexpr auto parse = &parse_serve_scenario;
   static constexpr auto invariants = &serve_invariant_names;
   static std::string to_toml(const ServeScenarioSpec& s,
@@ -120,8 +119,10 @@ struct ServeMode {
     sum.rejected += r.rejected;
     sum.breaker_trips += r.breaker_trips;
     row << ", \"tenants\": " << s.tenants.size()
-        << ", \"jobs\": " << s.jobs.size() << ", \"completed\": " << r.completed
-        << ", \"failed\": " << r.failed << ", \"cancelled\": " << r.cancelled
+        << ", \"jobs\": " << s.jobs.size()
+        << ", \"completed\": " << r.completed
+        << ", \"failed\": " << r.failed
+        << ", \"cancelled\": " << r.cancelled
         << ", \"rejected\": " << r.rejected
         << ", \"breaker_trips\": " << r.breaker_trips;
   }
@@ -179,15 +180,19 @@ typename Mode::Summary run_corpus(const typename Mode::Config& cfg) {
   for (int i = 0; i < cfg.count; ++i) {
     const std::uint64_t seed = cfg.seed + static_cast<std::uint64_t>(i);
     const auto s = Mode::generate(seed, cfg);
-    const auto report = Mode::oracle(s);
+    const auto report = run_oracle(s);
     ++summary.scenarios;
     summary.violations += static_cast<int>(report.violations.size());
-    runs << (i > 0 ? ",\n" : "") << "    {\"seed\": " << seed;
+
+    if (summary.scenarios > 1) runs << ",\n";
+    runs << "    {\"seed\": " << seed;
     Mode::tally(summary, s, report, runs);
     runs << ", \"violations\": " << report.violations.size()
          << ", \"digest\": " << json_quote(hex64(report.digest())) << "}";
+
     if (report.violations.empty()) continue;
 
+    // --- failing scenario: shrink, then emit a self-contained repro ---
     const Violation& primary = report.violations.front();
     const auto minimal =
         cfg.shrink_failures
@@ -195,20 +200,17 @@ typename Mode::Summary run_corpus(const typename Mode::Config& cfg) {
             : s;
     // The minimized scenario's own report names the algorithm/detail to
     // record (shrinking may have moved the failure between algorithms).
-    const auto min_report = Mode::oracle(minimal);
-    const Violation* rec = &primary;
-    for (const auto& v : min_report.violations) {
-      if (v.invariant == primary.invariant) {
-        rec = &v;
-        break;
-      }
-    }
+    const auto min_report = run_oracle(minimal);
+    const Violation* found =
+        find_violation(min_report.violations, primary.invariant);
+    const Violation& rec = found != nullptr ? *found : primary;
 
     typename Mode::Failure fr;
     fr.seed = seed;
     fr.invariant = primary.invariant;
-    fr.detail = rec->detail;
-    Mode::record(fr, *rec, minimal);
+    fr.detail = rec.detail;
+    Mode::record(fr, rec, minimal);
+
     if (static_cast<int>(summary.failures.size()) < cfg.max_repros) {
       std::error_code ec;
       std::filesystem::create_directories(cfg.repro_dir, ec);
@@ -220,34 +222,41 @@ typename Mode::Summary run_corpus(const typename Mode::Config& cfg) {
           (primary.invariant == "dsan-determinism" ? "dsan-repro-"
                                                    : Mode::kStem) +
           std::to_string(seed);
-      write_file(cfg.repro_dir + "/" + stem + ".ini",
+      const std::string ini_name = stem + ".ini";
+      const std::string toml_path = cfg.repro_dir + "/" + stem + ".toml";
+      write_file(cfg.repro_dir + "/" + ini_name,
                  mach::to_text(minimal.machine));
-      fr.repro_toml = cfg.repro_dir + "/" + stem + ".toml";
-      write_file(fr.repro_toml, Mode::to_toml(minimal, stem + ".ini",
-                                              primary.invariant,
-                                              rec->algorithm));
+      write_file(toml_path, Mode::to_toml(minimal, ini_name, primary.invariant,
+                                          rec.algorithm));
+      fr.repro_toml = toml_path;
     }
     summary.failures.push_back(std::move(fr));
   }
 
+  // --- deterministic summary document ---
   std::ostringstream os;
-  os << "{\n  \"config\": ";
+  os << "{\n";
+  os << "  \"config\": ";
   Mode::write_config(os, cfg);
-  os << ",\n  \"invariants\": [";
+  os << ",\n";
+  os << "  \"invariants\": [";
   const auto& names = Mode::invariants();
   for (std::size_t i = 0; i < names.size(); ++i) {
-    os << (i > 0 ? ", " : "") << json_quote(names[i]);
+    if (i) os << ", ";
+    os << json_quote(names[i]);
   }
-  os << "],\n  \"scenarios\": " << summary.scenarios << ",\n";
+  os << "],\n";
+  os << "  \"scenarios\": " << summary.scenarios << ",\n";
   Mode::write_totals(os, summary);
-  os << "  \"violations\": " << summary.violations << ",\n"
-     << "  \"runs\": [\n" << runs.str() << "\n  ],\n"
-     << "  \"failures\": [";
+  os << "  \"violations\": " << summary.violations << ",\n";
+  os << "  \"runs\": [\n" << runs.str() << "\n  ],\n";
+  os << "  \"failures\": [";
   for (std::size_t i = 0; i < summary.failures.size(); ++i) {
-    os << (i > 0 ? ",\n    " : "\n    ");
+    os << (i ? ",\n    " : "\n    ");
     Mode::write_failure(os, summary.failures[i]);
   }
-  os << (summary.failures.empty() ? "]\n" : "\n  ]\n") << "}\n";
+  os << (summary.failures.empty() ? "]\n" : "\n  ]\n");
+  os << "}\n";
   summary.json = os.str();
   return summary;
 }
@@ -273,10 +282,8 @@ ReplayOutcome replay_as(const std::string& toml_path,
   ReplayOutcome out;
   out.recorded_invariant = parsed.invariant;
   out.recorded_algorithm = parsed.algorithm;
-  out.violations = Mode::oracle(parsed.scenario).violations;
-  out.reproduced = std::any_of(
-      out.violations.begin(), out.violations.end(),
-      [&](const Violation& v) { return v.invariant == parsed.invariant; });
+  out.violations = run_oracle(parsed.scenario).violations;
+  out.reproduced = find_violation(out.violations, parsed.invariant) != nullptr;
   return out;
 }
 

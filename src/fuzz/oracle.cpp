@@ -274,6 +274,14 @@ const std::vector<std::string>& invariant_names() {
   return kNames;
 }
 
+const Violation* find_violation(const std::vector<Violation>& found,
+                                const std::string& invariant) {
+  for (const auto& v : found) {
+    if (v.invariant == invariant) return &v;
+  }
+  return nullptr;
+}
+
 std::uint64_t OracleReport::digest() const noexcept {
   std::uint64_t d = 0x0fffab1e;
   for (const auto& r : runs) {

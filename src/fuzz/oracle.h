@@ -47,6 +47,11 @@ struct Violation {
   std::string detail;     ///< human-readable specifics
 };
 
+/// The first entry of `found` that violates `invariant`, or nullptr when
+/// the invariant held.
+const Violation* find_violation(const std::vector<Violation>& found,
+                                const std::string& invariant);
+
 /// Per-algorithm telemetry folded into the deterministic run digest.
 struct AlgorithmRun {
   std::string algorithm;

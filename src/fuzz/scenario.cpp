@@ -7,7 +7,6 @@
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/strings.h"
-#include "kernels/case.h"
 
 namespace homp::fuzz {
 
@@ -145,11 +144,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-long long ScenarioSpec::loop_iterations() const {
-  // The unmaterialized case carries the loop shape without allocating.
-  return kern::make_case(kernel, n, false)->kernel().iterations.size();
 }
 
 long long min_trip(const std::string& kernel) {

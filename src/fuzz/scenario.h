@@ -80,10 +80,6 @@ struct ScenarioSpec {
   /// file: the oracle marks its offloads as replays, which makes
   /// OffloadOptions::validate() insist on the recorded fault seed.
   bool replay = false;
-
-  /// Number of loop iterations the kernel case will carry (== n for the
-  /// 1-D kernels, n rows for the 2-D ones).
-  long long loop_iterations() const;
 };
 
 /// Deterministically generate the scenario for `seed` within `limits`.

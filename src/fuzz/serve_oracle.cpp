@@ -105,7 +105,7 @@ const std::vector<std::string>& serve_invariant_names() {
   return names;
 }
 
-ServeOracleReport run_serve_oracle(const ServeScenarioSpec& s) {
+ServeOracleReport run_oracle(const ServeScenarioSpec& s) {
   using serve::JobOutcome;
   using serve::ServeEventKind;
   ServeOracleReport out;

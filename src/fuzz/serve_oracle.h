@@ -63,8 +63,10 @@ const std::vector<std::string>& serve_invariant_names();
 
 /// Run `s` twice and check every serve invariant. Never throws for
 /// scenario-induced failures — those become violations; only genuine
-/// misuse (unknown kernel name etc. during generation) propagates.
-ServeOracleReport run_serve_oracle(const ServeScenarioSpec& s);
+/// misuse (unknown kernel name etc. during generation) propagates. The
+/// overload of oracle.h's run_oracle, so the scenario type alone picks
+/// the oracle.
+ServeOracleReport run_oracle(const ServeScenarioSpec& s);
 
 }  // namespace homp::fuzz
 

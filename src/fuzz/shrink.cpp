@@ -10,14 +10,6 @@ namespace homp::fuzz {
 
 namespace {
 
-std::vector<Violation> violations_of(const ScenarioSpec& s) {
-  return run_oracle(s).violations;
-}
-
-std::vector<Violation> violations_of(const ServeScenarioSpec& s) {
-  return run_serve_oracle(s).violations;
-}
-
 /// The acceptance loop both modes share. A mode's sweep proposes
 /// candidates through attempt(), which spends one oracle run and adopts
 /// the candidate when the invariant still fails; sweeps repeat until one
@@ -36,14 +28,10 @@ class Shrinker {
   bool attempt(Spec cand) {
     if (spent()) return false;
     ++out_.oracle_runs;
-    const auto found = violations_of(cand);
-    if (std::none_of(found.begin(), found.end(), [&](const Violation& v) {
-          return v.invariant == invariant_;
-        })) {
+    if (!find_violation(run_oracle(cand).violations, invariant_)) {
       return false;
     }
     out_.scenario = std::move(cand);
-    ++out_.accepted;
     progressed_ = true;
     return true;
   }
@@ -108,7 +96,8 @@ void sweep_offload(Shrinker<ScenarioSpec>& sh) {
   while (sh.cur().n > min_trip(sh.cur().kernel) && !sh.spent()) {
     ScenarioSpec cand = sh.cur();
     cand.n = quantize_trip(cand.kernel, cand.n / 2);
-    if (cand.n == sh.cur().n || !sh.attempt(std::move(cand))) break;
+    if (cand.n == sh.cur().n) break;
+    if (!sh.attempt(std::move(cand))) break;
   }
 
   // 3. Fewer fault-script entries.
@@ -161,9 +150,8 @@ void sweep_serve(Shrinker<ServeScenarioSpec>& sh) {
       ServeScenarioSpec cand = sh.cur();
       serve::JobSpec& job = cand.jobs[i].job;
       job.n = quantize_trip(job.kernel, job.n / 2);
-      if (job.n == sh.cur().jobs[i].job.n || !sh.attempt(std::move(cand))) {
-        break;
-      }
+      if (job.n == sh.cur().jobs[i].job.n) break;
+      if (!sh.attempt(std::move(cand))) break;
     }
   }
 
@@ -178,8 +166,8 @@ void sweep_serve(Shrinker<ServeScenarioSpec>& sh) {
 
 }  // namespace
 
-ShrinkResult shrink(const ScenarioSpec& failing, const std::string& invariant,
-                    int max_oracle_runs) {
+Shrunk<ScenarioSpec> shrink(const ScenarioSpec& failing,
+                            const std::string& invariant, int max_oracle_runs) {
   return Shrinker<ScenarioSpec>(failing, invariant, max_oracle_runs)
       .run(sweep_offload);
 }

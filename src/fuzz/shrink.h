@@ -6,14 +6,14 @@
 ///
 /// Given a scenario that violates an invariant, the shrinker tries ever
 /// smaller candidates through its mode's edit passes and keeps a
-/// candidate whenever the oracle still reports the *same* invariant
-/// failing (any algorithm). Single-offload scenarios drop an accelerator,
-/// halve the trip count, drop a fault-script entry and zero a device's
-/// fault rates; serve scenarios drop a job, drop a tenant with its jobs,
-/// halve job sizes and clear a tenant's fault script. The passes repeat
-/// until a full sweep makes no progress or the oracle-run budget is
-/// exhausted, so a repro file describes the smallest combination that
-/// still exhibits the failure.
+/// candidate whenever the scenario type's run_oracle() still reports the
+/// *same* invariant failing (any algorithm). Single-offload scenarios
+/// drop an accelerator, halve the trip count, drop a fault-script entry
+/// and zero a device's fault rates; serve scenarios drop a job, drop a
+/// tenant with its jobs, halve job sizes and clear a tenant's fault
+/// script. The passes repeat until a full sweep makes no progress or the
+/// oracle-run budget is exhausted, so a repro file describes the smallest
+/// combination that still exhibits the failure.
 
 #include <string>
 
@@ -26,16 +26,13 @@ template <class Spec>
 struct Shrunk {
   Spec scenario;        ///< the minimized scenario
   int oracle_runs = 0;  ///< budget spent
-  int accepted = 0;     ///< candidates that kept the failure
 };
-
-using ShrinkResult = Shrunk<ScenarioSpec>;
 
 /// Minimize `failing` while `invariant` keeps failing. `max_oracle_runs`
 /// bounds total work (one oracle run sweeps all ten algorithms, or runs a
 /// serve scenario twice).
-ShrinkResult shrink(const ScenarioSpec& failing, const std::string& invariant,
-                    int max_oracle_runs);
+Shrunk<ScenarioSpec> shrink(const ScenarioSpec& failing,
+                            const std::string& invariant, int max_oracle_runs);
 Shrunk<ServeScenarioSpec> shrink(const ServeScenarioSpec& failing,
                                  const std::string& invariant,
                                  int max_oracle_runs);

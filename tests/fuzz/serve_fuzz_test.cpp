@@ -113,7 +113,7 @@ TEST(ServeOracle, CleanScenarioPassesEveryInvariant) {
   limits.max_jobs = 6;
   limits.allow_faults = false;
   const auto s = fuzz::generate_serve_scenario(5, limits);
-  const auto report = fuzz::run_serve_oracle(s);
+  const auto report = fuzz::run_oracle(s);
   EXPECT_TRUE(report.ok()) << (report.violations.empty()
                                    ? ""
                                    : report.violations[0].invariant + ": " +
@@ -124,8 +124,8 @@ TEST(ServeOracle, DigestIsDeterministic) {
   fuzz::ServeGeneratorLimits limits;
   limits.max_jobs = 5;
   const auto s = fuzz::generate_serve_scenario(9, limits);
-  EXPECT_EQ(fuzz::run_serve_oracle(s).digest(),
-            fuzz::run_serve_oracle(s).digest());
+  EXPECT_EQ(fuzz::run_oracle(s).digest(),
+            fuzz::run_oracle(s).digest());
 }
 
 TEST(ServeOracle, MidRunAbortBecomesProgressViolation) {
@@ -133,7 +133,7 @@ TEST(ServeOracle, MidRunAbortBecomesProgressViolation) {
   // exactly the class of abort the serve-progress invariant exists for.
   auto s = fuzz::generate_serve_scenario(4);
   s.jobs[0].job.kernel = "no-such-kernel";
-  const auto report = fuzz::run_serve_oracle(s);
+  const auto report = fuzz::run_oracle(s);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].invariant, "serve-progress");
 }
@@ -154,7 +154,7 @@ TEST(ServeShrink, AbortShrinksToOneTenantAndOneJob) {
   EXPECT_EQ(shrunk.scenario.jobs[0].tenant, 0);
   EXPECT_EQ(shrunk.scenario.jobs[0].job.kernel, "no-such-kernel");
 
-  const auto after = fuzz::run_serve_oracle(shrunk.scenario);
+  const auto after = fuzz::run_oracle(shrunk.scenario);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.violations[0].invariant, "serve-progress");
 }

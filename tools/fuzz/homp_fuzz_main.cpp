@@ -75,6 +75,7 @@ long long parse_ll(const std::string& flag, const char* value) {
                           std::string(value) + "'");
 }
 
+/// Replay a repro of either mode and print what its oracle reported.
 int run_replay(const std::string& path) {
   const auto outcome = homp::fuzz::replay(path);
   std::cout << "replay: " << path << (outcome.serve ? " (serve)" : "")
@@ -89,10 +90,14 @@ int run_replay(const std::string& path) {
     if (!outcome.serve) std::cout << " [" << v.algorithm << "]";
     std::cout << " " << v.detail << "\n";
   }
-  std::cout << (outcome.reproduced ? "" : "NOT ") << "REPRODUCED: invariant '"
-            << outcome.recorded_invariant
-            << (outcome.reproduced ? "' failed again\n" : "' held this time\n");
-  return outcome.reproduced ? 0 : 1;
+  if (outcome.reproduced) {
+    std::cout << "REPRODUCED: invariant '" << outcome.recorded_invariant
+              << "' failed again\n";
+    return 0;
+  }
+  std::cout << "NOT REPRODUCED: invariant '" << outcome.recorded_invariant
+            << "' held this time\n";
+  return 1;
 }
 
 /// Print a corpus summary (and copy it to `summary_out`), then map it to
