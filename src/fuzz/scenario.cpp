@@ -127,6 +127,41 @@ sim::FaultKind parse_fault_kind(const TomlLine& l) {
   l.fail("unknown fault kind '" + l.value + "'");
 }
 
+// The field lists of the [sched], [options] and [fault.N] sections
+// (toml.h): to_toml writes and parse_scenario reads each key through
+// the same entry.
+
+template <class V, class C>
+void sched_fields(V&& v, C& c) {
+  v("dynamic_chunk_fraction", c.dynamic_chunk_fraction);
+  v("guided_chunk_fraction", c.guided_chunk_fraction);
+  v("sample_fraction", c.sample_fraction);
+  v("cutoff_ratio", c.cutoff_ratio);
+  v("min_chunk", c.min_chunk);
+  v("cyclic_block_fraction", c.cyclic_block_fraction);
+  v("cyclic_absolute_block", c.cyclic_absolute_block);
+  v("steal_grain_fraction", c.steal_grain_fraction);
+}
+
+template <class V, class S>
+void option_fields(V&& v, S& s) {
+  v("noise_seed", s.noise_seed, &TomlLine::as_u64);
+  v("fault_seed", s.fault_seed, &TomlLine::as_u64);
+  v("integrity", s.integrity);
+  v("watchdog", s.watchdog);
+  v("parallel_offload", s.parallel_offload);
+  v("step_budget", s.step_budget);
+}
+
+template <class V, class F>
+void fault_fields(V&& v, F& f) {
+  v("device", f.device_id);
+  v("kind", f.kind, parse_fault_kind);
+  v("op", f.op);
+  v("at_s", f.at_s);
+  v("factor", f.factor);
+}
+
 }  // namespace
 
 long long irange(Prng& rng, long long lo, long long hi) {
@@ -138,12 +173,6 @@ double rate(Prng& rng, double cap) {
   const auto steps = static_cast<std::uint64_t>(cap / 0.0005);
   if (steps == 0) return 0.0;
   return 0.0005 * static_cast<double>(rng.below(steps + 1));
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 long long min_trip(const std::string& kernel) {
@@ -296,50 +325,29 @@ std::string to_toml(const ScenarioSpec& s, const std::string& machine_file,
                     const std::string& invariant,
                     const std::string& algorithm) {
   std::ostringstream os;
+  const TomlWriter w{os};
   os << "# homp-fuzz scenario (docs/FUZZING.md); replay with\n"
         "#   homp-fuzz --replay <this file>\n";
   os << "[scenario]\n";
-  os << "seed = " << s.seed << "\n";
-  os << "kernel = " << s.kernel << "\n";
-  os << "n = " << s.n << "\n";
-  if (!machine_file.empty()) os << "machine_file = " << machine_file << "\n";
-  if (!invariant.empty()) os << "invariant = " << invariant << "\n";
-  if (!algorithm.empty()) os << "algorithm = " << algorithm << "\n";
+  w("seed", s.seed);
+  w("kernel", s.kernel);
+  w("n", s.n);
+  if (!machine_file.empty()) w("machine_file", machine_file);
+  if (!invariant.empty()) w("invariant", invariant);
+  if (!algorithm.empty()) w("algorithm", algorithm);
 
   os << "\n[sched]\n";
-  os << "dynamic_chunk_fraction = " << fmt_double(s.sched.dynamic_chunk_fraction)
-     << "\n";
-  os << "guided_chunk_fraction = " << fmt_double(s.sched.guided_chunk_fraction)
-     << "\n";
-  os << "sample_fraction = " << fmt_double(s.sched.sample_fraction) << "\n";
-  os << "cutoff_ratio = " << fmt_double(s.sched.cutoff_ratio) << "\n";
-  os << "min_chunk = " << s.sched.min_chunk << "\n";
-  os << "cyclic_block_fraction = "
-     << fmt_double(s.sched.cyclic_block_fraction) << "\n";
-  os << "cyclic_absolute_block = " << s.sched.cyclic_absolute_block << "\n";
-  os << "steal_grain_fraction = " << fmt_double(s.sched.steal_grain_fraction)
-     << "\n";
+  sched_fields(w, s.sched);
 
   os << "\n[options]\n";
-  os << "noise_seed = " << s.noise_seed << "\n";
-  os << "fault_seed = " << s.fault_seed << "\n";
-  os << "integrity = " << (s.integrity ? "true" : "false") << "\n";
-  os << "watchdog = " << (s.watchdog ? "true" : "false") << "\n";
-  os << "parallel_offload = " << (s.parallel_offload ? "true" : "false")
-     << "\n";
-  os << "step_budget = " << s.step_budget << "\n";
+  option_fields(w, s);
   // dsan keys only when set: older repro files stay byte-identical.
-  if (s.dsan) os << "dsan = true\n";
-  if (s.plant_dsan_conflict) os << "plant_dsan_conflict = true\n";
+  if (s.dsan) w("dsan", true);
+  if (s.plant_dsan_conflict) w("plant_dsan_conflict", true);
 
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
-    const auto& f = s.faults[i];
     os << "\n[fault." << i << "]\n";
-    os << "device = " << f.device_id << "\n";
-    os << "kind = " << sim::to_string(f.kind) << "\n";
-    os << "op = " << f.op << "\n";
-    os << "at_s = " << fmt_double(f.at_s) << "\n";
-    os << "factor = " << fmt_double(f.factor) << "\n";
+    fault_fields(w, s.faults[i]);
   }
   return os.str();
 }
@@ -348,9 +356,8 @@ ParsedScenario parse_scenario(const std::string& text) {
   ParsedScenario out;
   ScenarioSpec& s = out.scenario;
   s.kernel.clear();
-  read_toml(text, "scenario", [&](const TomlLine& l) {
-    const std::string& key = l.key;
-    if (key.empty()) {
+  read_toml(text, "scenario", [&](TomlLine& l) {
+    if (l.key.empty()) {
       if (starts_with(l.section, "fault.")) {
         s.faults.emplace_back();
       } else if (l.section != "scenario" && l.section != "sched" &&
@@ -358,50 +365,20 @@ ParsedScenario parse_scenario(const std::string& text) {
         l.fail("unknown section [" + l.section + "]");
       }
     } else if (l.section == "scenario") {
-      if (key == "seed") s.seed = l.as_u64();
-      else if (key == "kernel") s.kernel = l.value;
-      else if (key == "n") s.n = l.as_ll();
-      else if (key == "machine_file") out.machine_file = l.value;
-      else if (key == "invariant") out.invariant = l.value;
-      else if (key == "algorithm") out.algorithm = l.value;
-      else l.fail("unknown [scenario] key '" + key + "'");
+      l("seed", s.seed, &TomlLine::as_u64);
+      l("kernel", s.kernel);
+      l("n", s.n);
+      l("machine_file", out.machine_file);
+      l("invariant", out.invariant);
+      l("algorithm", out.algorithm);
     } else if (l.section == "sched") {
-      auto& c = s.sched;
-      if (key == "dynamic_chunk_fraction")
-        c.dynamic_chunk_fraction = l.as_double();
-      else if (key == "guided_chunk_fraction")
-        c.guided_chunk_fraction = l.as_double();
-      else if (key == "sample_fraction") c.sample_fraction = l.as_double();
-      else if (key == "cutoff_ratio") c.cutoff_ratio = l.as_double();
-      else if (key == "min_chunk") c.min_chunk = l.as_ll();
-      else if (key == "cyclic_block_fraction")
-        c.cyclic_block_fraction = l.as_double();
-      else if (key == "cyclic_absolute_block")
-        c.cyclic_absolute_block = l.as_ll();
-      else if (key == "steal_grain_fraction")
-        c.steal_grain_fraction = l.as_double();
-      else l.fail("unknown [sched] key '" + key + "'");
+      sched_fields(l, s.sched);
     } else if (l.section == "options") {
-      if (key == "noise_seed") s.noise_seed = l.as_u64();
-      else if (key == "fault_seed") s.fault_seed = l.as_u64();
-      else if (key == "integrity") s.integrity = l.as_bool();
-      else if (key == "watchdog") s.watchdog = l.as_bool();
-      else if (key == "parallel_offload") s.parallel_offload = l.as_bool();
-      else if (key == "step_budget") s.step_budget = l.as_ll();
-      else if (key == "dsan") s.dsan = l.as_bool();
-      else if (key == "plant_dsan_conflict")
-        s.plant_dsan_conflict = l.as_bool();
-      else l.fail("unknown [options] key '" + key + "'");
+      option_fields(l, s);
+      l("dsan", s.dsan);
+      l("plant_dsan_conflict", s.plant_dsan_conflict);
     } else if (starts_with(l.section, "fault.")) {
-      sim::ScriptedFault& f = s.faults.back();
-      if (key == "device") f.device_id = static_cast<int>(l.as_ll());
-      else if (key == "kind") f.kind = parse_fault_kind(l);
-      else if (key == "op") f.op = l.as_ll();
-      else if (key == "at_s") f.at_s = l.as_double();
-      else if (key == "factor") f.factor = l.as_double();
-      else l.fail("unknown [fault] key '" + key + "'");
-    } else {
-      l.fail("key '" + key + "' outside any section");
+      fault_fields(l, s.faults.back());
     }
   });
   if (s.kernel.empty()) {

@@ -104,9 +104,6 @@ long long min_trip(const std::string& kernel);
 long long irange(Prng& rng, long long lo, long long hi);
 double rate(Prng& rng, double cap);
 
-/// A double at %.17g, so repro files round-trip exactly.
-std::string fmt_double(double v);
-
 /// Mutate `s` into the planted-violation configuration the acceptance
 /// test requires: integrity verification disabled plus a scripted
 /// silent compute corruption on the first accelerator. The oracle's

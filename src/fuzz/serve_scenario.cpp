@@ -85,6 +85,63 @@ serve::BackpressureMode parse_backpressure(const TomlLine& l) {
   l.fail("unknown backpressure '" + l.value + "'");
 }
 
+sched::AlgorithmKind parse_algorithm(const TomlLine& l) {
+  return sched::algorithm_from_string(l.value);
+}
+
+// The field lists of the [serve] options and the [tenant.N] and [job.N]
+// sections (toml.h): serve_to_toml writes and parse_serve_scenario reads
+// each key through the same entry.
+
+template <class V, class O>
+void option_fields(V&& v, O& o) {
+  v("serve_seed", o.seed, &TomlLine::as_u64);
+  v("device_mem_bytes", o.device_mem_bytes);
+  v("max_devices_per_job", o.max_devices_per_job);
+  v("shed_l1_depth", o.shed_l1_depth);
+  v("shed_l2_depth", o.shed_l2_depth);
+  v("shed_l3_depth", o.shed_l3_depth);
+  v("shed_hysteresis", o.shed_hysteresis);
+  v("shed_l2_device_cap", o.shed_l2_device_cap);
+  v("floor_fraction", o.floor_fraction);
+  v("breaker_threshold", o.breaker_threshold);
+  v("breaker_cooldown_base_s", o.breaker_cooldown_base_s);
+  v("breaker_cooldown_growth", o.breaker_cooldown_growth);
+  v("breaker_cooldown_cap_s", o.breaker_cooldown_cap_s);
+  v("materialize", o.materialize);
+  v("step_budget", o.base.harness.step_budget);
+}
+
+template <class V, class T>
+void tenant_fields(V&& v, T& t) {
+  v("name", t.name);
+  v("priority", t.priority, parse_priority);
+  v("weight", t.weight);
+  v("backpressure", t.backpressure, parse_backpressure);
+  v("max_queue_depth", t.max_queue_depth);
+  v("transfer_fault_rate", t.fault.transfer_fault_rate);
+  v("launch_fault_rate", t.fault.launch_fault_rate);
+  v("slowdown_rate", t.fault.slowdown_rate);
+  v("slowdown_factor", t.fault.slowdown_factor);
+  v("hang_rate", t.fault.hang_rate);
+  v("degrade_rate", t.fault.degrade_rate);
+  v("degrade_factor", t.fault.degrade_factor);
+  v("corrupt_transfer_rate", t.fault.corrupt_transfer_rate);
+  v("corrupt_compute_rate", t.fault.corrupt_compute_rate);
+  v("fail_at_s", t.fault.fail_at_s);
+}
+
+template <class V, class E>
+void job_fields(V&& v, E& e) {
+  v("tenant", e.tenant);
+  v("at_s", e.at_s);
+  v("kernel", e.job.kernel);
+  v("n", e.job.n);
+  v("devices", e.job.devices);
+  v("deadline_s", e.job.deadline_s);
+  v("algorithm", e.job.algorithm, parse_algorithm);
+}
+
 }  // namespace
 
 ServeScenarioSpec generate_serve_scenario(std::uint64_t seed,
@@ -189,66 +246,25 @@ std::string serve_to_toml(const ServeScenarioSpec& s,
                           const std::string& machine_file,
                           const std::string& invariant) {
   std::ostringstream os;
+  const TomlWriter w{os};
   os << "# homp-fuzz serve scenario (docs/FUZZING.md); replay with\n"
         "#   homp-fuzz --replay <this file>\n";
   os << "[serve]\n";
-  os << "seed = " << s.seed << "\n";
-  if (!machine_file.empty()) os << "machine_file = " << machine_file << "\n";
-  if (!invariant.empty()) os << "invariant = " << invariant << "\n";
-  os << "serve_seed = " << s.options.seed << "\n";
-  os << "device_mem_bytes = " << fmt_double(s.options.device_mem_bytes) << "\n";
-  os << "max_devices_per_job = " << s.options.max_devices_per_job << "\n";
-  os << "shed_l1_depth = " << s.options.shed_l1_depth << "\n";
-  os << "shed_l2_depth = " << s.options.shed_l2_depth << "\n";
-  os << "shed_l3_depth = " << s.options.shed_l3_depth << "\n";
-  os << "shed_hysteresis = " << fmt_double(s.options.shed_hysteresis) << "\n";
-  os << "shed_l2_device_cap = " << s.options.shed_l2_device_cap << "\n";
-  os << "floor_fraction = " << fmt_double(s.options.floor_fraction) << "\n";
-  os << "breaker_threshold = " << s.options.breaker_threshold << "\n";
-  os << "breaker_cooldown_base_s = "
-     << fmt_double(s.options.breaker_cooldown_base_s) << "\n";
-  os << "breaker_cooldown_growth = "
-     << fmt_double(s.options.breaker_cooldown_growth) << "\n";
-  os << "breaker_cooldown_cap_s = "
-     << fmt_double(s.options.breaker_cooldown_cap_s) << "\n";
-  os << "materialize = " << (s.options.materialize ? "true" : "false") << "\n";
-  os << "step_budget = " << s.options.base.harness.step_budget << "\n";
+  w("seed", s.seed);
+  if (!machine_file.empty()) w("machine_file", machine_file);
+  if (!invariant.empty()) w("invariant", invariant);
+  option_fields(w, s.options);
   // dsan key only when set: older repro files stay byte-identical.
-  if (s.dsan) os << "dsan = true\n";
+  if (s.dsan) w("dsan", true);
 
   for (std::size_t t = 0; t < s.tenants.size(); ++t) {
-    const auto& ts = s.tenants[t];
     os << "\n[tenant." << t << "]\n";
-    os << "name = " << ts.name << "\n";
-    os << "priority = " << serve::to_string(ts.priority) << "\n";
-    os << "weight = " << fmt_double(ts.weight) << "\n";
-    os << "backpressure = " << serve::to_string(ts.backpressure) << "\n";
-    os << "max_queue_depth = " << ts.max_queue_depth << "\n";
-    const auto& f = ts.fault;
-    os << "transfer_fault_rate = " << fmt_double(f.transfer_fault_rate) << "\n";
-    os << "launch_fault_rate = " << fmt_double(f.launch_fault_rate) << "\n";
-    os << "slowdown_rate = " << fmt_double(f.slowdown_rate) << "\n";
-    os << "slowdown_factor = " << fmt_double(f.slowdown_factor) << "\n";
-    os << "hang_rate = " << fmt_double(f.hang_rate) << "\n";
-    os << "degrade_rate = " << fmt_double(f.degrade_rate) << "\n";
-    os << "degrade_factor = " << fmt_double(f.degrade_factor) << "\n";
-    os << "corrupt_transfer_rate = " << fmt_double(f.corrupt_transfer_rate)
-       << "\n";
-    os << "corrupt_compute_rate = " << fmt_double(f.corrupt_compute_rate)
-       << "\n";
-    os << "fail_at_s = " << fmt_double(f.fail_at_s) << "\n";
+    tenant_fields(w, s.tenants[t]);
   }
 
   for (std::size_t j = 0; j < s.jobs.size(); ++j) {
-    const auto& e = s.jobs[j];
     os << "\n[job." << j << "]\n";
-    os << "tenant = " << e.tenant << "\n";
-    os << "at_s = " << fmt_double(e.at_s) << "\n";
-    os << "kernel = " << e.job.kernel << "\n";
-    os << "n = " << e.job.n << "\n";
-    os << "devices = " << e.job.devices << "\n";
-    os << "deadline_s = " << fmt_double(e.job.deadline_s) << "\n";
-    os << "algorithm = " << sched::to_string(e.job.algorithm) << "\n";
+    job_fields(w, s.jobs[j]);
   }
   return os.str();
 }
@@ -268,81 +284,27 @@ ParsedServeScenario parse_serve_scenario(const std::string& text) {
   ParsedServeScenario out;
   ServeScenarioSpec& s = out.scenario;
   bool saw_serve = false;
-  read_toml(text, "serve scenario", [&](const TomlLine& l) {
-    const std::string& key = l.key;
-    if (key.empty()) {
-      if (l.section == "serve") saw_serve = true;
-      else if (starts_with(l.section, "tenant.")) s.tenants.emplace_back();
-      else if (starts_with(l.section, "job.")) s.jobs.emplace_back();
-      else l.fail("unknown section [" + l.section + "]");
+  read_toml(text, "serve scenario", [&](TomlLine& l) {
+    if (l.key.empty()) {
+      if (l.section == "serve") {
+        saw_serve = true;
+      } else if (starts_with(l.section, "tenant.")) {
+        s.tenants.emplace_back();
+      } else if (starts_with(l.section, "job.")) {
+        s.jobs.emplace_back();
+      } else {
+        l.fail("unknown section [" + l.section + "]");
+      }
     } else if (l.section == "serve") {
-      auto& o = s.options;
-      if (key == "seed") s.seed = l.as_u64();
-      else if (key == "machine_file") out.machine_file = l.value;
-      else if (key == "invariant") out.invariant = l.value;
-      else if (key == "serve_seed") o.seed = l.as_u64();
-      else if (key == "device_mem_bytes") o.device_mem_bytes = l.as_double();
-      else if (key == "max_devices_per_job")
-        o.max_devices_per_job = static_cast<int>(l.as_ll());
-      else if (key == "shed_l1_depth")
-        o.shed_l1_depth = static_cast<std::size_t>(l.as_ll());
-      else if (key == "shed_l2_depth")
-        o.shed_l2_depth = static_cast<std::size_t>(l.as_ll());
-      else if (key == "shed_l3_depth")
-        o.shed_l3_depth = static_cast<std::size_t>(l.as_ll());
-      else if (key == "shed_hysteresis") o.shed_hysteresis = l.as_double();
-      else if (key == "shed_l2_device_cap")
-        o.shed_l2_device_cap = static_cast<int>(l.as_ll());
-      else if (key == "floor_fraction") o.floor_fraction = l.as_double();
-      else if (key == "breaker_threshold")
-        o.breaker_threshold = static_cast<int>(l.as_ll());
-      else if (key == "breaker_cooldown_base_s")
-        o.breaker_cooldown_base_s = l.as_double();
-      else if (key == "breaker_cooldown_growth")
-        o.breaker_cooldown_growth = l.as_double();
-      else if (key == "breaker_cooldown_cap_s")
-        o.breaker_cooldown_cap_s = l.as_double();
-      else if (key == "materialize") o.materialize = l.as_bool();
-      else if (key == "step_budget") o.base.harness.step_budget = l.as_ll();
-      else if (key == "dsan") s.dsan = l.as_bool();
-      else l.fail("unknown [serve] key '" + key + "'");
+      l("seed", s.seed, &TomlLine::as_u64);
+      l("machine_file", out.machine_file);
+      l("invariant", out.invariant);
+      option_fields(l, s.options);
+      l("dsan", s.dsan);
     } else if (starts_with(l.section, "tenant.")) {
-      serve::TenantSpec& tenant = s.tenants.back();
-      auto& f = tenant.fault;
-      if (key == "name") tenant.name = l.value;
-      else if (key == "priority") tenant.priority = parse_priority(l);
-      else if (key == "weight") tenant.weight = l.as_double();
-      else if (key == "backpressure")
-        tenant.backpressure = parse_backpressure(l);
-      else if (key == "max_queue_depth")
-        tenant.max_queue_depth = static_cast<std::size_t>(l.as_ll());
-      else if (key == "transfer_fault_rate")
-        f.transfer_fault_rate = l.as_double();
-      else if (key == "launch_fault_rate") f.launch_fault_rate = l.as_double();
-      else if (key == "slowdown_rate") f.slowdown_rate = l.as_double();
-      else if (key == "slowdown_factor") f.slowdown_factor = l.as_double();
-      else if (key == "hang_rate") f.hang_rate = l.as_double();
-      else if (key == "degrade_rate") f.degrade_rate = l.as_double();
-      else if (key == "degrade_factor") f.degrade_factor = l.as_double();
-      else if (key == "corrupt_transfer_rate")
-        f.corrupt_transfer_rate = l.as_double();
-      else if (key == "corrupt_compute_rate")
-        f.corrupt_compute_rate = l.as_double();
-      else if (key == "fail_at_s") f.fail_at_s = l.as_double();
-      else l.fail("unknown [tenant] key '" + key + "'");
+      tenant_fields(l, s.tenants.back());
     } else if (starts_with(l.section, "job.")) {
-      ServeJobEntry& job = s.jobs.back();
-      if (key == "tenant") job.tenant = static_cast<int>(l.as_ll());
-      else if (key == "at_s") job.at_s = l.as_double();
-      else if (key == "kernel") job.job.kernel = l.value;
-      else if (key == "n") job.job.n = l.as_ll();
-      else if (key == "devices") job.job.devices = static_cast<int>(l.as_ll());
-      else if (key == "deadline_s") job.job.deadline_s = l.as_double();
-      else if (key == "algorithm")
-        job.job.algorithm = sched::algorithm_from_string(l.value);
-      else l.fail("unknown [job] key '" + key + "'");
-    } else {
-      l.fail("key '" + key + "' outside any section");
+      job_fields(l, s.jobs.back());
     }
   });
   if (!saw_serve) {

@@ -1,11 +1,18 @@
 #include "fuzz/toml.h"
 
+#include <cstdio>
 #include <sstream>
 
 #include "common/error.h"
 #include "common/strings.h"
 
 namespace homp::fuzz {
+
+std::string fmt_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
 
 void TomlLine::fail(const std::string& why) const {
   throw ConfigError(std::string(what) + " line " + std::to_string(number) +
@@ -43,7 +50,7 @@ bool TomlLine::as_bool() const {
 }
 
 void read_toml(const std::string& text, const char* what,
-               const std::function<void(const TomlLine&)>& visit) {
+               const std::function<void(TomlLine&)>& visit) {
   TomlLine l;
   l.what = what;
   std::istringstream in(text);
@@ -65,8 +72,17 @@ void read_toml(const std::string& text, const char* what,
       l.key = trim(t.substr(0, eq));
       l.value = trim(t.substr(eq + 1));
       if (l.key.empty() || l.value.empty()) l.fail("empty key or value");
+      if (l.section.empty()) {
+        l.fail("key '" + l.key + "' outside any section");
+      }
     }
+    l.consumed = false;
     visit(l);
+    if (!l.key.empty() && !l.consumed) {
+      // "[fault.2]" reports as "[fault]", like the other numbered sections.
+      l.fail("unknown [" + l.section.substr(0, l.section.find('.')) +
+             "] key '" + l.key + "'");
+    }
   }
 }
 
