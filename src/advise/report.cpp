@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <ostream>
 
 #include "advise/report_keys.h"
@@ -69,6 +70,78 @@ void write_report_json(const std::vector<Inspection>& findings,
        << ", \"knob\": " << json_quote(f.knob) << '}';
   }
   os << "\n  ]\n}\n";
+}
+
+std::vector<TraceRow> trace_rows(const TraceEvidence& tr) {
+  std::vector<TraceRow> rows;
+  auto row = [&rows](std::string key, double value) {
+    rows.push_back({std::move(key), value, {}});
+  };
+  double transfer = 0.0, hidden = 0.0;
+  for (const TraceDevice& d : tr.devices) {
+    transfer += d.transfer_s;
+    hidden += d.hidden_s;
+  }
+  const TraceDevice& critical = tr.devices.at(tr.critical);
+  row(kRowEvents, static_cast<double>(tr.events));
+  row(kRowDevices, static_cast<double>(tr.devices.size()));
+  row(kRowMakespan, tr.makespan_s);
+  rows.push_back({kRowCriticalDevice, 0.0, critical.name});
+  row(kRowCriticalPath, critical.finish_s);
+  row(kRowCriticalBusy, critical.busy_s);
+  row(kRowBarrierSkew, tr.barrier_skew_s);
+  row(kRowImbalance, tr.imbalance_pct);
+  row(kRowTransfer, transfer);
+  row(kRowTransferHidden, hidden);
+  row(kRowOverlapRatio, transfer > 0.0 ? hidden / transfer : 0.0);
+  row(kRowFaults, static_cast<double>(tr.faults));
+  row(kRowRecoveryActions, static_cast<double>(tr.recovery_actions));
+  row(kRowDecisions, static_cast<double>(tr.decisions));
+
+  if (!tr.tenants.empty()) {
+    row(kRowTenants, static_cast<double>(tr.tenants.size()));
+  }
+  for (const TraceTenant& t : tr.tenants) {
+    const std::string pre = std::string(kRowTenant) + '[' + t.name + "].";
+    row(pre + kRowSpans, static_cast<double>(t.spans));
+    row(pre + kRowThreads, static_cast<double>(t.threads));
+    row(pre + kRowBusy, t.busy_s);
+    row(pre + kRowCriticalPath, t.critical_path_s);
+    row(pre + kRowMakespan, t.makespan_s);
+    row(pre + kRowImbalance, t.imbalance_pct);
+  }
+
+  if (tr.serve_jobs.empty() && tr.breaker_trips == 0) return rows;
+  long long failed = 0;
+  std::map<std::string, long long> classes;  // ordered -> deterministic
+  for (const TraceServeJob& j : tr.serve_jobs) {
+    failed += j.cancelled ? 0 : 1;
+    ++classes[std::string(j.cancelled ? kRowServeCancelled : kRowServeFailed) +
+              '[' + j.tenant + '/' + j.error_class + ']'];
+  }
+  row(kRowServeFailedJobs, static_cast<double>(failed));
+  row(kRowServeCancelledJobs,
+      static_cast<double>(tr.serve_jobs.size()) - static_cast<double>(failed));
+  row(kRowServeBreakerTrips, static_cast<double>(tr.breaker_trips));
+  for (const auto& [key, n] : classes) row(key, static_cast<double>(n));
+  for (const TraceServeJob& j : tr.serve_jobs) {
+    rows.push_back(
+        {std::string(j.cancelled ? kRowServeCancelledJob : kRowServeFailedJob) +
+             '[' + std::to_string(j.job) + ']',
+         0.0, "tenant=" + j.tenant + ' ' + j.detail});
+  }
+  return rows;
+}
+
+void write_trace_rows(const TraceEvidence& tr, std::ostream& os) {
+  os << kRowTrace << ": " << tr.origin << '\n';
+  for (const TraceRow& r : trace_rows(tr)) {
+    // Twelve significant digits: row figures agree with the runtime's own
+    // doubles far below any tolerance a consumer compares at.
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.12g", r.value);
+    os << r.key << ": " << (r.text.empty() ? buf : r.text) << '\n';
+  }
 }
 
 namespace {
@@ -155,6 +228,20 @@ void flatten(const Json& v, const std::string& path,
   }
 }
 
+/// A trace's rows as key/value pairs. A text row joins its text to the
+/// key, so a changed critical device or job detail shows up as a key
+/// present on one side only.
+void row_pairs(const TraceEvidence& tr,
+               std::vector<std::pair<std::string, double>>& out) {
+  for (const TraceRow& r : trace_rows(tr)) {
+    if (r.text.empty()) {
+      out.emplace_back(r.key, r.value);
+    } else {
+      out.emplace_back(r.key + '=' + r.text, 1.0);
+    }
+  }
+}
+
 }  // namespace
 
 DiffResult diff_artifacts(const Json& before, const Json& after,
@@ -165,8 +252,15 @@ DiffResult diff_artifacts(const Json& before, const Json& after,
                    to_string(classify(after)));
 
   std::vector<std::pair<std::string, double>> a, b;
-  flatten(before, "", a);
-  flatten(after, "", b);
+  if (classify(before) == ArtifactKind::kTrace) {
+    // The raw event array repeats span names, so flattening it would pair
+    // unrelated events; traces compare by their summary rows instead.
+    row_pairs(reduce_trace(before), a);
+    row_pairs(reduce_trace(after), b);
+  } else {
+    flatten(before, "", a);
+    flatten(after, "", b);
+  }
 
   auto find_in = [](const std::vector<std::pair<std::string, double>>& v,
                     const std::string& key) -> const double* {
@@ -180,12 +274,12 @@ DiffResult diff_artifacts(const Json& before, const Json& after,
   for (const auto& [key, before_v] : a) {
     const double* after_p = find_in(b, key);
     if (after_p == nullptr) {
-      r.changes.push_back({key, before_v, 0.0, 0.0, true});
+      r.changes.push_back({key, before_v, 0.0, 0.0, 'A'});
       continue;
     }
     const double after_v = *after_p;
     if (before_v == after_v) continue;
-    DiffEntry e{key, before_v, after_v, 0.0, false};
+    DiffEntry e{key, before_v, after_v, 0.0, 0};
     if (before_v != 0.0) e.rel = (after_v - before_v) / std::fabs(before_v);
     const Direction dir = direction_of(key);
     const bool past_tolerance =
@@ -202,7 +296,7 @@ DiffResult diff_artifacts(const Json& before, const Json& after,
   }
   for (const auto& [key, after_v] : b) {
     if (find_in(a, key) == nullptr) {
-      r.changes.push_back({key, 0.0, after_v, 0.0, true});
+      r.changes.push_back({key, 0.0, after_v, 0.0, 'B'});
     }
   }
   return r;
@@ -212,12 +306,9 @@ namespace {
 
 void write_entry_text(const DiffEntry& e, std::ostream& os) {
   os << "  " << e.key << ": ";
-  if (e.structural) {
-    if (e.before == 0.0 && e.after != 0.0) {
-      os << "only in B (" << fmt(e.after) << ")";
-    } else {
-      os << "only in A (" << fmt(e.before) << ")";
-    }
+  if (e.only_in != 0) {
+    os << "only in " << e.only_in << " ("
+       << fmt(e.only_in == 'A' ? e.before : e.after) << ")";
   } else {
     os << fmt(e.before) << " -> " << fmt(e.after);
     if (e.rel != 0.0) {
@@ -232,7 +323,7 @@ void write_entry_json(const DiffEntry& e, std::ostream& os) {
      << ", \"before\": " << json_number(e.before)
      << ", \"after\": " << json_number(e.after)
      << ", \"rel\": " << json_number(e.rel)
-     << ", \"structural\": " << (e.structural ? "true" : "false") << '}';
+     << ", \"structural\": " << (e.only_in != 0 ? "true" : "false") << '}';
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 
 /// \file report.h
 /// Rendering and comparison surfaces of the advisor: the ranked finding
-/// report (text and JSON) and the direction-aware two-artifact diff the
-/// CI perf sentinel runs.
+/// report (text and JSON), the trace summary rows, and the
+/// direction-aware two-artifact diff the CI perf sentinel runs.
 ///
 /// Both renderers are pure functions of their inputs with deterministic
 /// number formatting, so identical sessions produce byte-identical
@@ -17,6 +17,7 @@
 
 #include "advise/attribution.h"
 #include "advise/json.h"
+#include "advise/session.h"
 
 namespace homp::advise {
 
@@ -28,6 +29,21 @@ void write_report(const std::vector<Inspection>& findings, std::ostream& os,
 void write_report_json(const std::vector<Inspection>& findings,
                        std::ostream& os, std::size_t top = 0);
 
+/// One `key: value` row of a trace summary; keys come from
+/// advise/report_keys.h.
+struct TraceRow {
+  std::string key;
+  double value = 0.0;
+  std::string text;  ///< value of a non-numeric row, else empty
+};
+
+/// The summary rows of one reduced trace: run-wide figures, then the
+/// tenant and serve sections when the trace has them.
+std::vector<TraceRow> trace_rows(const TraceEvidence& tr);
+
+/// Print a `trace: <origin>` header row, then trace_rows(tr).
+void write_trace_rows(const TraceEvidence& tr, std::ostream& os);
+
 /// One scalar that moved between the two compared artifacts.
 struct DiffEntry {
   std::string key;  ///< flattened path, e.g. "scenarios/gpu4-axpy1M/..."
@@ -35,7 +51,7 @@ struct DiffEntry {
   double after = 0.0;
   /// Relative change (after-before)/before; 0 when before == 0.
   double rel = 0.0;
-  bool structural = false;  ///< key exists on one side only
+  char only_in = 0;  ///< 'A' or 'B' when the key exists on that side only
 };
 
 /// Verdict of comparing two artifacts of the same kind.
@@ -47,12 +63,14 @@ struct DiffResult {
   }
 };
 
-/// Compare two parsed artifacts. Numeric leaves are flattened to
-/// path/value pairs; keys with a known good direction (throughput
-/// higher-better, latency/makespan/violations lower-better) become
-/// regressions when they move the wrong way by more than `tolerance`
-/// (relative); every other move past tolerance is reported as a neutral
-/// change. Throws ConfigError when the artifacts are different kinds.
+/// Compare two parsed artifacts. Traces compare by their trace_rows();
+/// other artifacts have their numeric leaves flattened to path/value
+/// pairs. Keys with a known good direction (throughput higher-better,
+/// latency/makespan/violations lower-better) become regressions when
+/// they move the wrong way by more than `tolerance` (relative); every
+/// other move past tolerance is reported as a neutral change. Throws
+/// ConfigError when the artifacts are different kinds or a trace is
+/// degenerate.
 DiffResult diff_artifacts(const Json& before, const Json& after,
                           double tolerance);
 

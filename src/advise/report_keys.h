@@ -3,7 +3,8 @@
 
 /// \file report_keys.h
 /// The rostered string constants of the advisor's public vocabulary:
-/// finding kinds, severities, and the stable keys of the JSON report.
+/// finding kinds, severities, the stable keys of the JSON report, and
+/// the trace summary rows.
 ///
 /// Everything the advisor prints that a consumer might match against
 /// (CI scripts grepping `homp-advise report --json`, the perf sentinel,
@@ -58,6 +59,45 @@ inline constexpr char kFindingsKey[] = "findings";
 inline constexpr char kRegressionsKey[] = "regressions";
 /// Array of non-regression changes in a diff verdict.
 inline constexpr char kChangesKey[] = "changes";
+
+// ---- trace summary rows -------------------------------------------------
+// The `key: value` rows trace_rows() derives from a chrome trace, which
+// `homp-advise report` prints and `homp-advise diff` compares. Times are
+// seconds. docs/OBSERVABILITY.md "Trace rows" defines each figure.
+
+/// Header row of one trace's block in the report: the file it came from.
+inline constexpr char kRowTrace[] = "trace";
+inline constexpr char kRowEvents[] = "events";
+inline constexpr char kRowDevices[] = "devices";
+inline constexpr char kRowMakespan[] = "makespan_s";
+inline constexpr char kRowCriticalDevice[] = "critical_device";
+inline constexpr char kRowCriticalPath[] = "critical_path_s";
+inline constexpr char kRowCriticalBusy[] = "critical_busy_s";
+inline constexpr char kRowBarrierSkew[] = "barrier_skew_s";
+inline constexpr char kRowImbalance[] = "imbalance_pct";
+inline constexpr char kRowTransfer[] = "transfer_s";
+inline constexpr char kRowTransferHidden[] = "transfer_hidden_s";
+inline constexpr char kRowOverlapRatio[] = "overlap_ratio";
+inline constexpr char kRowFaults[] = "faults";
+inline constexpr char kRowRecoveryActions[] = "recovery_actions";
+inline constexpr char kRowDecisions[] = "decisions";
+/// Serving traces: the tenant count, then `tenant[<name>].<field>` rows
+/// with the fields below plus makespan_s, critical_path_s, imbalance_pct.
+inline constexpr char kRowTenants[] = "tenants";
+inline constexpr char kRowTenant[] = "tenant";
+inline constexpr char kRowSpans[] = "spans";
+inline constexpr char kRowThreads[] = "threads";
+inline constexpr char kRowBusy[] = "busy_s";
+/// Serving traces with terminal job outcomes or breaker trips: counts,
+/// then `serve.failed[<tenant>/<class>]` per error class and
+/// `serve.failed_job[<id>]` per job (likewise for cancelled).
+inline constexpr char kRowServeFailedJobs[] = "serve.failed_jobs";
+inline constexpr char kRowServeCancelledJobs[] = "serve.cancelled_jobs";
+inline constexpr char kRowServeBreakerTrips[] = "serve.breaker_trips";
+inline constexpr char kRowServeFailed[] = "serve.failed";
+inline constexpr char kRowServeCancelled[] = "serve.cancelled";
+inline constexpr char kRowServeFailedJob[] = "serve.failed_job";
+inline constexpr char kRowServeCancelledJob[] = "serve.cancelled_job";
 
 }  // namespace homp::advise
 

@@ -1,9 +1,15 @@
 #include "advise/session.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <map>
+#include <optional>
 
 #include "common/error.h"
+#include "common/stats.h"
 
 namespace homp::advise {
 
@@ -181,6 +187,33 @@ std::string phase_of(const std::string& name) {
   return sp == std::string::npos ? name : name.substr(0, sp);
 }
 
+/// A span's integer `tid` or `pid`: every per-device and per-tenant
+/// figure is keyed by them.
+long long span_id(const Json& ev, const char* key, std::size_t index) {
+  const Json* v = ev.find(key);
+  const double x = v != nullptr ? v->number() : 0.0;
+  HOMP_REQUIRE(v != nullptr && v->is_number() && x == std::floor(x) &&
+                   std::fabs(x) < 1e15,
+               "trace span " + std::to_string(index) + " has no integer " +
+                   key);
+  return static_cast<long long>(x);
+}
+
+/// `s` with every whitespace run collapsed to one space and both ends
+/// trimmed, so a detail stays on its `key: value` row.
+std::string one_line(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (std::isspace(static_cast<unsigned char>(c)) == 0) {
+      out += c;
+    } else if (!out.empty() && out.back() != ' ') {
+      out += ' ';
+    }
+  }
+  if (!out.empty() && out.back() == ' ') out.pop_back();
+  return out;
+}
+
 }  // namespace
 
 const char* to_string(ArtifactKind k) noexcept {
@@ -212,54 +245,167 @@ ArtifactKind classify(const Json& doc) noexcept {
 }
 
 TraceEvidence reduce_trace(const Json& doc) {
-  TraceEvidence out;
-  struct PerSlot {
-    std::string name;
-    Intervals transfer;
-    Intervals compute;
-    double finish = 0.0;
-  };
-  std::vector<std::pair<int, PerSlot>> slots;  // insertion order = trace order
-  auto slot_of = [&slots](int tid) -> PerSlot& {
-    for (auto& [t, s] : slots) {
-      if (t == tid) return s;
-    }
-    slots.emplace_back(tid, PerSlot{});
-    return slots.back().second;
-  };
+  const std::vector<Json>& events = doc.array();
+  HOMP_REQUIRE(!events.empty(), "trace is empty (zero events)");
 
-  for (const Json& ev : doc.array()) {
-    if (ev.string_or_empty("ph") != "X") continue;
-    const double t0 = ev.number_or("ts", 0.0) / 1e6;
-    const double t1 = t0 + ev.number_or("dur", 0.0) / 1e6;
-    const int tid = static_cast<int>(ev.number_or("tid", -1.0));
-    const std::string phase = phase_of(ev.string_or_empty("name"));
-    PerSlot& s = slot_of(tid);
-    if (s.name.empty()) {
-      if (const Json* args = ev.find("args"); args != nullptr) {
-        s.name = args->string_or_empty("device");
-      }
+  // Metadata first: device names by thread, tenant names by process.
+  std::map<long long, std::string> thread_names, process_names;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& ev = events[i];
+    HOMP_REQUIRE(ev.is_object(),
+                 "trace event " + std::to_string(i) + " is not an object");
+    if (ev.string_or_empty("ph") != "M") continue;
+    const Json* args = ev.find("args");
+    const std::string name = args != nullptr ? args->string_or_empty("name")
+                                             : std::string();
+    if (ev.string_or_empty("name") == "thread_name") {
+      thread_names[ll(ev, "tid")] = name;
+    } else if (ev.string_or_empty("name") == "process_name") {
+      process_names[ll(ev, "pid")] = name;
     }
-    if (phase == "copy-in" || phase == "copy-out") {
-      s.transfer.emplace_back(t0, t1);
-    } else if (phase == "compute") {
-      s.compute.emplace_back(t0, t1);
-    }
-    s.finish = std::max(s.finish, t1);
-    out.makespan_s = std::max(out.makespan_s, t1);
   }
 
+  struct Slot {
+    Intervals transfer, compute, busy;
+    std::optional<double> arrival;  ///< start of its final-barrier span
+  };
+  struct Process {
+    long long spans = 0;
+    double start = std::numeric_limits<double>::infinity();
+    std::map<long long, Intervals> threads;
+  };
+  std::map<long long, Slot> slots;         // by tid
+  std::map<long long, Process> processes;  // by pid
+  std::map<long long, double> quarantined_at;  // by tid, still out at the end
+  std::optional<double> release;  // of the final barrier
+
+  TraceEvidence out;
+  out.events = events.size();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& ev = events[i];
+    const std::string& ph = ev.string_or_empty("ph");
+    const std::string& name = ev.string_or_empty("name");
+    if (ph == "i") {
+      const std::string& cat = ev.string_or_empty("cat");
+      if (cat == "fault") ++out.faults;
+      if (cat == "recovery") ++out.recovery_actions;
+      if (cat == "decision") {
+        ++out.decisions;
+        if (name == "decision: quarantined") {
+          quarantined_at[ll(ev, "tid")] = ev.number_or("ts", 0.0) / 1e6;
+        } else if (name == "decision: readmitted") {
+          quarantined_at.erase(ll(ev, "tid"));
+        }
+      }
+      if (cat != "serve") continue;
+      // Terminal job outcomes and breaker trips of a serving run.
+      if (name == "breaker-open") ++out.breaker_trips;
+      if (name != "fail" && name != "cancel") continue;
+      const Json* args = ev.find("args");
+      TraceServeJob job;
+      job.cancelled = name == "cancel";
+      const auto tenant = process_names.find(ll(ev, "pid"));
+      job.tenant = tenant != process_names.end() ? tenant->second : "?";
+      if (args != nullptr) {
+        job.job = static_cast<long long>(args->number_or("job", -1.0));
+        job.detail = one_line(args->string_or_empty("detail"));
+      }
+      job.error_class = one_line(job.detail.substr(0, job.detail.find(':')));
+      if (job.error_class.empty()) job.error_class = "unspecified";
+      out.serve_jobs.push_back(std::move(job));
+      continue;
+    }
+    if (ph != "X") continue;
+    const long long tid = span_id(ev, "tid", i);
+    const long long pid = span_id(ev, "pid", i);
+    const double t0 = ev.number_or("ts", 0.0) / 1e6;
+    const double t1 = t0 + ev.number_or("dur", 0.0) / 1e6;
+    const std::string phase = phase_of(name);
+    Slot& s = slots[tid];
+    if (phase == "barrier") {
+      // A final-barrier span runs from its device's arrival to the
+      // barrier's release.
+      if (name.ends_with("final")) {
+        s.arrival = t0;
+        release = std::max(release.value_or(t1), t1);
+      }
+    } else {
+      s.busy.emplace_back(t0, t1);
+      if (phase == "compute") s.compute.emplace_back(t0, t1);
+      if (phase == "copy-in" || phase == "copy-out") {
+        s.transfer.emplace_back(t0, t1);
+      }
+    }
+    Process& p = processes[pid];
+    ++p.spans;
+    p.start = std::min(p.start, t0);
+    p.threads[tid].emplace_back(t0, t1);
+    out.makespan_s = std::max(out.makespan_s, t1);
+  }
+  HOMP_REQUIRE(!slots.empty(), "trace contains no spans");
+
+  std::vector<double> finishes;  // participating devices only
   for (auto& [tid, s] : slots) {
+    const bool participating = !s.compute.empty();
     normalize(s.transfer);
     normalize(s.compute);
+    normalize(s.busy);
     TraceDevice dev;
-    dev.name = s.name.empty() ? "slot " + std::to_string(tid) : s.name;
-    dev.slot = tid;
+    const auto named = thread_names.find(tid);
+    dev.name = named != thread_names.end() && !named->second.empty()
+                   ? named->second
+                   : "slot " + std::to_string(tid);
+    dev.slot = static_cast<int>(tid);
     dev.transfer_s = measure(s.transfer);
     dev.compute_s = measure(s.compute);
     dev.hidden_s = intersection_measure(s.transfer, s.compute);
-    dev.finish_s = s.finish;
+    dev.busy_s = measure(s.busy);
+    // Finish rule: see reduce_trace() in session.h.
+    const auto quarantined = quarantined_at.find(tid);
+    if (s.arrival) {
+      dev.finish_s = *s.arrival;
+    } else if (quarantined != quarantined_at.end()) {
+      dev.finish_s = quarantined->second;
+    } else {
+      dev.finish_s =
+          release.value_or(s.busy.empty() ? 0.0 : s.busy.back().second);
+    }
+    if (participating) {
+      if (finishes.empty() ||
+          dev.finish_s > out.devices[out.critical].finish_s) {
+        out.critical = out.devices.size();
+      }
+      finishes.push_back(dev.finish_s);
+    }
     out.devices.push_back(std::move(dev));
+  }
+  if (!finishes.empty()) {
+    const auto [lo, hi] = std::minmax_element(finishes.begin(), finishes.end());
+    out.barrier_skew_s = *hi - *lo;
+  }
+  out.imbalance_pct = imbalance_of(finishes).percent();
+
+  if (!process_names.empty() || processes.size() > 1) {
+    for (auto& [pid, p] : processes) {
+      TraceTenant t;
+      const auto named = process_names.find(pid);
+      t.name = named != process_names.end() && !named->second.empty()
+                   ? named->second
+                   : "pid " + std::to_string(pid);
+      t.spans = p.spans;
+      t.threads = static_cast<long long>(p.threads.size());
+      std::vector<double> thread_finishes;
+      for (auto& [tid, iv] : p.threads) {
+        normalize(iv);
+        t.busy_s += measure(iv);
+        thread_finishes.push_back(iv.empty() ? p.start : iv.back().second);
+      }
+      const Imbalance im = imbalance_of(thread_finishes);
+      t.critical_path_s = im.max_time;
+      t.makespan_s = im.max_time - p.start;
+      t.imbalance_pct = im.percent();
+      out.tenants.push_back(std::move(t));
+    }
   }
   return out;
 }
@@ -322,6 +468,7 @@ ArtifactKind Session::add(const Json& doc, const std::string& origin) {
       break;
     case ArtifactKind::kTrace:
       traces.push_back(reduce_trace(doc));
+      traces.back().origin = origin;
       break;
     case ArtifactKind::kBench:
       ++bench_files;

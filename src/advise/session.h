@@ -141,24 +141,74 @@ struct ServeAudit {
   std::vector<ServeAuditEvent> events;
 };
 
-/// Per-device overlap evidence distilled from one chrome trace: how much
-/// transfer time the pipeline hid behind that device's own compute.
+/// Per-device figures of one chrome trace, where a trace thread is a
+/// device slot: where its time went and when it reached the final
+/// barrier.
 struct TraceDevice {
-  std::string name;
+  std::string name;  ///< thread_name metadata, else "slot N"
   int slot = -1;
   double transfer_s = 0.0;  ///< total copy-in + copy-out span time
   double hidden_s = 0.0;    ///< transfer time overlapped with own compute
   double compute_s = 0.0;
-  double finish_s = 0.0;  ///< last span end on this device
+  double busy_s = 0.0;  ///< time covered by any span but a barrier
+  /// Arrival at the final barrier: the start of its "barrier final"
+  /// span. reduce_trace() documents the finish of a device without one.
+  double finish_s = 0.0;
 };
 
-/// One reloaded chrome trace, reduced to attribution evidence.
+/// Per-tenant figures of a serving trace, which lays each tenant out as
+/// a trace process (serve::ServeReport::write_trace_json).
+struct TraceTenant {
+  std::string name;  ///< process_name metadata, else "pid N"
+  long long spans = 0;
+  long long threads = 0;  ///< distinct (job, device) trace threads
+  double busy_s = 0.0;
+  double critical_path_s = 0.0;  ///< latest thread finish
+  double makespan_s = 0.0;       ///< critical path minus the first start
+  double imbalance_pct = 0.0;    ///< over the per-thread finishes
+};
+
+/// A serving job that ended in a "fail" or "cancel" instant.
+struct TraceServeJob {
+  bool cancelled = false;
+  long long job = -1;
+  std::string tenant;       ///< "?" when the instant's pid names none
+  std::string error_class;  ///< detail up to its first ':'
+  std::string detail;       ///< whitespace runs collapsed to one space
+};
+
+/// One chrome trace, reduced to the figures attribution and the report
+/// rows use. Imbalance and barrier skew run over the finishes of the
+/// participating devices, those that ran a compute span: the set
+/// OffloadResult::imbalance() uses.
 struct TraceEvidence {
-  double makespan_s = 0.0;
-  std::vector<TraceDevice> devices;
+  std::string origin;  ///< the file it was loaded from, if any
+  std::size_t events = 0;
+  double makespan_s = 0.0;  ///< latest span end
+  std::vector<TraceDevice> devices;  ///< ascending slot
+  /// Index into `devices`: the participating device that finished last
+  /// (the lowest slot when none participated).
+  std::size_t critical = 0;
+  double barrier_skew_s = 0.0;  ///< latest minus earliest finish
+  double imbalance_pct = 0.0;   ///< Imbalance::percent() of the finishes
+  long long faults = 0;
+  long long recovery_actions = 0;
+  long long decisions = 0;
+  /// Filled when the trace names processes or spans several of them;
+  /// empty for a single offload (every span on pid 0).
+  std::vector<TraceTenant> tenants;
+  std::vector<TraceServeJob> serve_jobs;  ///< in trace order
+  long long breaker_trips = 0;
 };
 
-/// Reduce a parsed chrome trace array to per-device overlap evidence.
+/// Reduce a parsed chrome trace array. The runtime writes no zero-length
+/// span, so the device that reaches the final barrier last has no
+/// final-barrier span: it finishes at the barrier's release. A device
+/// quarantined for good has none either and finishes at its quarantine
+/// decision. With no final-barrier span in the trace, a device finishes
+/// at the end of its last busy span. Throws ConfigError on an empty
+/// trace, a trace without spans, an event that is not an object, and a
+/// span without an integer tid or pid.
 TraceEvidence reduce_trace(const Json& doc);
 
 /// Fold one exported metrics document into `reg` — exact reconstruction

@@ -27,7 +27,7 @@ namespace homp::rt {
 void collect_metrics(const OffloadResult& res, obs::MetricsRegistry& reg);
 
 /// Write a registry (one offload or a whole aggregated session) to
-/// `path` — JSON (the homp-trace CLI's input) unless the path ends in
+/// `path` — JSON (the homp-advise CLI's input) unless the path ends in
 /// ".prom", which selects the Prometheus text exposition. Throws
 /// ConfigError when the file cannot be opened.
 void write_registry_file(const obs::MetricsRegistry& reg,

@@ -1,11 +1,13 @@
 // Unit tests for the offline advisor (src/advise): the JSON reader, the
-// artifact sniffer, the metrics reload path, trace reduction, and the
-// attribution engine's arithmetic on hand-built sessions with exact
-// expected Inspection values (docs/OBSERVABILITY.md "The offline
+// artifact sniffer, the metrics reload path, trace reduction and its
+// summary rows (hand-computed fixtures, real offload and serving runs),
+// and the attribution engine's arithmetic on hand-built sessions with
+// exact expected Inspection values (docs/OBSERVABILITY.md "The offline
 // advisor").
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,7 +18,10 @@
 #include "advise/report_keys.h"
 #include "advise/session.h"
 #include "common/error.h"
+#include "machine/profiles.h"
 #include "obs/metrics.h"
+#include "runtime/trace.h"
+#include "serve/server.h"
 
 namespace {
 
@@ -186,11 +191,13 @@ TEST(AdviseTrace, ReducesOverlapPerDevice) {
   // One device: compute [0, 4]us, copy-in [0, 1]us (hidden) and
   // copy-out [5, 8]us (exposed). Transfer 4us, hidden 1us.
   const Json doc = Json::parse(R"trace([
-    {"ph": "X", "tid": 0, "name": "compute [0, 100)", "ts": 0.0,
-     "dur": 4.0, "args": {"device": "gpu0"}},
-    {"ph": "X", "tid": 0, "name": "copy-in [0, 100)", "ts": 0.0, "dur": 1.0},
-    {"ph": "X", "tid": 0, "name": "copy-out [0, 100)", "ts": 5.0, "dur": 3.0},
-    {"ph": "M", "tid": 0, "name": "thread_name"}
+    {"ph": "X", "pid": 0, "tid": 0, "name": "compute [0, 100)", "ts": 0.0,
+     "dur": 4.0},
+    {"ph": "X", "pid": 0, "tid": 0, "name": "copy-in [0, 100)", "ts": 0.0,
+     "dur": 1.0},
+    {"ph": "X", "pid": 0, "tid": 0, "name": "copy-out [0, 100)", "ts": 5.0,
+     "dur": 3.0},
+    {"ph": "M", "tid": 0, "name": "thread_name", "args": {"name": "gpu0"}}
   ])trace");
   const advise::TraceEvidence ev = advise::reduce_trace(doc);
   EXPECT_DOUBLE_EQ(ev.makespan_s, 8e-6);
@@ -200,7 +207,265 @@ TEST(AdviseTrace, ReducesOverlapPerDevice) {
   EXPECT_DOUBLE_EQ(d.transfer_s, 4e-6);
   EXPECT_DOUBLE_EQ(d.hidden_s, 1e-6);
   EXPECT_DOUBLE_EQ(d.compute_s, 4e-6);
+  // No final-barrier span: the device finishes with its last busy span.
   EXPECT_DOUBLE_EQ(d.finish_s, 8e-6);
+}
+
+/// The rows of `doc`, keyed for lookup.
+std::map<std::string, advise::TraceRow> rows_of(const Json& doc) {
+  std::map<std::string, advise::TraceRow> out;
+  for (advise::TraceRow& r : advise::trace_rows(advise::reduce_trace(doc))) {
+    out[r.key] = r;
+  }
+  return out;
+}
+
+/// Rows whose key starts with `prefix`.
+std::size_t count_prefixed(const std::map<std::string, advise::TraceRow>& rows,
+                           const std::string& prefix) {
+  std::size_t n = 0;
+  for (const auto& [key, r] : rows) n += key.rfind(prefix, 0) == 0 ? 1 : 0;
+  return n;
+}
+
+TEST(AdviseTrace, StaticFixtureHandComputedFigures) {
+  // Devices reach the final barrier at 6, 8 and 10us: imbalance
+  // (10 - 8) / 10 = 20%, skew 4us, gpu1 critical. Transfers total 6us,
+  // of which cpu's copy-in [3, 5) hides 2us behind its compute [2, 6).
+  const Json doc = Json::parse(R"trace([
+    {"name": "copy-in [0,100)", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 2},
+    {"name": "copy-in [100,200)", "ph": "X", "pid": 0, "tid": 0, "ts": 3, "dur": 2},
+    {"name": "compute [0,100)", "ph": "X", "pid": 0, "tid": 0, "ts": 2, "dur": 4},
+    {"name": "barrier final", "ph": "X", "pid": 0, "tid": 0, "ts": 6, "dur": 4},
+    {"name": "copy-in [200,500)", "ph": "X", "pid": 0, "tid": 1, "ts": 0, "dur": 1},
+    {"name": "compute [200,500)", "ph": "X", "pid": 0, "tid": 1, "ts": 1, "dur": 7},
+    {"name": "barrier final", "ph": "X", "pid": 0, "tid": 1, "ts": 8, "dur": 2},
+    {"name": "copy-in [500,1000)", "ph": "X", "pid": 0, "tid": 2, "ts": 0, "dur": 1},
+    {"name": "compute [500,1000)", "ph": "X", "pid": 0, "tid": 2, "ts": 1, "dur": 9},
+    {"name": "barrier final", "ph": "X", "pid": 0, "tid": 2, "ts": 10, "dur": 0},
+    {"name": "decision: chunk-assigned [0,100)", "cat": "decision", "ph": "i",
+     "pid": 0, "tid": 0, "ts": 0, "args": {"model2_s": 6e-06, "actual_s": 4e-06}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "cpu"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 1, "args": {"name": "gpu0"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 2, "args": {"name": "gpu1"}}
+  ])trace");
+  const advise::TraceEvidence ev = advise::reduce_trace(doc);
+  ASSERT_EQ(ev.devices.size(), 3u);
+  EXPECT_DOUBLE_EQ(ev.devices[0].finish_s, 6e-6);
+  EXPECT_DOUBLE_EQ(ev.devices[1].finish_s, 8e-6);
+  EXPECT_EQ(ev.devices[ev.critical].name, "gpu1");
+  EXPECT_NEAR(ev.imbalance_pct, 20.0, 1e-9);
+  EXPECT_NEAR(ev.barrier_skew_s, 4e-6, 1e-18);
+
+  const auto rows = rows_of(doc);
+  EXPECT_EQ(rows.at(advise::kRowCriticalDevice).text, "gpu1");
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowCriticalPath).value, 10e-6);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowMakespan).value, 10e-6);
+  EXPECT_NEAR(rows.at(advise::kRowOverlapRatio).value, 1.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowDevices).value, 3.0);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowDecisions).value, 1.0);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowFaults).value, 0.0);
+  // A single offload: every span on pid 0, no process metadata.
+  EXPECT_EQ(rows.count(advise::kRowTenants), 0u);
+  EXPECT_EQ(count_prefixed(rows, "serve."), 0u);
+}
+
+TEST(AdviseTrace, LastArrivalAndQuarantineSetFinishesWithoutABarrierSpan) {
+  // The runtime writes no zero-length span: slot 1 arrives last, at the
+  // barrier's release (10us), and leaves no final-barrier span. Slot 2 is
+  // quarantined for good at 3us and finishes there. Slot 3 never
+  // computed, so its finish counts toward neither skew nor imbalance.
+  const Json doc = Json::parse(R"trace([
+    {"name": "compute a", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 6},
+    {"name": "barrier final", "ph": "X", "pid": 0, "tid": 0, "ts": 6, "dur": 4},
+    {"name": "compute b", "ph": "X", "pid": 0, "tid": 1, "ts": 0, "dur": 9},
+    {"name": "compute c", "ph": "X", "pid": 0, "tid": 2, "ts": 0, "dur": 2},
+    {"name": "decision: quarantined", "cat": "decision", "ph": "i", "pid": 0,
+     "tid": 2, "ts": 3},
+    {"name": "copy-in d", "ph": "X", "pid": 0, "tid": 3, "ts": 0, "dur": 1}
+  ])trace");
+  const advise::TraceEvidence ev = advise::reduce_trace(doc);
+  ASSERT_EQ(ev.devices.size(), 4u);
+  EXPECT_DOUBLE_EQ(ev.devices[0].finish_s, 6e-6);
+  EXPECT_DOUBLE_EQ(ev.devices[1].finish_s, 10e-6);
+  EXPECT_DOUBLE_EQ(ev.devices[2].finish_s, 3e-6);
+  EXPECT_EQ(ev.critical, 1u);
+  EXPECT_NEAR(ev.barrier_skew_s, 7e-6, 1e-18);
+  EXPECT_NEAR(ev.imbalance_pct, (10.0 - 19.0 / 3.0) / 10.0 * 100.0, 1e-9);
+}
+
+TEST(AdviseTrace, TenantSectionsPerProcess) {
+  // Gold runs job threads finishing at 4 and 8us (25% finish
+  // imbalance), bronze one thread over [2, 8).
+  const Json doc = Json::parse(R"trace([
+    {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "gold"}},
+    {"name": "process_name", "ph": "M", "pid": 2, "tid": 0, "args": {"name": "bronze"}},
+    {"name": "compute", "ph": "X", "pid": 1, "tid": 64, "ts": 0, "dur": 4},
+    {"name": "compute", "ph": "X", "pid": 1, "tid": 65, "ts": 0, "dur": 8},
+    {"name": "compute", "ph": "X", "pid": 2, "tid": 128, "ts": 2, "dur": 6},
+    {"name": "dispatch", "cat": "serve", "ph": "i", "pid": 1, "tid": 0, "ts": 0,
+     "args": {"job": 1, "detail": "2 devices"}}
+  ])trace");
+  const auto rows = rows_of(doc);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowTenants).value, 2.0);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[gold].spans").value, 2.0);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[gold].threads").value, 2.0);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[gold].busy_s").value, 12e-6);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[gold].critical_path_s").value, 8e-6);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[gold].makespan_s").value, 8e-6);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[gold].imbalance_pct").value, 25.0);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[bronze].spans").value, 1.0);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[bronze].busy_s").value, 6e-6);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[bronze].makespan_s").value, 6e-6);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[bronze].imbalance_pct").value, 0.0);
+  // A dispatch instant is no terminal outcome: no serve section.
+  EXPECT_EQ(count_prefixed(rows, "serve."), 0u);
+}
+
+TEST(AdviseTrace, ServeSectionCountsClassesAndCollapsesDetails) {
+  const Json doc = Json::parse(R"trace([
+    {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "t0"}},
+    {"ph": "X", "name": "compute k", "pid": 1, "tid": 64, "ts": 0, "dur": 4},
+    {"cat": "serve", "ph": "i", "pid": 1, "tid": 0, "name": "fail", "ts": 4,
+     "args": {"job": 1, "detail": "step_budget: over\nbudget"}},
+    {"cat": "serve", "ph": "i", "pid": 1, "tid": 0, "name": "fail", "ts": 5,
+     "args": {"job": 2, "detail": "step_budget: again"}},
+    {"cat": "serve", "ph": "i", "pid": 1, "tid": 0, "name": "cancel", "ts": 6,
+     "args": {"job": 3, "detail": "deadline_miss: in queue"}},
+    {"cat": "serve", "ph": "i", "pid": 1, "tid": 0, "name": "breaker-open",
+     "ts": 7, "args": {"job": 0, "detail": "cooldown 1s"}}
+  ])trace");
+  const auto rows = rows_of(doc);
+  // One named tenant process is a serving trace too.
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowTenants).value, 1.0);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowServeFailedJobs).value, 2.0);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowServeCancelledJobs).value, 1.0);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowServeBreakerTrips).value, 1.0);
+  EXPECT_DOUBLE_EQ(rows.at("serve.failed[t0/step_budget]").value, 2.0);
+  EXPECT_DOUBLE_EQ(rows.at("serve.cancelled[t0/deadline_miss]").value, 1.0);
+  // The newline inside the detail collapses, so the row stays one line.
+  EXPECT_EQ(rows.at("serve.failed_job[1]").text,
+            "tenant=t0 step_budget: over budget");
+  EXPECT_EQ(rows.at("serve.cancelled_job[3]").text,
+            "tenant=t0 deadline_miss: in queue");
+}
+
+/// A serving run of axpy jobs, two devices each, one per tenant.
+std::map<std::string, advise::TraceRow> serve_rows(
+    std::vector<serve::TenantSpec> tenants, serve::ServeOptions opts,
+    double slow_deadline_factor = 0.0) {
+  opts.collect_trace = true;
+  serve::OffloadServer server(mach::builtin("full"), tenants, opts);
+  serve::JobSpec j;
+  j.kernel = "axpy";
+  j.n = 1 << 14;
+  j.devices = 2;
+  for (const serve::TenantSpec& t : tenants) {
+    serve::JobSpec job = j;
+    if (t.name == "slow") {
+      // Clears admission on the predicted runtime, then misses it.
+      job.deadline_s = slow_deadline_factor *
+                       server.predicted_job_seconds(j.kernel, j.n, 2);
+    }
+    server.submit(t.name, job);
+  }
+  server.run();
+  std::ostringstream os;
+  server.report().write_trace_json(os);
+  return rows_of(Json::parse(os.str()));
+}
+
+TEST(AdviseTrace, ServingRunReportsPoisonFailureAndDeadlineCancel) {
+  // Poison loses every granted device mid-run (a terminal kFail); slow
+  // runs 64x behind its prediction and is cancelled past its deadline.
+  serve::TenantSpec good, poison, slow;
+  good.name = "good";
+  poison.name = "poison";
+  poison.fault.fail_at_s = 1e-4;
+  slow.name = "slow";
+  slow.fault.slowdown_rate = 0.95;
+  slow.fault.slowdown_factor = 64.0;
+  serve::ServeOptions opts;
+  opts.breaker_threshold = 0;  // keep the poison job a kFail record
+  const auto rows = serve_rows({good, poison, slow}, opts, 4.0);
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowTenants).value, 3.0);
+  EXPECT_DOUBLE_EQ(rows.at("serve.failed[poison/all_devices_lost]").value,
+                   1.0);
+  EXPECT_DOUBLE_EQ(rows.at("serve.cancelled[slow/deadline_miss]").value, 1.0);
+  EXPECT_EQ(count_prefixed(rows, "serve.failed["), 1u);
+  EXPECT_EQ(count_prefixed(rows, "serve.cancelled["), 1u);
+  EXPECT_EQ(count_prefixed(rows, "serve.failed_job["), 1u);
+  EXPECT_EQ(count_prefixed(rows, "serve.cancelled_job["), 1u);
+  for (const auto& [key, r] : rows) {
+    if (key.rfind("serve.failed_job[", 0) == 0) {
+      EXPECT_EQ(r.text.rfind("tenant=poison all_devices_lost: ", 0), 0u);
+    }
+  }
+}
+
+TEST(AdviseTrace, CleanServingRunHasTenantRowsButNoServeRows) {
+  serve::TenantSpec gold, bronze;
+  gold.name = "gold";
+  gold.priority = serve::PriorityClass::kGold;
+  bronze.name = "bronze";
+  bronze.priority = serve::PriorityClass::kBronze;
+  const auto rows = serve_rows({gold, bronze}, {});
+  EXPECT_DOUBLE_EQ(rows.at(advise::kRowTenants).value, 2.0);
+  EXPECT_DOUBLE_EQ(rows.at("tenant[gold].threads").value, 2.0);
+  EXPECT_EQ(count_prefixed(rows, "tenant[bronze]."), 6u);
+  EXPECT_EQ(count_prefixed(rows, "serve."), 0u);
+}
+
+TEST(AdviseTrace, AdversarialLabelsDecodeToTheirOriginalBytes) {
+  // Every string field of the export tries to break the document; the
+  // reader must decode each back to the bytes the runtime put in.
+  const std::string nasty = "quote\" backslash\\ newline\n tab\t bell\x07";
+  rt::OffloadResult res;
+  for (int slot = 0; slot < 2; ++slot) {
+    rt::TraceSpan span;
+    span.slot = slot;
+    span.device = "dev\"" + std::to_string(slot) + "\\\n";
+    span.phase = rt::Phase::kCompute;
+    span.t1 = (slot + 1) * 5e-6;
+    span.label = nasty;
+    res.trace.push_back(span);
+  }
+  rt::FaultEvent f;
+  f.slot = 0;
+  f.detail = nasty;
+  res.fault_events.push_back(f);
+  std::ostringstream os;
+  rt::write_chrome_trace(res, os);
+
+  const Json doc = Json::parse(os.str());
+  EXPECT_EQ(doc.array()[0].string_or_empty("name"), "compute " + nasty);
+  EXPECT_EQ(doc.array()[1].find("args")->string_or_empty("device"),
+            "dev\"1\\\n");
+  const advise::TraceEvidence ev = advise::reduce_trace(doc);
+  ASSERT_EQ(ev.devices.size(), 2u);
+  EXPECT_EQ(ev.devices[0].name, "dev\"0\\\n");
+  EXPECT_EQ(ev.faults, 1);
+  EXPECT_DOUBLE_EQ(ev.imbalance_pct, 25.0);
+}
+
+TEST(AdviseTrace, DegenerateTracesThrow) {
+  const char* bad[] = {
+      "[]",  // empty
+      R"([{"ph": "M", "name": "thread_name", "tid": 0,
+           "args": {"name": "host"}}])",  // no spans
+      R"([{"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
+           "args": {"name": "gold"}}])",  // tenants, no spans
+      R"(["zap"])",                        // non-object event
+      R"([{"ph": "X", "name": "compute k", "pid": 0, "ts": 0, "dur": 1}])",
+      R"([{"ph": "X", "name": "compute k", "tid": 0, "ts": 0, "dur": 1}])",
+      R"([{"ph": "X", "name": "compute k", "pid": "gold", "tid": 0,
+           "ts": 0, "dur": 1}])",
+      R"([{"ph": "X", "name": "compute k", "pid": 0, "tid": 0.5,
+           "ts": 0, "dur": 1}])",
+  };
+  for (const char* text : bad) {
+    EXPECT_THROW(advise::reduce_trace(Json::parse(text)), ConfigError) << text;
+  }
 }
 
 // ---- attribution arithmetic ----------------------------------------------
@@ -529,6 +794,34 @@ TEST(AdviseDiff, LabelSetsDisambiguateSharedMetricNames) {
             "metrics/homp_device_finish_seconds{device=\"d1\"}/value");
   EXPECT_DOUBLE_EQ(r.regressions[0].before, 8.0);
   EXPECT_DOUBLE_EQ(r.regressions[0].after, 16.0);
+}
+
+TEST(AdviseDiff, TracesCompareByRowsAndLongerMakespanRegresses) {
+  const char* fast = R"([
+    {"ph": "X", "name": "compute a", "pid": 0, "tid": 0, "ts": 0, "dur": 4},
+    {"ph": "X", "name": "compute b", "pid": 0, "tid": 1, "ts": 0, "dur": 4}])";
+  const char* slow = R"([
+    {"ph": "X", "name": "compute a", "pid": 0, "tid": 0, "ts": 0, "dur": 4},
+    {"ph": "X", "name": "compute b", "pid": 0, "tid": 1, "ts": 0, "dur": 8}])";
+  EXPECT_TRUE(
+      advise::diff_artifacts(Json::parse(fast), Json::parse(fast), 0.0)
+          .identical());
+  const advise::DiffResult r =
+      advise::diff_artifacts(Json::parse(fast), Json::parse(slow), 0.15);
+  ASSERT_EQ(r.regressions.size(), 1u);
+  EXPECT_EQ(r.regressions[0].key, advise::kRowMakespan);
+  EXPECT_DOUBLE_EQ(r.regressions[0].rel, 1.0);
+  // The critical device moved from slot 0 to slot 1: its text row shows
+  // up as a key on each side.
+  bool left = false, right = false;
+  for (const advise::DiffEntry& e : r.changes) {
+    left = left || (e.only_in == 'A' && e.key == "critical_device=slot 0");
+    right = right || (e.only_in == 'B' && e.key == "critical_device=slot 1");
+  }
+  EXPECT_TRUE(left && right);
+  EXPECT_THROW(
+      advise::diff_artifacts(Json::parse("[]"), Json::parse(fast), 0.15),
+      ConfigError);
 }
 
 TEST(AdviseDiff, MixedKindsThrow) {

@@ -164,6 +164,7 @@ int main(int argc, char** argv) {
   std::printf("mean_other_finish_s=%.17g\n", mean_others);
   std::printf("expected_saving_s=%.17g\n", saving);
   std::printf("run_total_time_s=%.17g\n", run1.total_time);
+  std::printf("run_imbalance_pct=%.17g\n", run1.imbalance().percent());
   std::printf("run_chunks=%zu\n", run1.chunks_issued);
   std::printf("run_decisions=%zu\n", run1.decisions.size());
   std::printf("run_devices=%zu\n", run1.devices.size());

@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Contract suite for the homp-advise CLI and the homp-trace advise
-subcommand, run under ctest.
+"""Contract suite for the homp-advise CLI, run under ctest.
 
 Contract under test (docs/OBSERVABILITY.md "The offline advisor"):
   * on a Fig. 6-style session with a scripted degrade fault, `report`
@@ -10,12 +9,13 @@ Contract under test (docs/OBSERVABILITY.md "The offline advisor"):
   * the report is byte-identical across repeated invocations and across
     the two identical seeded runs' artifacts (determinism contract);
   * cross-run merging marks a finding seen in every run persistent;
-  * `diff` of two identical sessions exits 0; direction-aware regressions
-    (throughput down, latency up) exit 1; improvements stay exit 0;
+  * the trace rows `report` prints agree with the runtime's own
+    Imbalance::percent();
+  * `diff` of two identical sessions, traces included, exits 0;
+    direction-aware regressions (throughput down, latency up) exit 1;
+    improvements stay exit 0;
   * usage/degenerate input exits 2 with a one-line diagnostic, never a
-    traceback, never a silent empty "all clear" report;
-  * `homp-trace advise` mines the same under-prediction from the trace
-    alone, with its own determinism and exit-code contract.
+    traceback, never a silent empty "all clear" report.
 
 Needs the built binaries: pass --fixtures-bin (make_advise_fixtures) and
 --advise-bin (homp-advise), as the ctest entry does.
@@ -30,10 +30,6 @@ import sys
 import tempfile
 import unittest
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-REPO = os.path.dirname(os.path.dirname(HERE))
-TRACE_CLI = os.path.join(REPO, "tools", "trace", "homp_trace.py")
-
 FIXTURES_BIN = None  # set by main()
 ADVISE_BIN = None  # set by main()
 WORK = None  # tempdir holding generated fixtures
@@ -43,11 +39,6 @@ TRUTH = {}  # key=value ground truth printed by the generator
 def advise(*args):
     return subprocess.run(
         [ADVISE_BIN, *args], capture_output=True, text=True)
-
-
-def trace_cli(*args):
-    return subprocess.run(
-        [sys.executable, TRACE_CLI, *args], capture_output=True, text=True)
 
 
 def out_path(name):
@@ -189,6 +180,25 @@ class Report(unittest.TestCase):
         # Single-eligible-run findings carry no persistence note.
         self.assertNotIn(" runs", top["evidence"])
 
+    def test_trace_rows_agree_with_runtime_telemetry(self):
+        r = advise("report", out_path("run1.trace.json"))
+        self.assertIn(r.returncode, (0, 1), r.stdout + r.stderr)
+        rows = dict(line.split(": ", 1) for line in r.stdout.splitlines()
+                    if ": " in line)
+        self.assertEqual(rows["trace"], out_path("run1.trace.json"))
+        imb = float(rows["imbalance_pct"])
+        truth = TRUTH["run_imbalance_pct"]
+        self.assertLessEqual(abs(imb - truth), 1e-6 * truth,
+                             "trace rows %g vs runtime %g" % (imb, truth))
+        total = TRUTH["run_total_time_s"]
+        self.assertLessEqual(abs(float(rows["makespan_s"]) - total),
+                             1e-6 * total)
+        self.assertEqual(float(rows["devices"]), TRUTH["run_devices"])
+        self.assertEqual(float(rows["decisions"]), TRUTH["run_decisions"])
+        # A single offload: no tenant or serve rows.
+        self.assertFalse(
+            [k for k in rows if k.startswith(("tenant", "serve."))])
+
     def test_clean_serve_audit_alone_reports_no_findings(self):
         r = advise("report", out_path("serve.audit.json"))
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
@@ -203,6 +213,13 @@ class Diff(unittest.TestCase):
                            out_path("run2.%s.json" % kind))
                 self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
                 self.assertIn("identical within tolerance", r.stdout)
+
+    def test_identical_traces_diff_clean(self):
+        r = advise("diff", out_path("run1.trace.json"),
+                   out_path("run2.trace.json"))
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("identical within tolerance", r.stdout)
+        self.assertNotIn("changes:", r.stdout)
 
     def test_json_verdict_shape(self):
         r = advise("diff", out_path("run1.audit.json"),
@@ -316,6 +333,15 @@ class ErrorContract(unittest.TestCase):
             advise("diff", out_path("run1.audit.json"),
                    out_path("run1.metrics.json")), "different artifact kinds")
 
+    def test_degenerate_traces(self):
+        empty = write_doc("empty.trace.json", [])
+        self.assert_clean_exit_2(advise("report", empty), "empty")
+        self.assert_clean_exit_2(
+            advise("diff", empty, out_path("run1.trace.json")), "empty")
+        notid = write_doc("notid.trace.json", [
+            {"ph": "X", "name": "compute k", "pid": 0, "ts": 0, "dur": 1}])
+        self.assert_clean_exit_2(advise("report", notid), "tid")
+
     def test_unknown_mode_and_flags(self):
         self.assert_clean_exit_2(advise("frobnicate"), "unknown mode")
         self.assert_clean_exit_2(
@@ -324,43 +350,10 @@ class ErrorContract(unittest.TestCase):
         self.assert_clean_exit_2(
             advise("report", out_path("run1.audit.json"),
                    "--bias-threshold", "0.5"))
-
-
-class TraceAdvise(unittest.TestCase):
-    """homp-trace advise: the trace-only sibling mines the same
-    under-prediction from decision instants alone."""
-
-    def test_finds_the_degraded_device_from_the_trace_alone(self):
-        r = trace_cli("advise", out_path("run1.trace.json"), "--json")
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        doc = json.loads(r.stdout)
-        self.assertEqual(doc["homp_trace_advise_version"], 1)
-        self.assertTrue(doc["findings"])
-        top = doc["findings"][0]
-        self.assertEqual(top["kind"], "under_prediction")
-        self.assertEqual(top["device"], TRUTH["degraded_device"])
-        self.assertGreater(top["saving_us"], 0.0)
-
-    def test_text_mode_and_determinism(self):
-        outs = set()
-        for _ in range(3):
-            r = trace_cli("advise", out_path("run1.trace.json"))
-            self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-            outs.add(r.stdout)
-        self.assertEqual(len(outs), 1)
-        self.assertIn("under_prediction", next(iter(outs)))
-
-    def test_high_threshold_silences_prediction_findings(self):
-        r = trace_cli("advise", out_path("run1.trace.json"),
-                      "--bias-threshold", "1e9", "--json")
-        doc = json.loads(r.stdout)
-        kinds = {f["kind"] for f in doc["findings"]}
-        self.assertNotIn("under_prediction", kinds)
-
-    def test_metrics_file_is_rejected(self):
-        r = trace_cli("advise", out_path("run1.metrics.json"))
-        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
-        self.assertNotIn("Traceback", r.stderr)
+        for top in ("-1", "nan", "2.7"):
+            self.assert_clean_exit_2(
+                advise("report", out_path("run1.audit.json"), "--top", top),
+                "--top")
 
 
 def main():

@@ -13,6 +13,13 @@ What is pinned:
   * fuzz/<case>/<file>     the repro pairs of the planted runs, the only
                            runs that pin a shrink result byte for byte.
 
+The paper's qualitative claims (EXPERIMENTS.md) are checked on the
+regenerated bench stdout in both modes, so a refresh cannot commit outputs
+that break the reproduction: Fig. 5 picks the paper's winner on 6/6
+kernels, Fig. 6's average load imbalance is below 5%, Table V's matvec-48k
+CUTOFF speedup is below 1, and §V-C's max BLAS slowdown lies within
+10-18x.
+
 homp-fuzz runs inside a temporary directory with the relative
 `--repro-dir repros`, so the repro paths a summary records are the same
 on every machine.
@@ -27,14 +34,15 @@ Usage:
   --skip-dsan  leave out the --dsan cases (a HOMP_DSAN=OFF build exits 2
                on --dsan)
 
-Exit codes: 0 every output matches, 1 some output differs, 2 a run failed
-or the arguments are unusable.
+Exit codes: 0 every output matches, 1 some output differs or a paper claim
+fails, 2 a run failed or the arguments are unusable.
 """
 
 import argparse
 import concurrent.futures
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -78,6 +86,21 @@ FUZZ = [
     ("seed1000-count100", ["--seed", "1000", "--count", "100"], 0, False, True),
     ("dsan-seed1-count200", ["--dsan", "--seed", "1", "--count", "200"],
      0, True, True),
+]
+
+
+# (claim, bench, regex capturing the figure, test the figure must pass)
+PAPER_SHAPE = [
+    ("Fig. 5 winners on 6/6 kernels", "bench_fig5_gpu4",
+     r"shape agreement with paper Fig\. 5: (\d+)/6 kernels",
+     lambda v: v == 6),
+    ("Fig. 6 average load imbalance below 5%", "bench_fig6_breakdown",
+     r"average load imbalance across all kernels/policies: ([\d.]+)%",
+     lambda v: v < 5.0),
+    ("Table V matvec-48k CUTOFF speedup below 1", "bench_table5_cutoff",
+     r"^matvec-48k {2,}.+? {2,}([\d.]+) ", lambda v: v < 1.0),
+    ("V-C max BLAS slowdown within 10-18x", "bench_ablation_unified_memory",
+     r"max BLAS slowdown: ([\d.]+)x", lambda v: 10.0 <= v <= 18.0),
 ]
 
 
@@ -135,6 +158,19 @@ def committed_repros(name):
     return ["fuzz/%s/%s" % (name, f) for f in sorted(os.listdir(d))]
 
 
+def paper_shape_failures(produced):
+    """One message per PAPER_SHAPE claim the regenerated stdout breaks."""
+    failures = []
+    for claim, bench, pattern, holds in PAPER_SHAPE:
+        text = produced["bench/%s.txt" % bench].decode(errors="replace")
+        m = re.search(pattern, text, re.M)
+        if m is None:
+            failures.append("%s: %s prints no such figure" % (claim, bench))
+        elif not holds(float(m.group(1))):
+            failures.append("%s: %s prints %s" % (claim, bench, m.group(1)))
+    return failures
+
+
 def show_diff(rel, want, got):
     lines = list(difflib.unified_diff(
         want.decode(errors="replace").splitlines(),
@@ -178,7 +214,13 @@ def main():
             print("golden: %s" % e, file=sys.stderr)
             return 2
 
+    shape = paper_shape_failures(produced)
+    for msg in shape:
+        print("PAPER-SHAPE %s" % msg)
     if args.update:
+        if shape:
+            print("golden: not updated, %d paper claims fail" % len(shape))
+            return 1
         for rel in sorted(expected - produced.keys()):
             os.remove(os.path.join(HERE, rel))
         for rel, data in sorted(produced.items()):
@@ -201,8 +243,9 @@ def main():
         elif read(path) != data:
             show_diff(rel, read(path), data)
             bad += 1
-    print("golden: %d files checked, %d differ" % (len(produced), bad))
-    return 1 if bad else 0
+    print("golden: %d files checked, %d differ, %d paper claims fail"
+          % (len(produced), bad, len(shape)))
+    return 1 if bad or shape else 0
 
 
 if __name__ == "__main__":

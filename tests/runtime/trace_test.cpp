@@ -206,8 +206,8 @@ TEST(Trace, AdversarialLabelsAreFullyEscaped) {
     if (json[i] == '"' && (i == 0 || json[i - 1] != '\\')) ++quotes;
   }
   EXPECT_EQ(quotes % 2, 0);
-  // (tests/trace/run_trace_tests.py json.loads-round-trips the same
-  // label set through the file writer.)
+  // (tests/advise/advise_test.cpp decodes the same kind of labels back
+  // to their original bytes with homp-advise's reader.)
 }
 
 TEST(Trace, FileWriterValidates) {

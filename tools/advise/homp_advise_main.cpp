@@ -7,19 +7,22 @@
 ///
 /// `report` ingests any mix of HOMP observability artifacts — decision
 /// audits, serve audits, metrics registries, chrome traces — as one
-/// session, runs the attribution engine, and prints the ranked findings.
+/// session, runs the attribution engine, and prints the ranked findings,
+/// then each trace's summary rows (text mode only).
 /// `diff` compares two artifacts of the same kind (bench records,
-/// metrics, audits) with direction-aware tolerance; the CI perf sentinel
-/// runs it against the committed BENCH_engine.json.
+/// metrics, audits, traces) with direction-aware tolerance; the CI perf
+/// sentinel runs it against the committed BENCH_engine.json.
 ///
 /// Exit codes, report mode:  0 = no findings,
 ///                           1 = findings printed,
 ///                           2 = unusable input (unreadable, malformed,
-///                               empty audit, no backfilled actuals).
+///                               empty audit, no backfilled actuals,
+///                               degenerate trace).
 /// Exit codes, diff mode:    0 = identical within tolerance,
 ///                           1 = regressions found,
 ///                           2 = unusable input.
 
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
@@ -39,15 +42,16 @@ void usage(std::ostream& os) {
         "\n"
         "report: attribute performance loss across one or more runs'\n"
         "observability artifacts (decision audits, serve audits, metrics,\n"
-        "chrome traces, in any mix) and print ranked findings.\n"
-        "  --json              machine-readable report\n"
+        "chrome traces, in any mix) and print ranked findings, then each\n"
+        "trace's summary rows.\n"
+        "  --json              machine-readable findings (no trace rows)\n"
         "  --top N             print only the top N findings\n"
         "  --bias-threshold X  under/over-prediction fires at\n"
         "                      actual/predicted >= X (default 1.5)\n"
         "\n"
         "diff: compare two artifacts of the same kind (bench record,\n"
-        "metrics, audit); direction-aware, throughput down or latency up\n"
-        "past tolerance is a regression.\n"
+        "metrics, audit, trace); direction-aware, throughput down or\n"
+        "latency or makespan up past tolerance is a regression.\n"
         "  --tolerance R       relative tolerance (default 0.15)\n"
         "  --json              machine-readable verdict\n";
 }
@@ -98,6 +102,10 @@ int run_report(const std::vector<std::string>& files, bool json,
     write_report_json(findings, std::cout, top);
   } else {
     write_report(findings, std::cout, top);
+    for (const TraceEvidence& tr : session.traces) {
+      std::cout << '\n';
+      write_trace_rows(tr, std::cout);
+    }
   }
   return findings.empty() ? 0 : 1;
 }
@@ -147,7 +155,10 @@ int main(int argc, char** argv) {
       if (arg == "--json") {
         json = true;
       } else if (arg == "--top") {
-        top = static_cast<std::size_t>(parse_double(arg, value()));
+        const double n = parse_double(arg, value());
+        HOMP_REQUIRE(n >= 0.0 && n == std::floor(n) && n < 1e15,
+                     "--top needs a non-negative integer");
+        top = static_cast<std::size_t>(n);
       } else if (arg == "--bias-threshold") {
         opt.bias_threshold = parse_double(arg, value());
         HOMP_REQUIRE(opt.bias_threshold > 1.0,
