@@ -157,7 +157,7 @@ int homp_view(const char* array_name, homp_view_t* out) {
     HOMP_REQUIRE(g_current_env != nullptr,
                  "homp_view: no kernel body is executing");
     auto view = g_current_env->view<double>(array_name);
-    const auto& fp = view.footprint();
+    const dist::Region fp = view.footprint();
     out->base = view.local_data();
     out->lo0 = fp.dim(0).lo;
     out->hi0 = fp.dim(0).hi;

@@ -49,16 +49,6 @@ Region Region::of_shape(const std::vector<long long>& extents) {
   return Region(std::move(dims));
 }
 
-const Range& Region::dim(std::size_t i) const {
-  HOMP_ASSERT(i < dims_.size());
-  return dims_[i];
-}
-
-Range& Region::dim(std::size_t i) {
-  HOMP_ASSERT(i < dims_.size());
-  return dims_[i];
-}
-
 long long Region::volume() const noexcept {
   if (dims_.empty()) return 0;
   long long v = 1;

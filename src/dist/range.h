@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
+
 namespace homp::dist {
 
 /// Half-open interval [lo, hi) of loop iterations or array indices.
@@ -74,8 +76,14 @@ class Region {
   static Region of_shape(const std::vector<long long>& extents);
 
   std::size_t rank() const noexcept { return dims_.size(); }
-  const Range& dim(std::size_t i) const;
-  Range& dim(std::size_t i);
+  const Range& dim(std::size_t i) const {
+    HOMP_ASSERT(i < dims_.size());
+    return dims_[i];
+  }
+  Range& dim(std::size_t i) {
+    HOMP_ASSERT(i < dims_.size());
+    return dims_[i];
+  }
   const std::vector<Range>& dims() const noexcept { return dims_; }
 
   /// Number of index tuples in the region.

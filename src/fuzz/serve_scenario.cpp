@@ -192,7 +192,8 @@ ServeScenarioSpec generate_serve_scenario(std::uint64_t seed,
   const int n_tenants = static_cast<int>(irange(rng, 1, limits.max_tenants));
   for (int t = 0; t < n_tenants; ++t) {
     serve::TenantSpec ts;
-    ts.name = "t" + std::to_string(t);
+    ts.name = "t";
+    ts.name += std::to_string(t);
     ts.priority = static_cast<serve::PriorityClass>(rng.below(3));
     ts.weight = 0.5 * static_cast<double>(irange(rng, 1, 6));
     ts.backpressure = rng.below(2) == 0 ? serve::BackpressureMode::kReject

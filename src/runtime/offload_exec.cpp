@@ -2514,8 +2514,10 @@ OffloadResult OffloadExecution::harvest() {
     if (p->stats.quarantine_count > 0) res.degraded = true;
     if (p->stats.quarantined) {
       // Chunks this device committed before its quarantine are valid host
-      // results and stay counted; the rest were redistributed.
+      // results and stay counted; the rest were redistributed. The device
+      // was lost before it completed, so the offload cannot end earlier.
       p->stats.finish_time = p->stats.quarantined_at;
+      end = std::max(end, p->stats.quarantined_at);
       covered += p->stats.iterations;
       continue;
     }

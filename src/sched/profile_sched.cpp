@@ -39,6 +39,7 @@ ProfileScheduler::ProfileScheduler(const LoopContext& ctx, bool model_based,
   handed_out_[1].assign(m, false);
   rates_.assign(m, 0.0);
   reported_.assign(m, false);
+  deactivated_.assign(m, false);
   final_.assign(m, dist::Range());
 }
 
@@ -89,9 +90,16 @@ void ProfileScheduler::advance_stage() {
   for (double r : rates_) total_rate += r;
   std::vector<double> weights;
   if (total_rate <= 0.0) {
-    // No device demonstrated throughput (all samples empty) — fall back to
-    // an even split.
-    weights.assign(rates_.size(), 1.0 / static_cast<double>(rates_.size()));
+    // No device demonstrated throughput (all samples empty or lost) — fall
+    // back to an even split over the slots still active. A deactivated
+    // slot's stage-2 part is already marked handed out, so any share it
+    // got here would never be served.
+    const auto active = static_cast<double>(
+        std::count(deactivated_.begin(), deactivated_.end(), false));
+    weights.assign(rates_.size(), 0.0);
+    for (std::size_t s = 0; s < weights.size(); ++s) {
+      if (!deactivated_[s]) weights[s] = 1.0 / active;
+    }
     HOMP_WARN << "profiling produced no throughput data; falling back to "
                  "even distribution";
   } else {
@@ -118,6 +126,7 @@ std::vector<double> ProfileScheduler::planned_weights() const {
 std::vector<dist::Range> ProfileScheduler::deactivate(int slot) {
   HOMP_ASSERT(slot >= 0 && static_cast<std::size_t>(slot) < sample_.size());
   const auto s = static_cast<std::size_t>(slot);
+  deactivated_[s] = true;
   std::vector<dist::Range> orphaned;
   if (stage_ == 1) {
     // The slot's unissued sample is orphaned; an issued-but-unfinished

@@ -52,6 +52,7 @@ class ProfileScheduler : public LoopScheduler {
   std::vector<bool> handed_out_[2];   // per stage, per slot
   std::vector<double> rates_;         // observed iters/sec per slot
   std::vector<bool> reported_;
+  std::vector<bool> deactivated_;     // per slot, withdrawn by deactivate()
   std::vector<double> stage2_weights_;
   model::CutoffResult cutoff_;
   bool has_cutoff_ = false;

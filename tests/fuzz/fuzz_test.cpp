@@ -117,6 +117,22 @@ TEST(FuzzOracle, CleanScenarioPassesEveryInvariant) {
   }
 }
 
+// Trophy seeds (docs/FUZZING.md): 9119 lost the device holding the whole
+// MODEL_PROFILE_AUTO sample and handed it stage-2 work anyway (the
+// coverage assert aborted); 2520 lost a device after the others finished
+// and reported an offload that ended before the loss (imbalance-bounds).
+TEST(FuzzOracle, LateDeviceLossSeedsPassEveryInvariant) {
+  for (std::uint64_t seed : {9119u, 2520u}) {
+    const auto report = fuzz::run_oracle(fuzz::generate_scenario(seed));
+    EXPECT_TRUE(report.ok())
+        << "seed " << seed << ": "
+        << (report.violations.empty()
+                ? ""
+                : report.violations[0].invariant + ": " +
+                      report.violations[0].detail);
+  }
+}
+
 TEST(FuzzOracle, DigestIsDeterministic) {
   const auto s = fuzz::generate_scenario(9);
   EXPECT_EQ(fuzz::run_oracle(s).digest(), fuzz::run_oracle(s).digest());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "memory/data_env.h"
 #include "memory/device_mapping.h"
@@ -123,6 +126,17 @@ TEST(DeviceMapping, DirectionsGateTransfers) {
   }
 }
 
+// Message of the ExecutionError raised by `access`, or "" if none.
+template <typename F>
+std::string access_error(F&& access) {
+  try {
+    access();
+  } catch (const ExecutionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(DeviceMapping, ViewOutsideFootprintThrows) {
   auto a = HostArray<double>::vector(10, 0.0);
   auto s = spec_1d(a, MapDirection::kTo);
@@ -132,6 +146,69 @@ TEST(DeviceMapping, ViewOutsideFootprintThrows) {
   EXPECT_THROW(v(1), ExecutionError);
   EXPECT_THROW(v(5), ExecutionError);
   EXPECT_NO_THROW(v(4));
+
+  // Rank-2 and rank-3 footprints that start away from 0: in every
+  // dimension, lo - 1 and hi are rejected with a message naming that
+  // dimension and the footprint, and both corners read the element at
+  // the packed offset computed here.
+  for (const std::vector<long long>& shape :
+       {std::vector<long long>{8, 6}, std::vector<long long>{8, 6, 5}}) {
+    const std::size_t rank = shape.size();
+    HostArray<double> arr(shape, 0.0);
+    MapSpec spec;
+    spec.name = "a";
+    spec.dir = MapDirection::kTo;
+    spec.binding = bind_array(arr);
+    spec.region = arr.region();
+    spec.partition.assign(rank, dist::DimPolicy::full());
+    const dist::Region fp =
+        rank == 2 ? dist::Region({dist::Range(2, 5), dist::Range(1, 4)})
+                  : dist::Region({dist::Range(2, 5), dist::Range(1, 4),
+                                  dist::Range(3, 5)});
+    const std::string fp_text = rank == 2 ? "[2:5)[1:4)" : "[2:5)[1:4)[3:5)";
+    DeviceMapping mapping(spec, fp, fp, false, true);
+    auto view = mapping.view<double>();
+    double* local = view.local_data();
+    for (long long k = 0; k < fp.volume(); ++k) {
+      local[k] = static_cast<double>(k);
+    }
+
+    std::vector<long long> lo(rank);
+    std::vector<long long> last(rank);
+    for (std::size_t d = 0; d < rank; ++d) {
+      lo[d] = fp.dim(d).lo;
+      last[d] = fp.dim(d).hi - 1;
+    }
+    auto at = [&](const std::vector<long long>& idx) -> double& {
+      return rank == 2 ? view(idx[0], idx[1])
+                       : view(idx[0], idx[1], idx[2]);
+    };
+    // Row-major packed offset of idx within the footprint.
+    auto packed = [&](const std::vector<long long>& idx) {
+      long long off = 0;
+      for (std::size_t d = 0; d < rank; ++d) {
+        off = off * fp.dim(d).size() + (idx[d] - fp.dim(d).lo);
+      }
+      return static_cast<double>(off);
+    };
+    EXPECT_EQ(at(lo), packed(lo));
+    EXPECT_EQ(at(last), packed(last));
+
+    for (std::size_t d = 0; d < rank; ++d) {
+      for (long long bad : {fp.dim(d).lo - 1, fp.dim(d).hi}) {
+        SCOPED_TRACE("rank " + std::to_string(rank) + " dim " +
+                     std::to_string(d) + " index " + std::to_string(bad));
+        std::vector<long long> idx = lo;
+        idx[d] = bad;
+        const std::string msg = access_error([&] { at(idx); });
+        EXPECT_NE(msg.find("global index " + std::to_string(bad) +
+                           " in dim " + std::to_string(d) +
+                           " outside mapped footprint " + fp_text),
+                  std::string::npos)
+            << msg;
+      }
+    }
+  }
 }
 
 TEST(DeviceMapping, OwnedMustBeInsideFootprint) {

@@ -10,6 +10,7 @@
 #include "sched/chunk_sched.h"
 #include "sched/extended_sched.h"
 #include "sched/partition_sched.h"
+#include "sched/profile_sched.h"
 
 namespace homp::sched {
 namespace {
@@ -164,6 +165,31 @@ TEST(Deactivate, HistorySchedulerMatchesThePartitionContract) {
   EXPECT_TRUE(s.deactivate(0).empty());
   ASSERT_TRUE(s.next_chunk(1).has_value());
   EXPECT_TRUE(s.deactivate(1).empty());
+}
+
+TEST(Deactivate, ProfileSlotLostWithTheWholeSampleGetsNoStage2Work) {
+  // Slot 0 is so slow that MODEL_2 gives slot 1 the whole stage-1 sample.
+  // Slot 1 is lost after taking it, so no slot reports a rate and stage 2
+  // falls back to an even split — over the one slot still active.
+  auto c = ctx(1000, 2);
+  c.devices[0].peak_flops = 1.0;
+  c.devices[0].peak_membw_Bps = 1.0;
+  c.kernel.flops_per_iter = 1000.0;
+  c.kernel.mem_bytes_per_iter = 8.0;
+  ProfileScheduler s(c, /*model_based=*/true, /*sample_fraction=*/0.1,
+                     /*cutoff_ratio=*/0.0, /*min_chunk=*/1);
+  EXPECT_FALSE(s.next_chunk(0).has_value());  // empty sample
+  auto sample = s.next_chunk(1);
+  ASSERT_TRUE(sample.has_value());
+  EXPECT_EQ(sample->size(), 100);
+  EXPECT_TRUE(s.deactivate(1).empty());  // issued: the runtime requeues it
+  s.advance_stage();
+  auto rest = s.next_chunk(0);
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->lo, 100);
+  EXPECT_EQ(rest->hi, 1000);
+  EXPECT_TRUE(s.finished(0));
+  EXPECT_FALSE(s.next_chunk(1).has_value());
 }
 
 }  // namespace

@@ -208,10 +208,18 @@ TEST(FailureDomain, VestibuleDeadlinePromoteThenTerminate) {
   int saw = 0;
   for (const auto& e : rep.events) {
     if (e.job_id != r.job_id) continue;
-    if (e.kind == ServeEventKind::kBlock) EXPECT_EQ(saw++, 0);
-    if (e.kind == ServeEventKind::kUnblock) EXPECT_EQ(saw++, 1);
-    if (e.kind == ServeEventKind::kAdmit) EXPECT_EQ(saw++, 2);
-    if (e.kind == ServeEventKind::kCancel) EXPECT_EQ(saw++, 3);
+    if (e.kind == ServeEventKind::kBlock) {
+      EXPECT_EQ(saw++, 0);
+    }
+    if (e.kind == ServeEventKind::kUnblock) {
+      EXPECT_EQ(saw++, 1);
+    }
+    if (e.kind == ServeEventKind::kAdmit) {
+      EXPECT_EQ(saw++, 2);
+    }
+    if (e.kind == ServeEventKind::kCancel) {
+      EXPECT_EQ(saw++, 3);
+    }
   }
   EXPECT_EQ(saw, 4);
   EXPECT_TRUE(rep.validate().empty());
