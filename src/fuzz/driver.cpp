@@ -277,7 +277,6 @@ ReplayOutcome replay_as(const std::string& toml_path,
         std::filesystem::path(toml_path).parent_path() / machine_path;
   }
   parsed.scenario.machine = mach::load_machine_file(machine_path.string());
-  parsed.scenario.replay = true;
 
   ReplayOutcome out;
   out.recorded_invariant = parsed.invariant;

@@ -43,10 +43,6 @@ rt::OffloadOptions options_for(const ScenarioSpec& s,
   o.parallel_offload = s.parallel_offload;
   o.harness.step_budget = s.step_budget;
   o.harness.capture_result_checksum = true;
-  if (s.replay) {
-    o.harness.replay = true;
-    o.harness.replay_seed = s.fault_seed;
-  }
   o.collect_audit = true;
   return o;
 }

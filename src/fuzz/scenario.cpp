@@ -356,6 +356,7 @@ ParsedScenario parse_scenario(const std::string& text) {
   ParsedScenario out;
   ScenarioSpec& s = out.scenario;
   s.kernel.clear();
+  bool has_fault_seed = false;
   read_toml(text, "scenario", [&](TomlLine& l) {
     if (l.key.empty()) {
       if (starts_with(l.section, "fault.")) {
@@ -375,6 +376,7 @@ ParsedScenario parse_scenario(const std::string& text) {
       sched_fields(l, s.sched);
     } else if (l.section == "options") {
       option_fields(l, s);
+      has_fault_seed |= l.key == "fault_seed";
       l("dsan", s.dsan);
       l("plant_dsan_conflict", s.plant_dsan_conflict);
     } else if (starts_with(l.section, "fault.")) {
@@ -383,6 +385,10 @@ ParsedScenario parse_scenario(const std::string& text) {
   });
   if (s.kernel.empty()) {
     throw ConfigError("scenario file has no [scenario] kernel entry");
+  }
+  // A defaulted seed would replay a different fault trajectory.
+  if (!has_fault_seed) {
+    throw ConfigError("scenario file has no [options] fault_seed entry");
   }
   return out;
 }

@@ -75,11 +75,6 @@ struct ScenarioSpec {
   /// Self-test plant: schedule a same-timestamp write-write conflict on
   /// an ordered cell inside the oracle run; dsan must catch it.
   bool plant_dsan_conflict = false;
-
-  /// Set (not serialized) when this scenario was loaded from a repro
-  /// file: the oracle marks its offloads as replays, which makes
-  /// OffloadOptions::validate() insist on the recorded fault seed.
-  bool replay = false;
 };
 
 /// Deterministically generate the scenario for `seed` within `limits`.

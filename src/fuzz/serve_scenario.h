@@ -55,9 +55,6 @@ struct ServeScenarioSpec {
   /// Run the first oracle pass under an attached homp-dsan context
   /// (docs/DETERMINISM.md). Serialized, so dsan repros replay in kind.
   bool dsan = false;
-
-  /// Set (not serialized) when loaded from a repro file.
-  bool replay = false;
 };
 
 /// Deterministically generate the serve scenario for `seed`. The result

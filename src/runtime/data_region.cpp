@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
+#include "common/checksum.h"
 #include "common/error.h"
+#include "dist/align.h"
 #include "runtime/offload_exec.h"
 
 namespace homp::rt {
@@ -41,18 +44,23 @@ DataRegion::DataRegion(const mach::MachineDescriptor& machine,
   }
 
   // Resolve each array's distribution: ALIGN chains must root at the
-  // region label or at a BLOCK-partitioned resident array.
-  std::map<std::string, const mem::MapSpec*> by_name;
+  // region label, the one concrete node of the alignment graph.
+  std::set<std::string> names;
+  dist::AlignmentGraph align;
   for (const auto& s : maps_) {
     s.validate();
-    HOMP_REQUIRE(by_name.emplace(s.name, &s).second,
+    HOMP_REQUIRE(names.insert(s.name).second,
                  "variable '" + s.name + "' mapped twice in data region");
     if (s.partitioned_dim() < 0) {
       HOMP_REQUIRE(!mem::copies_out(s.dir) || m == 1,
                    "replicated array '" + s.name +
                        "' cannot be copied out from multiple devices");
+    } else if (s.partitioned_policy().kind == dist::PolicyKind::kAlign) {
+      const dist::DimPolicy pol = s.partitioned_policy();
+      align.set_aligned(s.name, pol.align_target, pol.align_ratio);
     }
   }
+  align.set_concrete(opts_.loop_label, loop_dist_);
 
   stores_.reserve(m);
   envs_.resize(m);
@@ -80,27 +88,9 @@ DataRegion::DataRegion(const mach::MachineDescriptor& machine,
           part = dist::Distribution::block(s.region.dim(d), m).part(slot);
         } else {
           HOMP_ASSERT(pol.kind == dist::PolicyKind::kAlign);
-          // Walk the chain to the label, composing ratios.
-          double ratio = pol.align_ratio;
-          std::string target = pol.align_target;
-          std::map<std::string, bool> seen{{s.name, true}};
-          while (target != opts_.loop_label) {
-            auto it = by_name.find(target);
-            HOMP_REQUIRE(it != by_name.end(),
-                         "ALIGN target '" + target + "' of '" + s.name +
-                             "' not found in data region");
-            HOMP_REQUIRE(seen.emplace(target, true).second,
-                         "alignment cycle involving '" + target + "'");
-            const dist::DimPolicy tp = it->second->partitioned_policy();
-            HOMP_REQUIRE(tp.kind == dist::PolicyKind::kAlign,
-                         "ALIGN chain of '" + s.name +
-                             "' must end at the region label '" +
-                             opts_.loop_label + "'");
-            ratio *= tp.align_ratio;
-            target = tp.align_target;
-          }
-          part = loop_dist_.part(slot).scaled(ratio).clamped_to(
-              s.region.dim(d));
+          part = loop_dist_.part(slot)
+                     .scaled(align.ratio_to_root(s.name))
+                     .clamped_to(s.region.dim(d));
         }
         owned = s.region.with_dim(d, part);
         dist::Range fp = part.widened(s.halo_before, s.halo_after)
@@ -249,7 +239,7 @@ double DataRegion::close() {
     // combined sum before anything crosses the wire.
     const std::uint64_t want =
         opts_.verify_exit
-            ? envs_[slot].checksum_out_device(opts_.exit_checksum)
+            ? envs_[slot].checksum_out_device(ChecksumKind::kMix64)
             : 0;
     envs_[slot].copy_out_all();
     if (opts_.exit_corrupt_seed != 0 &&
@@ -270,7 +260,7 @@ double DataRegion::close() {
     if (!opts_.verify_exit) continue;
 
     int attempt = 0;
-    while (envs_[slot].checksum_out_host(opts_.exit_checksum) != want) {
+    while (envs_[slot].checksum_out_host(ChecksumKind::kMix64) != want) {
       HOMP_REQUIRE(attempt < opts_.max_exit_retries,
                    "data region exit verification still failing after " +
                        std::to_string(attempt) +

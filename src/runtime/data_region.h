@@ -55,7 +55,6 @@ struct RegionOptions {
   bool verify_exit = false;
   /// Re-copies allowed per device before close() gives up (ConfigError).
   int max_exit_retries = 2;
-  ChecksumKind exit_checksum = ChecksumKind::kMix64;
   /// Test hook: after the first exit copy-out of `exit_corrupt_slot`,
   /// flip seeded bytes in its host copy — as if the exit transfer were
   /// silently corrupted. 0 = off.

@@ -14,12 +14,12 @@
 /// streams would contend on one PCIe switch.
 ///
 /// Lifetime: the context (and everything it points to) must outlive
-/// every OffloadExecution launched against it, *including* executions
-/// that already delivered their result — stragglers such as probation
-/// cooldown timers may still fire on the shared engine after a job
-/// completes, and they dereference the execution they belong to.
+/// every OffloadExecution launched against it; the execution's
+/// destructor still revokes its timers on the context's engine. An
+/// execution cancels its timer generation when it delivers its result,
+/// so after its completion callback has run nothing it scheduled can
+/// fire, and the owner may destroy it at once.
 
-#include <functional>
 #include <vector>
 
 namespace homp::sim {
@@ -39,13 +39,6 @@ struct ExecContext {
   /// itself standalone). Borrowed, never owned.
   std::vector<sim::SharedLink*> down_links;
   std::vector<sim::SharedLink*> up_links;
-
-  /// Optional compute-dilation hook, sampled once per chunk launch:
-  /// returns the multiplicative slowdown (>= 1) of running a kernel on
-  /// `device_id` right now. The serving layer uses it to model
-  /// time-slicing when device sharing (rather than exclusive
-  /// reservation) is configured; identity when unset.
-  std::function<double(int device_id)> load_factor;
 };
 
 }  // namespace homp::rt

@@ -2,19 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <set>
+#include <type_traits>
 #include <utility>
 
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "common/prng.h"
+#include "dist/align.h"
 #include "model/cost.h"
 #include "model/loop_model.h"
 #include "sched/extended_sched.h"
 #include "sched/partition_sched.h"
 #include "sched/selector.h"
-#include "sim/sync.h"
 
 namespace homp::rt {
 
@@ -91,12 +92,13 @@ struct OffloadExecution::PendingChunk {
   std::size_t decision_index = static_cast<std::size_t>(-1);
 };
 
-/// A computed chunk whose results are still device-resident: the output
-/// transfer is in flight (possibly retrying). Host-visible effects —
-/// copy_out into host arrays, the partial reduction, the iteration count —
-/// commit only when the transfer succeeds, so a device quarantined
-/// mid-copy-out leaves the host bit-identical and its chunk free to
-/// requeue.
+/// A computed chunk awaiting its host commit. On a discrete device its
+/// results are still device-resident while the output transfer is in
+/// flight (possibly retrying): host-visible effects — copy_out into host
+/// arrays, the partial reduction, the iteration count — commit only when
+/// the transfer succeeds, so a device quarantined mid-copy-out leaves the
+/// host bit-identical and its chunk free to requeue. A shared-memory
+/// chunk commits the instant its compute completes.
 struct OffloadExecution::OutRecord {
   dist::Range range;
   std::vector<mem::DeviceMapping*> maps;
@@ -120,6 +122,13 @@ struct OffloadExecution::OutRecord {
   std::shared_ptr<IntegrityState> integ;
 };
 
+/// Whether the wire loses a transfer attempt and, if it lands, the seed
+/// of its silent payload corruption (0 = clean).
+struct OffloadExecution::WireFault {
+  bool lost = false;
+  std::uint64_t corrupt_seed = 0;
+};
+
 /// Per-device proxy actor state.
 struct OffloadExecution::Proxy {
   int slot = -1;
@@ -140,7 +149,6 @@ struct OffloadExecution::Proxy {
   std::optional<PendingChunk> ready;      ///< resident, awaiting compute
   std::optional<PendingChunk> computing;  ///< kernel in progress
   double compute_started = 0.0;
-  int outstanding_outputs = 0;
   std::vector<std::shared_ptr<OutRecord>> outputs;  ///< in-flight copy-outs
 
   bool waiting_stage = false;
@@ -163,13 +171,27 @@ struct OffloadExecution::Proxy {
   DeviceStats stats;
   std::vector<TraceSpan> spans;
 
-  void record_span(bool enabled, Phase phase, double t0, double t1,
-                   std::string label = {}) {
-    if (!enabled || t1 <= t0) return;
-    spans.push_back(TraceSpan{slot, desc->name, phase, t0, t1,
-                              std::move(label)});
+  /// Anything in the pipeline: fetching, staged, computing, finalizing
+  /// or copying out.
+  bool busy() const {
+    return fetching || inflight || ready || computing || finalizing ||
+           !outputs.empty();
   }
 };
+
+template <class Label>
+void OffloadExecution::span(Proxy& p, Phase phase, double t0, double t1,
+                            const Label& label) {
+  if (!opts_.collect_trace || t1 <= t0) return;
+  std::string text;
+  if constexpr (std::is_invocable_v<const Label&>) {
+    text = label();
+  } else {
+    text = label;
+  }
+  p.spans.push_back(
+      TraceSpan{p.slot, p.desc->name, phase, t0, t1, std::move(text)});
+}
 
 OffloadExecution::~OffloadExecution() {
   // Shared mode: revoke anything still pending (normally finish_now()
@@ -326,20 +348,30 @@ void OffloadExecution::validate_and_plan() {
                      "' has no body");
   }
 
+  // ALIGN chains resolve through one graph (§V-D): BLOCK arrays and the
+  // loop label are its roots.
   const std::size_t m = opts_.device_ids.size();
-  std::map<std::string, const mem::MapSpec*> by_name;
+  std::set<std::string> names;
+  dist::AlignmentGraph align;
   for (const auto& s : maps_) {
     s.validate();
-    HOMP_REQUIRE(by_name.emplace(s.name, &s).second,
+    HOMP_REQUIRE(names.insert(s.name).second,
                  "variable '" + s.name + "' mapped twice");
+    const int pdim = s.partitioned_dim();
+    if (pdim < 0) continue;
+    const auto d = static_cast<std::size_t>(pdim);
+    const dist::DimPolicy pol = s.partitioned_policy();
+    if (pol.kind == dist::PolicyKind::kBlock) {
+      align.set_concrete(s.name, dist::Distribution::block(s.region.dim(d), m));
+    } else {
+      HOMP_ASSERT(pol.kind == dist::PolicyKind::kAlign);
+      align.set_aligned(s.name, pol.align_target, pol.align_ratio);
+    }
   }
+  align.set_concrete(opts_.loop_label, dist::Distribution());
 
   plans_.clear();
   plans_.reserve(maps_.size());
-  const bool single_shot =
-      scheduler_ == nullptr;  // plans built before scheduler; decided below
-  (void)single_shot;
-
   for (const auto& s : maps_) {
     SpecPlan plan;
     plan.spec = &s;
@@ -356,51 +388,12 @@ void OffloadExecution::validate_and_plan() {
       plans_.push_back(std::move(plan));
       continue;
     }
-    const dist::DimPolicy pol = s.partitioned_policy();
-    if (pol.kind == dist::PolicyKind::kBlock) {
-      plan.static_dist = dist::Distribution::block(
-          s.region.dim(static_cast<std::size_t>(plan.pdim)), m);
-      plans_.push_back(std::move(plan));
-      continue;
-    }
-    HOMP_ASSERT(pol.kind == dist::PolicyKind::kAlign);
-    // Walk the ALIGN chain to its root: the loop label or a BLOCK array.
-    double ratio = pol.align_ratio;
-    std::string target = pol.align_target;
-    std::map<std::string, bool> seen;
-    seen[s.name] = true;
-    for (;;) {
-      if (target == opts_.loop_label) {
-        plan.follows_loop = true;
-        plan.ratio = ratio;
-        break;
-      }
-      auto it = by_name.find(target);
-      HOMP_REQUIRE(it != by_name.end(),
-                   "ALIGN target '" + target + "' of '" + s.name +
-                       "' is neither the loop label '" + opts_.loop_label +
-                       "' nor a mapped array");
-      HOMP_REQUIRE(seen.emplace(target, true).second,
-                   "alignment cycle involving '" + target + "'");
-      const mem::MapSpec* t = it->second;
-      const int tp = t->partitioned_dim();
-      HOMP_REQUIRE(tp >= 0, "ALIGN target '" + target +
-                                "' is not partitioned");
-      const dist::DimPolicy tpol = t->partitioned_policy();
-      if (tpol.kind == dist::PolicyKind::kBlock) {
-        plan.ratio = ratio;
-        plan.static_dist =
-            dist::Distribution::block(
-                t->region.dim(static_cast<std::size_t>(tp)), m)
-                .aligned(ratio);
-        break;
-      }
-      HOMP_ASSERT(tpol.kind == dist::PolicyKind::kAlign);
-      ratio *= tpol.align_ratio;
-      target = tpol.align_target;
-    }
-    // Domain sanity for static aligned arrays.
+    // An array whose chain roots at the loop label follows the loop's
+    // chunks; the rest take their root's BLOCK distribution.
+    plan.follows_loop = align.root_of(s.name) == opts_.loop_label;
+    plan.ratio = align.ratio_to_root(s.name);
     if (!plan.follows_loop) {
+      plan.static_dist = align.resolve(s.name);
       HOMP_REQUIRE(
           plan.static_dist.domain() ==
               s.region.dim(static_cast<std::size_t>(plan.pdim)),
@@ -592,11 +585,6 @@ double OffloadExecution::compute_seconds(Proxy& p,
         std::clamp(1.0 + p.desc->noise * p.noise.next_gaussian(), 0.5, 1.5);
     t *= factor;
   }
-  if (ctx_ != nullptr && ctx_->load_factor) {
-    // Tenant time-slicing on a shared device (exec_context.h): sampled
-    // once at chunk launch, like the noise factor above.
-    t *= std::max(1.0, ctx_->load_factor(p.device_id));
-  }
   return t;
 }
 
@@ -719,7 +707,7 @@ void OffloadExecution::try_fetch(int slot) {
     pass_serial_token(slot);
     if (scheduler_->finished(slot)) {
       check_completion(slot);
-    } else if (!p.computing && p.outstanding_outputs == 0) {
+    } else if (!p.computing && p.outputs.empty()) {
       // Two-stage scheduler: wait for the others at the stage barrier.
       p.waiting_stage = true;
       p.stage_wait_start = engine_.now();
@@ -754,11 +742,6 @@ void OffloadExecution::try_fetch(int slot) {
                                                   : "scheduler";
     chunk.decision_index =
         note_decision(slot, DecisionKind::kChunkAssigned, chunk.range, source);
-    SchedDecision& d = decisions_.back();
-    d.chunk_bytes = effective_profile_.transfer_bytes_per_iter *
-                    static_cast<double>(chunk.range.size());
-    predict_chunk(p, chunk.range, &d.predicted_model1_s,
-                  &d.predicted_model2_s, &d.predicted_profile_s);
   }
 
   // Inside a data region the data is already resident on the devices:
@@ -812,27 +795,22 @@ void OffloadExecution::try_fetch(int slot) {
     pass_serial_token(slot);
   }
 
-  auto issue = [this, slot, c = std::make_shared<PendingChunk>(
-                                   std::move(chunk))]() mutable {
+  sched_after(alloc_delay + kChunkSchedOverheadS,
+              [this, slot,
+               c = std::make_shared<PendingChunk>(std::move(chunk))] {
     Proxy& pr = *proxies_[static_cast<std::size_t>(slot)];
     if (pr.lost) {
       // Quarantined inside the alloc/scheduling-delay window: hand the
       // chunk straight back for redistribution.
-      long long taken = 0;
-      orphan_range(slot, c->range, c->token, &taken);
-      pr.stats.requeued_iterations += taken;
+      if (release(c->token, c->integ)) {
+        pr.stats.requeued_iterations += requeue(c->range);
+      }
       kick_survivors();
       return;
     }
     pr.inflight = std::move(*c);
     issue_input(slot, 1);
-  };
-  if (alloc_delay > 0.0 || kChunkSchedOverheadS > 0.0) {
-    sched_after(alloc_delay + kChunkSchedOverheadS,
-                           std::move(issue));
-  } else {
-    issue();
-  }
+  });
 }
 
 void OffloadExecution::issue_input(int slot, int attempt) {
@@ -854,48 +832,28 @@ void OffloadExecution::issue_input(int slot, int attempt) {
           ? bytes / p.down->bandwidth() * p.desc->noise *
                 std::abs(p.noise.next_gaussian())
           : 0.0;
-  // Whether this transfer attempt fails is drawn when it is issued; the
-  // failure surfaces when the transfer (virtually) completes, so a failed
-  // attempt costs its full transfer time before the retry backoff.
-  const bool failed = fault_active_ && fault_plan_.transfer_fails(p.device_id);
-  // Silent corruption of the payload is drawn alongside the loss fault so
-  // the per-device fault stream stays deterministic; a *failed* attempt
-  // delivers no payload, so it cannot also be corrupted.
-  std::uint64_t wire_seed = 0;
-  if (fault_active_) {
-    wire_seed = fault_plan_.transfer_corrupts(p.device_id);
-    if (failed) wire_seed = 0;
-  }
+  const WireFault wire = draw_wire_fault(p);
   if (attempt == 1) sample_queue_depth(p);
   adjust_outstanding_bytes(p, bytes);
   p.down->transfer(bytes, guard([this, slot, start, jitter, bytes, attempt,
-                                 failed, wire_seed] {
+                                 wire] {
     adjust_outstanding_bytes(*proxies_[static_cast<std::size_t>(slot)],
                              -bytes);
-    sched_after(jitter, [this, slot, start, attempt, failed,
-                                    wire_seed] {
+    sched_after(jitter, [this, slot, start, attempt, wire] {
       Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
       if (q.lost || !q.inflight) return;  // quarantined mid-transfer
-      if (failed) {
-        q.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
-            engine_.now() - start;
-        q.record_span(opts_.collect_trace, Phase::kRecovery, start,
-                      engine_.now(),
-                      q.inflight->range.to_string() + " copy-in fault");
-        note_fault(slot, sim::FaultKind::kTransfer, false,
-                   "copy-in " + q.inflight->range.to_string() + " attempt " +
-                       std::to_string(attempt));
-        handle_transient(slot, attempt, sim::FaultKind::kTransfer,
-                         [this, slot, attempt] {
-                           issue_input(slot, attempt + 1);
-                         });
+      if (wire.lost) {
+        lose_attempt(slot, start, attempt, "copy-in", &q.inflight->range,
+                     [this, slot, attempt] {
+                       issue_input(slot, attempt + 1);
+                     });
         return;
       }
       q.stats.phase_time[static_cast<int>(Phase::kCopyIn)] +=
           engine_.now() - start;
-      q.record_span(opts_.collect_trace, Phase::kCopyIn, start,
-                    engine_.now(), q.inflight->range.to_string());
-      on_input_done(slot, attempt, wire_seed);
+      span(q, Phase::kCopyIn, start, engine_.now(),
+           [r = q.inflight->range] { return r.to_string(); });
+      on_input_done(slot, attempt, wire.corrupt_seed);
     });
   }));
 }
@@ -1012,9 +970,10 @@ void OffloadExecution::start_launch(int slot, int attempt) {
       Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
       if (q.lost || !q.computing) return;  // quarantined meanwhile
       q.stats.phase_time[static_cast<int>(Phase::kRecovery)] += launch;
-      q.record_span(opts_.collect_trace, Phase::kRecovery,
-                    engine_.now() - launch, engine_.now(),
-                    q.computing->range.to_string() + " launch fault");
+      span(q, Phase::kRecovery, engine_.now() - launch, engine_.now(),
+           [r = q.computing->range] {
+             return r.to_string() + " launch fault";
+           });
       note_fault(slot, sim::FaultKind::kLaunch, false,
                  "launch " + q.computing->range.to_string() + " attempt " +
                      std::to_string(attempt));
@@ -1110,8 +1069,8 @@ void OffloadExecution::on_compute_done(int slot) {
   p.computing.reset();
   ++p.compute_serial;  // invalidates this chunk's pending watchdog events
 
-  p.record_span(opts_.collect_trace, Phase::kCompute, p.compute_started,
-                engine_.now(), chunk.range.to_string());
+  span(p, Phase::kCompute, p.compute_started, engine_.now(),
+       [r = chunk.range] { return r.to_string(); });
   // Requeued and speculative chunks are recovery work the scheduler never
   // issued; feeding their timings back would skew the profiling rates.
   if (!chunk.from_requeue && !chunk.is_spec) {
@@ -1155,45 +1114,42 @@ void OffloadExecution::on_compute_done(int slot) {
 
   // The body runs now, on the device, against device-resident storage.
   // Its host-visible effects commit when the output transfer lands.
-  double red = 0.0;
-  if (opts_.execute_bodies) red = kernel_.body(chunk.range, chunk.env);
+  OutRecord out;
+  out.range = chunk.range;
+  out.maps = std::move(chunk.chunk_maps);
+  if (opts_.execute_bodies) {
+    out.reduction = kernel_.body(chunk.range, chunk.env);
+  }
+  out.token = chunk.token;
+  out.is_spec = chunk.is_spec;
+  out.is_probe = chunk.is_probe;
+  out.integ = chunk.integ;
   bool integ_settled = false;
 
   if (p.up != nullptr && chunk.bytes_out > 0.0) {
-    ++p.outstanding_outputs;
-    auto rec = std::make_shared<OutRecord>();
-    rec->range = chunk.range;
-    rec->maps = chunk.chunk_maps;
-    rec->bytes_out = chunk.bytes_out;
-    rec->reduction = red;
-    rec->token = chunk.token;
-    rec->is_spec = chunk.is_spec;
-    rec->is_probe = chunk.is_probe;
-    rec->integ = chunk.integ;
-    rec->verify = integrity_armed_;
-    if (rec->verify || chunk.corrupt_seed != 0) {
+    out.bytes_out = chunk.bytes_out;
+    out.verify = integrity_armed_;
+    if (out.verify || chunk.corrupt_seed != 0) {
       if (opts_.execute_bodies) {
-        rec->sum_result = payload_checksum(chunk.chunk_maps,
-                                           /*input_side=*/false);
+        out.sum_result = payload_checksum(out.maps, /*input_side=*/false);
         if (chunk.corrupt_seed != 0) {
-          apply_corruption(chunk.chunk_maps, /*input_side=*/false,
+          apply_corruption(out.maps, /*input_side=*/false,
                            chunk.corrupt_seed);
-          rec->sum_payload = payload_checksum(chunk.chunk_maps,
-                                              /*input_side=*/false);
+          out.sum_payload = payload_checksum(out.maps, /*input_side=*/false);
         } else {
-          rec->sum_payload = rec->sum_result;
+          out.sum_payload = out.sum_result;
         }
       } else {
         // Pure-simulation mode: model the sums symbolically. An injected
         // flip XORs in a nonzero token, so a corrupted hand-off always
         // compares unequal — same detection outcome, no real bytes.
-        rec->sum_result = 0;
-        rec->sum_payload = chunk.corrupt_seed != 0
-                               ? (mix64(chunk.corrupt_seed) | 1)
-                               : 0;
+        out.sum_payload = chunk.corrupt_seed != 0
+                              ? (mix64(chunk.corrupt_seed) | 1)
+                              : 0;
       }
-      rec->sum_wire = rec->sum_payload;
+      out.sum_wire = out.sum_payload;
     }
+    auto rec = std::make_shared<OutRecord>(std::move(out));
     p.outputs.push_back(rec);
     issue_output(slot, std::move(rec), 1);
   } else {
@@ -1211,16 +1167,7 @@ void OffloadExecution::on_compute_done(int slot) {
                         " settled by a shared-memory execution");
       integ_settled = true;
     }
-    if (claim_commit(slot, chunk.token, chunk.is_spec, chunk.is_probe,
-                     chunk.range)) {
-      if (opts_.execute_bodies) {
-        for (auto* m : chunk.chunk_maps) m->copy_out();
-      }
-      p.partial_reduction += red;
-      p.stats.iterations += chunk.range.size();
-      record_counter(p, CounterTrack::kIterations,
-                     static_cast<double>(p.stats.iterations));
-    }
+    commit(slot, out);
   }
 
   sample_queue_depth(p);
@@ -1241,39 +1188,26 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
   if (p.lost || rec->abandoned) return;
   const double start = engine_.now();
   const double bytes = rec->bytes_out;
-  const bool failed = fault_active_ && fault_plan_.transfer_fails(p.device_id);
-  std::uint64_t wire_seed = 0;
-  if (fault_active_) {
-    wire_seed = fault_plan_.transfer_corrupts(p.device_id);
-    if (failed) wire_seed = 0;  // a failed attempt delivers no payload
-  }
+  const WireFault wire = draw_wire_fault(p);
   adjust_outstanding_bytes(p, bytes);
   p.up->transfer(bytes, guard([this, slot, rec, start, bytes, attempt,
-                               failed, wire_seed] {
+                               wire] {
     Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
     adjust_outstanding_bytes(q, -bytes);
     if (q.lost || rec->abandoned) return;  // requeued at quarantine
-    if (failed) {
-      q.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
-          engine_.now() - start;
-      q.record_span(opts_.collect_trace, Phase::kRecovery, start,
-                    engine_.now(),
-                    rec->range.to_string() + " copy-out fault");
-      note_fault(slot, sim::FaultKind::kTransfer, false,
-                 "copy-out " + rec->range.to_string() + " attempt " +
-                     std::to_string(attempt));
-      handle_transient(slot, attempt, sim::FaultKind::kTransfer,
-                       [this, slot, rec, attempt]() mutable {
-                         issue_output(slot, std::move(rec), attempt + 1);
-                       });
+    if (wire.lost) {
+      lose_attempt(slot, start, attempt, "copy-out", &rec->range,
+                   [this, slot, rec, attempt]() mutable {
+                     issue_output(slot, std::move(rec), attempt + 1);
+                   });
       return;
     }
     q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] +=
         engine_.now() - start;
-    q.record_span(opts_.collect_trace, Phase::kCopyOut, start, engine_.now(),
-                  rec->range.to_string());
+    span(q, Phase::kCopyOut, start, engine_.now(),
+         [r = rec->range] { return r.to_string(); });
     q.stats.bytes_out += bytes;  // physically transferred either way
-    if (wire_seed != 0) {
+    if (wire.corrupt_seed != 0) {
       // The copy-out payload was flipped on the wire. The flips land in
       // the device-side chunk slices (the staging the host commit reads
       // from), so an unverified commit materialises the damage.
@@ -1282,10 +1216,10 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
                  "copy-out " + rec->range.to_string() +
                      " payload silently corrupted");
       if (opts_.execute_bodies) {
-        apply_corruption(rec->maps, /*input_side=*/false, wire_seed);
+        apply_corruption(rec->maps, /*input_side=*/false, wire.corrupt_seed);
         rec->sum_wire = payload_checksum(rec->maps, /*input_side=*/false);
       } else {
-        rec->sum_wire = rec->sum_payload ^ (mix64(wire_seed) | 1);
+        rec->sum_wire = rec->sum_payload ^ (mix64(wire.corrupt_seed) | 1);
       }
     }
     if (rec->verify) {
@@ -1305,19 +1239,8 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
     // Unverified commit: only now do the chunk's results reach the host —
     // and only for the first copy of a speculated chunk
     // (first-commit-wins).
-    if (claim_commit(slot, rec->token, rec->is_spec, rec->is_probe,
-                     rec->range)) {
-      if (opts_.execute_bodies) {
-        for (auto* m : rec->maps) m->copy_out();
-      }
-      q.partial_reduction += rec->reduction;
-      q.stats.iterations += rec->range.size();
-      record_counter(q, CounterTrack::kIterations,
-                     static_cast<double>(q.stats.iterations));
-    }
-    auto it = std::find(q.outputs.begin(), q.outputs.end(), rec);
-    if (it != q.outputs.end()) q.outputs.erase(it);
-    --q.outstanding_outputs;
+    commit(slot, *rec);
+    std::erase(q.outputs, rec);
     sample_queue_depth(q);
     // Draining the last output may let this proxy enter (and possibly
     // release) the stage barrier, or finish the offload.
@@ -1329,7 +1252,7 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
 std::uint64_t OffloadExecution::payload_checksum(
     const std::vector<mem::DeviceMapping*>& maps, bool input_side,
     bool host_side) const {
-  const ChecksumKind kind = opts_.integrity.checksum;
+  const ChecksumKind kind = ChecksumKind::kMix64;
   std::uint64_t h = 0;
   for (auto* m : maps) {
     if (m->shared()) continue;  // no wire crossed, nothing to verify
@@ -1425,15 +1348,13 @@ void OffloadExecution::finish_commit(int slot, std::shared_ptr<OutRecord> rec) {
     if (rec->token) --rec->token->runners;
     note_recovery(slot, RecoveryAction::kTardyAbandoned,
                   rec->range.to_string() + " (chunk already settled)");
-    auto it = std::find(q.outputs.begin(), q.outputs.end(), rec);
-    if (it != q.outputs.end()) q.outputs.erase(it);
-    --q.outstanding_outputs;
+    std::erase(q.outputs, rec);
     try_fetch(slot);
     sweep_completion();
     return;
   }
   if (st && rec->token && rec->token->committed) {
-    // The racing copy committed while we verified; claim_commit below
+    // The racing copy committed while we verified; commit() below
     // discards this copy, and the race winner's commit settled the range.
     st->resolved = true;
     st = nullptr;
@@ -1472,9 +1393,7 @@ void OffloadExecution::finish_commit(int slot, std::shared_ptr<OutRecord> rec) {
             FailClass::kQuorumExhausted);
       }
       integrity_queue_.push_back(st);
-      auto it = std::find(q.outputs.begin(), q.outputs.end(), rec);
-      if (it != q.outputs.end()) q.outputs.erase(it);
-      --q.outstanding_outputs;
+      std::erase(q.outputs, rec);
       kick_survivors();
       try_fetch(slot);
       sweep_completion();
@@ -1493,19 +1412,8 @@ void OffloadExecution::finish_commit(int slot, std::shared_ptr<OutRecord> rec) {
                       " re-execution verified and committed");
   }
 
-  if (claim_commit(slot, rec->token, rec->is_spec, rec->is_probe,
-                   rec->range)) {
-    if (opts_.execute_bodies) {
-      for (auto* m : rec->maps) m->copy_out();
-    }
-    q.partial_reduction += rec->reduction;
-    q.stats.iterations += rec->range.size();
-    record_counter(q, CounterTrack::kIterations,
-                   static_cast<double>(q.stats.iterations));
-  }
-  auto it = std::find(q.outputs.begin(), q.outputs.end(), rec);
-  if (it != q.outputs.end()) q.outputs.erase(it);
-  --q.outstanding_outputs;
+  commit(slot, *rec);
+  std::erase(q.outputs, rec);
   sample_queue_depth(q);
   try_fetch(slot);
   sweep_completion();
@@ -1539,33 +1447,14 @@ void OffloadExecution::handle_corrupt_commit(
                       std::to_string(st->failures) + " integrity failures");
   }
 
-  // Spec-token bookkeeping: this copy is discarded. If a racing copy is
-  // still running it inherits the integrity state and may settle the
-  // chunk; a still-queued offer is withdrawn (offers are optional work —
-  // nobody has to take them, which would strand the chunk).
-  bool need_requeue = !st->resolved;
-  if (rec->token) {
-    --rec->token->runners;
-    if (rec->token->committed) {
-      need_requeue = false;
-    } else {
-      rec->token->integ = st;
-      if (rec->token->queued) {
-        auto sit =
-            std::find(spec_queue_.begin(), spec_queue_.end(), rec->token);
-        if (sit != spec_queue_.end()) spec_queue_.erase(sit);
-        rec->token->queued = false;
-      }
-      if (rec->token->runners > 0) need_requeue = false;
-    }
-  }
-
+  // This copy is discarded. A racing copy still running inherits the
+  // integrity state and may settle the chunk; otherwise the chunk is
+  // queued for re-execution.
+  if (rec->token) rec->token->integ = st;
   rec->abandoned = true;
-  auto it = std::find(q.outputs.begin(), q.outputs.end(), rec);
-  if (it != q.outputs.end()) q.outputs.erase(it);
-  --q.outstanding_outputs;
+  std::erase(q.outputs, rec);
 
-  if (need_requeue) {
+  if (release(rec->token, st)) {
     if (st->executions >= opts_.integrity.max_attempts) {
       throw OffloadError(
           "chunk " + rec->range.to_string() +
@@ -1602,6 +1491,42 @@ void OffloadExecution::handle_corrupt_commit(
   }
 }
 
+OffloadExecution::WireFault OffloadExecution::draw_wire_fault(
+    const Proxy& p) {
+  // Whether this transfer attempt fails is drawn when it is issued; the
+  // failure surfaces when the transfer (virtually) completes, so a failed
+  // attempt costs its full transfer time before the retry backoff.
+  // Silent corruption of the payload is drawn alongside the loss fault so
+  // the per-device fault stream stays deterministic; a *failed* attempt
+  // delivers no payload, so it cannot also be corrupted.
+  WireFault wire;
+  if (!fault_active_) return wire;
+  wire.lost = fault_plan_.transfer_fails(p.device_id);
+  wire.corrupt_seed = fault_plan_.transfer_corrupts(p.device_id);
+  if (wire.lost) wire.corrupt_seed = 0;
+  return wire;
+}
+
+void OffloadExecution::lose_attempt(int slot, double start, int attempt,
+                                    const char* what,
+                                    const dist::Range* chunk,
+                                    std::function<void()> retry) {
+  Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
+  const std::string range = chunk != nullptr ? chunk->to_string() : "";
+  q.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
+      engine_.now() - start;
+  span(q, Phase::kRecovery, start, engine_.now(), [&range, what] {
+    return (range.empty() ? "" : range + " ") + what + " fault";
+  });
+  // The write-back has no chunk: it is the device's final transfer.
+  note_fault(slot, sim::FaultKind::kTransfer, false,
+             (range.empty() ? std::string("final ") + what
+                            : what + (" " + range)) +
+                 " attempt " + std::to_string(attempt));
+  handle_transient(slot, attempt, sim::FaultKind::kTransfer,
+                   std::move(retry));
+}
+
 void OffloadExecution::handle_transient(int slot, int attempt,
                                         sim::FaultKind kind,
                                         std::function<void()> retry) {
@@ -1618,9 +1543,8 @@ void OffloadExecution::handle_transient(int slot, int attempt,
                    std::pow(2.0, static_cast<double>(attempt - 1)),
                opts_.fault.backoff_cap_s);
   p.stats.phase_time[static_cast<int>(Phase::kRecovery)] += backoff;
-  p.record_span(opts_.collect_trace, Phase::kRecovery, engine_.now(),
-                engine_.now() + backoff,
-                "backoff #" + std::to_string(attempt));
+  span(p, Phase::kRecovery, engine_.now(), engine_.now() + backoff,
+       [attempt] { return "backoff #" + std::to_string(attempt); });
   sched_after(backoff, [this, slot, retry = std::move(retry)] {
     if (!proxies_[static_cast<std::size_t>(slot)]->lost) retry();
   });
@@ -1683,36 +1607,21 @@ void OffloadExecution::quarantine(int slot, sim::FaultKind kind,
 
   // Requeue everything in flight. None of it has been committed to the
   // host (commits ride the copy-out completion), so re-executing the
-  // chunks elsewhere cannot double-count or corrupt host arrays.
-  // Spec-token'd chunks go through orphan_range, which keeps the
-  // first-commit-wins invariant (committed ranges never requeue).
+  // chunks elsewhere cannot double-count or corrupt host arrays. Each
+  // copy goes through release(), which keeps the first-commit-wins
+  // invariant (committed ranges never requeue).
   long long taken = 0;
-  if (p.inflight) {
-    orphan_range(slot, p.inflight->range, p.inflight->token, &taken);
-    p.inflight.reset();
-  }
-  if (p.ready) {
-    orphan_range(slot, p.ready->range, p.ready->token, &taken);
-    p.ready.reset();
-  }
-  if (p.computing) {
-    orphan_range(slot, p.computing->range, p.computing->token, &taken);
-    p.computing.reset();
+  for (std::optional<PendingChunk>* c : {&p.inflight, &p.ready, &p.computing}) {
+    if (*c && release((*c)->token, (*c)->integ)) taken += requeue((*c)->range);
+    c->reset();
   }
   p.fetching = false;
-  for (auto& rec : p.outputs) {
-    if (!rec->abandoned) {
-      rec->abandoned = true;
-      orphan_range(slot, rec->range, rec->token, &taken);
-    }
+  for (const auto& rec : p.outputs) {
+    rec->abandoned = true;
+    if (release(rec->token, rec->integ)) taken += requeue(rec->range);
   }
   p.outputs.clear();
-  p.outstanding_outputs = 0;
-  if (p.waiting_stage) {
-    p.waiting_stage = false;
-    p.stats.phase_time[static_cast<int>(Phase::kBarrier)] +=
-        engine_.now() - p.stage_wait_start;
-  }
+  leave_stage(p, nullptr);
 
   // No survivors means nobody is left to serve the requeue: surface a
   // clean error *before* asking the scheduler to deactivate its last
@@ -1731,9 +1640,7 @@ void OffloadExecution::quarantine(int slot, sim::FaultKind kind,
   // Reserved-but-unissued iterations come back from the scheduler.
   // Single-shot (BLOCK / MODEL_*) plans thereby fall back to dynamic
   // redistribution of the orphaned partition.
-  for (const auto& r : scheduler_->deactivate(slot)) {
-    orphan_range(slot, r, nullptr, &taken);
-  }
+  for (const auto& r : scheduler_->deactivate(slot)) taken += requeue(r);
   p.stats.requeued_iterations += taken;
 
   if (!requeue_.empty()) {
@@ -1764,29 +1671,33 @@ void OffloadExecution::quarantine(int slot, sim::FaultKind kind,
   maybe_finish();
 }
 
-void OffloadExecution::orphan_range(int slot, const dist::Range& range,
-                                    const std::shared_ptr<SpecToken>& token,
-                                    long long* taken) {
+bool OffloadExecution::release(
+    const std::shared_ptr<SpecToken>& token,
+    const std::shared_ptr<IntegrityState>& integ) {
   if (token) {
     --token->runners;
-    if (token->committed) return;  // results already on the host
     if (token->queued) {
-      // Still offered as optional work: withdraw the offer, the range
-      // becomes mandatory requeue work below.
+      // Still offered as optional work: withdraw the offer (nobody has to
+      // take it, which would strand the chunk).
       token->queued = false;
-      for (auto it = spec_queue_.begin(); it != spec_queue_.end(); ++it) {
-        if (*it == token) {
-          spec_queue_.erase(it);
-          break;
-        }
-      }
+      std::erase(spec_queue_, token);
     }
-    if (token->runners > 0) return;  // another copy is still racing
+    if (token->committed) return false;  // results already on the host
+    if (token->runners > 0) return false;  // another copy still races
   }
-  (void)slot;
-  if (range.empty()) return;
+  // A settled chunk is owed nothing, and one whose integrity state is
+  // back on the integrity queue is owed there: requeueing it as well
+  // would commit it twice.
+  return !integ ||
+         (!integ->resolved &&
+          std::find(integrity_queue_.begin(), integrity_queue_.end(),
+                    integ) == integrity_queue_.end());
+}
+
+long long OffloadExecution::requeue(const dist::Range& range) {
+  if (range.empty()) return 0;
   requeue_.push_back(range);
-  *taken += range.size();
+  return range.size();
 }
 
 double OffloadExecution::predicted_chunk_seconds(
@@ -1862,11 +1773,6 @@ void OffloadExecution::watchdog_soft(int slot, std::uint64_t serial) {
   if (audit_on()) {
     note_decision(slot, DecisionKind::kSpeculated, p.computing->range,
                   "tardy chunk offered to the survivors");
-    SchedDecision& d = decisions_.back();
-    d.chunk_bytes = effective_profile_.transfer_bytes_per_iter *
-                    static_cast<double>(p.computing->range.size());
-    predict_chunk(p, p.computing->range, &d.predicted_model1_s,
-                  &d.predicted_model2_s, &d.predicted_profile_s);
   }
 
   // Wake idle survivors, fastest first: FIFO at the same virtual instant
@@ -1888,30 +1794,29 @@ void OffloadExecution::watchdog_hard(int slot, std::uint64_t serial) {
   // into it was recovery overhead, not useful compute.
   p.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
       engine_.now() - p.compute_started;
-  p.record_span(opts_.collect_trace, Phase::kRecovery, p.compute_started,
-                engine_.now(), p.computing->range.to_string() + " hung");
+  span(p, Phase::kRecovery, p.compute_started, engine_.now(),
+       [r = p.computing->range] { return r.to_string() + " hung"; });
   quarantine(slot, sim::FaultKind::kHang,
              "compute " + p.computing->range.to_string() +
                  " exceeded the hard watchdog deadline");
 }
 
-bool OffloadExecution::claim_commit(int slot,
-                                    const std::shared_ptr<SpecToken>& token,
-                                    bool is_spec, bool is_probe,
-                                    const dist::Range& range) {
+void OffloadExecution::commit(int slot, const OutRecord& rec) {
   // First-commit-wins claim (dsan): commutative — the winner under a
   // parallel engine is fixed by canonical (time, seq) commit order.
   HOMP_DSAN_WRITE(dsan_commit_);
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
+  const auto& token = rec.token;
+  const dist::Range& range = rec.range;
   if (token) {
     --token->runners;
     if (token->committed) {
       note_recovery(slot, RecoveryAction::kTardyAbandoned,
                     range.to_string() + " (lost the commit race)");
-      return false;
+      return;
     }
     token->committed = true;
-    if (is_spec) {
+    if (rec.is_spec) {
       ++p.stats.spec_copies_won;
       note_recovery(slot, RecoveryAction::kSpecCommitted, range.to_string());
       // First-commit-wins cancels the loser *now*. The origin missed its
@@ -1926,16 +1831,15 @@ bool OffloadExecution::claim_commit(int slot,
           origin.computing->token == token) {
         origin.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
             engine_.now() - origin.compute_started;
-        origin.record_span(opts_.collect_trace, Phase::kRecovery,
-                           origin.compute_started, engine_.now(),
-                           range.to_string() + " lost to its duplicate");
+        span(origin, Phase::kRecovery, origin.compute_started, engine_.now(),
+             [range] { return range.to_string() + " lost to its duplicate"; });
         quarantine(token->origin_slot, sim::FaultKind::kHang,
                    "compute " + range.to_string() +
                        " lost the commit race to its speculative duplicate");
       }
     }
   }
-  if (is_probe && p.probation) {
+  if (rec.is_probe && p.probation) {
     ++p.probes_passed;
     note_recovery(slot, RecoveryAction::kProbePassed, range.to_string());
     if (p.probes_passed >= opts_.watchdog.probation_successes) {
@@ -1945,7 +1849,13 @@ bool OffloadExecution::claim_commit(int slot,
                         std::to_string(p.probes_passed) + " probes");
     }
   }
-  return true;
+  if (opts_.execute_bodies) {
+    for (auto* m : rec.maps) m->copy_out();
+  }
+  p.partial_reduction += rec.reduction;
+  p.stats.iterations += range.size();
+  record_counter(p, CounterTrack::kIterations,
+                 static_cast<double>(p.stats.iterations));
 }
 
 void OffloadExecution::schedule_readmission(int slot) {
@@ -1955,8 +1865,8 @@ void OffloadExecution::schedule_readmission(int slot) {
       opts_.watchdog.cooldown_base_s *
           std::pow(opts_.watchdog.cooldown_growth,
                    static_cast<double>(p.stats.quarantine_count - 1)));
-  p.record_span(opts_.collect_trace, Phase::kRecovery, engine_.now(),
-                engine_.now() + cooldown, "quarantine cooldown");
+  span(p, Phase::kRecovery, engine_.now(), engine_.now() + cooldown,
+       "quarantine cooldown");
   sched_after(cooldown, [this, slot] { readmit(slot); });
 }
 
@@ -1966,11 +1876,10 @@ void OffloadExecution::readmit(int slot) {
   // Quarantined first, *then* its scheduled permanent loss passed: dead.
   if (p.loss_time >= 0.0 && engine_.now() >= p.loss_time) return;
   // Offload effectively over: nothing left to prove, stay quarantined.
-  bool work_left = !requeue_.empty();
-  for (const auto& q : proxies_) {
-    if (!q->lost && !q->done) work_left = true;
-  }
-  if (!work_left) return;
+  const bool running =
+      std::any_of(proxies_.begin(), proxies_.end(),
+                  [](const auto& q) { return !q->lost && !q->done; });
+  if (!running && !owed_work()) return;
 
   p.lost = false;
   p.probation = true;
@@ -2005,7 +1914,6 @@ bool OffloadExecution::has_work_for(int slot) const {
 }
 
 void OffloadExecution::rouse(Proxy& q) {
-  const int s = q.slot;
   if (q.done) {
     // Revival: the proxy had already finalized, but new work arrived. It
     // re-enters the pipeline and finalizes again later (the repeated
@@ -2015,15 +1923,11 @@ void OffloadExecution::rouse(Proxy& q) {
     q.finalizing = false;
   } else if (q.waiting_stage) {
     // Barrier waiters pick up work before re-waiting.
-    q.waiting_stage = false;
-    q.stats.phase_time[static_cast<int>(Phase::kBarrier)] +=
-        engine_.now() - q.stage_wait_start;
-    q.record_span(opts_.collect_trace, Phase::kBarrier, q.stage_wait_start,
-                  engine_.now(), "stage");
-  } else if (q.fetching || q.inflight || q.ready || q.computing ||
-             q.finalizing || q.outstanding_outputs > 0) {
+    leave_stage(q, "stage");
+  } else if (q.busy()) {
     return;  // busy: picks work up at its next pipeline step
   }
+  const int s = q.slot;
   sched_after(0.0, [this, s] { try_fetch(s); });
 }
 
@@ -2046,6 +1950,13 @@ std::size_t OffloadExecution::note_decision(int slot, DecisionKind kind,
   d.range = range;
   d.ewma_iter_s = p.ewma_iter_s;
   d.detail = std::move(detail);
+  if (kind == DecisionKind::kChunkAssigned ||
+      kind == DecisionKind::kSpeculated) {
+    d.chunk_bytes = effective_profile_.transfer_bytes_per_iter *
+                    static_cast<double>(range.size());
+    predict_chunk(p, range, &d.predicted_model1_s, &d.predicted_model2_s,
+                  &d.predicted_profile_s);
+  }
   decisions_.push_back(std::move(d));
   return decisions_.size() - 1;
 }
@@ -2060,7 +1971,7 @@ void OffloadExecution::sample_queue_depth(const Proxy& p) {
   if (!opts_.collect_trace) return;
   const double depth = (p.inflight ? 1.0 : 0.0) + (p.ready ? 1.0 : 0.0) +
                        (p.computing ? 1.0 : 0.0) +
-                       static_cast<double>(p.outstanding_outputs);
+                       static_cast<double>(p.outputs.size());
   record_counter(p, CounterTrack::kQueueDepth, p.lost ? 0.0 : depth);
 }
 
@@ -2134,12 +2045,10 @@ void OffloadExecution::kick_survivors() {
   }
 }
 
-void OffloadExecution::maybe_revive(int slot) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (!p.done || p.lost || !has_work_for(slot)) return;
-  p.done = false;
-  p.finalizing = false;
-  sched_after(0.0, [this, slot] { try_fetch(slot); });
+bool OffloadExecution::owed_work() const {
+  return !requeue_.empty() ||
+         std::any_of(integrity_queue_.begin(), integrity_queue_.end(),
+                     [](const auto& st) { return !st->resolved; });
 }
 
 void OffloadExecution::check_stage_barrier() {
@@ -2149,20 +2058,26 @@ void OffloadExecution::check_stage_barrier() {
   for (const auto& p : proxies_) {
     if (p->done || p->lost) continue;
     ++active;
-    if (p->waiting_stage && p->outstanding_outputs == 0) ++waiting;
+    if (p->waiting_stage && p->outputs.empty()) ++waiting;
   }
   if (waiting != active || active == 0) return;
 
   scheduler_->advance_stage();
   for (const auto& p : proxies_) {
     if (!p->waiting_stage) continue;
-    p->waiting_stage = false;
-    p->stats.phase_time[static_cast<int>(Phase::kBarrier)] +=
-        engine_.now() - p->stage_wait_start;
-    p->record_span(opts_.collect_trace, Phase::kBarrier,
-                   p->stage_wait_start, engine_.now(), "stage");
+    leave_stage(*p, "stage");
     const int slot = p->slot;
     sched_after(0.0, [this, slot] { try_fetch(slot); });
+  }
+}
+
+void OffloadExecution::leave_stage(Proxy& p, const char* label) {
+  if (!p.waiting_stage) return;
+  p.waiting_stage = false;
+  p.stats.phase_time[static_cast<int>(Phase::kBarrier)] +=
+      engine_.now() - p.stage_wait_start;
+  if (label != nullptr) {
+    span(p, Phase::kBarrier, p.stage_wait_start, engine_.now(), label);
   }
 }
 
@@ -2174,17 +2089,9 @@ void OffloadExecution::check_completion(int slot) {
   }
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (p.done || p.finalizing || p.lost) return;
-  if (!scheduler_->finished(slot) || !requeue_.empty()) return;
-  // Unsettled integrity re-executions are mandatory work: nobody
+  // Unsettled integrity re-executions are mandatory work too: nobody
   // finalizes while a discarded chunk still awaits a verified commit.
-  for (auto it = integrity_queue_.begin(); it != integrity_queue_.end();) {
-    it = (*it)->resolved ? integrity_queue_.erase(it) : std::next(it);
-  }
-  if (!integrity_queue_.empty()) return;
-  if (p.fetching || p.inflight || p.ready || p.computing ||
-      p.outstanding_outputs > 0) {
-    return;
-  }
+  if (!scheduler_->finished(slot) || owed_work() || p.busy()) return;
   finalize_device(slot);
 }
 
@@ -2219,40 +2126,28 @@ void OffloadExecution::issue_finalize(int slot, double bytes, int attempt) {
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (p.lost) return;
   const double start = engine_.now();
-  const bool failed = fault_active_ && fault_plan_.transfer_fails(p.device_id);
   // The final static write-back rides the same transfer fault stream, so
   // it can also be silently corrupted. With integrity armed it is caught
   // and re-sent; unarmed it is modelled only (no real bytes are flipped:
   // flipping host statics could poison a later revived device's copy-in,
   // and the retry path could not repair it — see docs/RESILIENCE.md).
-  std::uint64_t wire_seed = 0;
-  if (fault_active_) {
-    wire_seed = fault_plan_.transfer_corrupts(p.device_id);
-    if (failed) wire_seed = 0;
-  }
+  const WireFault wire = draw_wire_fault(p);
   adjust_outstanding_bytes(p, bytes);
-  p.up->transfer(bytes, guard([this, slot, start, bytes, attempt, failed,
-                               wire_seed] {
+  p.up->transfer(bytes, guard([this, slot, start, bytes, attempt, wire] {
     Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
     adjust_outstanding_bytes(q, -bytes);
     if (q.lost) return;  // quarantined mid-write-back
-    if (failed) {
-      q.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
-          engine_.now() - start;
-      q.record_span(opts_.collect_trace, Phase::kRecovery, start,
-                    engine_.now(), "write-back fault");
-      note_fault(slot, sim::FaultKind::kTransfer, false,
-                 "final write-back attempt " + std::to_string(attempt));
-      handle_transient(slot, attempt, sim::FaultKind::kTransfer,
-                       [this, slot, bytes, attempt] {
-                         issue_finalize(slot, bytes, attempt + 1);
-                       });
+    if (wire.lost) {
+      lose_attempt(slot, start, attempt, "write-back", nullptr,
+                   [this, slot, bytes, attempt] {
+                     issue_finalize(slot, bytes, attempt + 1);
+                   });
       return;
     }
     q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] +=
         engine_.now() - start;
     q.stats.bytes_out += bytes;
-    if (wire_seed != 0) {
+    if (wire.corrupt_seed != 0) {
       ++q.stats.corruptions_injected;
       note_fault(slot, sim::FaultKind::kCorruptTransfer, false,
                  "final write-back payload silently corrupted");
@@ -2281,7 +2176,7 @@ void OffloadExecution::complete_finalize(int slot) {
   q.stats.finish_time = engine_.now();
   // Redistribution work may have arrived while the write-back was in
   // flight; a healthy finished device takes its share.
-  maybe_revive(slot);
+  if (has_work_for(slot)) rouse(q);
   maybe_finish();
 }
 
@@ -2351,17 +2246,12 @@ void OffloadExecution::maybe_finish() {
   for (const auto& p : proxies_) {
     if (!p->done && !p->lost) return;
   }
-  if (!cancelled_) {
-    if (!requeue_.empty()) return;
-    // Unsettled integrity re-executions are mandatory work even when
-    // every surviving proxy believes it is done (check_completion would
-    // have parked them, not finalized them — but a quarantine can strand
-    // the queue momentarily). A cancelled job owes neither: its results
-    // are discarded anyway.
-    for (const auto& st : integrity_queue_) {
-      if (!st->resolved) return;
-    }
-  }
+  // Owed work (requeue, unsettled integrity re-executions) holds the
+  // result even when every surviving proxy believes it is done
+  // (check_completion would have parked them, not finalized them — but a
+  // quarantine can strand the queue momentarily). A cancelled job owes
+  // nothing: its results are discarded anyway.
+  if (!cancelled_ && owed_work()) return;
   finish_now();
 }
 
@@ -2446,17 +2336,8 @@ void OffloadExecution::park_proxy(int slot) {
     pass_serial_token(slot);
     return;
   }
-  if (p.waiting_stage) {
-    p.waiting_stage = false;
-    p.stats.phase_time[static_cast<int>(Phase::kBarrier)] +=
-        engine_.now() - p.stage_wait_start;
-    p.record_span(opts_.collect_trace, Phase::kBarrier, p.stage_wait_start,
-                  engine_.now(), "stage (cancelled)");
-  }
-  if (p.fetching || p.inflight || p.ready || p.computing || p.finalizing ||
-      p.outstanding_outputs > 0) {
-    return;  // busy: drains back through try_fetch and parks there
-  }
+  leave_stage(p, "stage (cancelled)");
+  if (p.busy()) return;  // drains back through try_fetch and parks there
   // No final static write-back: a cancelled job's results are discarded,
   // so it does not get to occupy the up-lane on its way out.
   p.done = true;
@@ -2542,8 +2423,7 @@ OffloadResult OffloadExecution::harvest() {
     if (!p->stats.quarantined) {
       p->stats.phase_time[static_cast<int>(Phase::kBarrier)] +=
           end - p->stats.finish_time;
-      p->record_span(opts_.collect_trace, Phase::kBarrier,
-                     p->stats.finish_time, end, "final");
+      span(*p, Phase::kBarrier, p->stats.finish_time, end, "final");
     }
     // Stats times are job-relative (launch = 0) so imbalance() and the
     // throughput feedback read the same whether the execution ran
@@ -2570,7 +2450,7 @@ OffloadResult OffloadExecution::harvest() {
     // bit-exactly. Only packed row-major bindings are digestible; a
     // strided view leaves the checksum invalid rather than silently
     // covering a subset of the result.
-    Checksummer sum(opts_.integrity.checksum);
+    Checksummer sum(ChecksumKind::kMix64);
     bool digestible = true;
     for (const auto& spec : maps_) {
       if (!mem::copies_out(spec.dir)) continue;

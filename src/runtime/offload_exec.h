@@ -150,6 +150,7 @@ class OffloadExecution {
   struct OutRecord;
   struct Proxy;
   struct IntegrityState;
+  struct WireFault;
 
   void validate_and_plan();
   void build_proxies();
@@ -200,7 +201,14 @@ class OffloadExecution {
   void start_launch(int slot, int attempt);
   void on_compute_done(int slot);
   void issue_output(int slot, std::shared_ptr<OutRecord> rec, int attempt);
+  /// The one commit: the first-commit-wins claim (plus probation
+  /// bookkeeping), then, for the winning copy, the host effects: copy-out,
+  /// partial reduction, iteration count and counter sample.
+  void commit(int slot, const OutRecord& rec);
   void check_stage_barrier();
+  /// End `p`'s stage-barrier wait, if any: the wait is barrier time, and
+  /// `label` (if non-null) names its trace span.
+  void leave_stage(Proxy& p, const char* label);
   void check_completion(int slot);
   void finalize_device(int slot);
   void issue_finalize(int slot, double bytes, int attempt);
@@ -209,29 +217,39 @@ class OffloadExecution {
 
   // Fault recovery (docs/RESILIENCE.md).
   void on_device_lost(int slot);
+  /// The one wire-fault draw of a transfer attempt (copy-in, copy-out or
+  /// final write-back), made when the attempt is issued.
+  WireFault draw_wire_fault(const Proxy& p);
+  /// The one lost-attempt path of a transfer the wire lost: its time is
+  /// recovery time, the fault is noted, and handle_transient retries it.
+  /// `what` names the transfer; `chunk` is null for the write-back.
+  void lose_attempt(int slot, double start, int attempt, const char* what,
+                    const dist::Range* chunk, std::function<void()> retry);
   void handle_transient(int slot, int attempt, sim::FaultKind kind,
                         std::function<void()> retry);
   void quarantine(int slot, sim::FaultKind kind, const std::string& detail);
   void note_fault(int slot, sim::FaultKind kind, bool fatal,
                   std::string detail);
   dist::Range take_requeue();
+  /// Append `range` to the requeue; returns the iterations it added.
+  long long requeue(const dist::Range& range);
+  /// Mandatory work no proxy holds: requeued iterations or unsettled
+  /// integrity re-executions.
+  bool owed_work() const;
   void kick_survivors();
-  void maybe_revive(int slot);
 
   // Watchdog, speculation, probation (docs/RESILIENCE.md).
   double predicted_chunk_seconds(const Proxy& p,
                                  const dist::Range& chunk) const;
   void watchdog_soft(int slot, std::uint64_t serial);
   void watchdog_hard(int slot, std::uint64_t serial);
-  /// First-commit-wins gate + probation bookkeeping; true when this copy
-  /// of the chunk owns the host commit.
-  bool claim_commit(int slot, const std::shared_ptr<SpecToken>& token,
-                    bool is_spec, bool is_probe, const dist::Range& range);
-  /// Requeue one orphaned range at quarantine, honouring its spec token
-  /// (committed ranges are never requeued; racing copies keep running).
-  void orphan_range(int slot, const dist::Range& range,
-                    const std::shared_ptr<SpecToken>& token,
-                    long long* taken);
+  /// The one release rule for a copy that will not commit: it leaves its
+  /// speculation race (drops its runner count; a queued offer is
+  /// withdrawn). True when its range is owed again: not when it
+  /// committed, another copy still races, or its integrity state is
+  /// settled or already back on the integrity queue.
+  bool release(const std::shared_ptr<SpecToken>& token,
+               const std::shared_ptr<IntegrityState>& integ);
   /// Anything (mandatory requeue or a speculative duplicate another
   /// device originated) this slot could usefully fetch right now?
   bool has_work_for(int slot) const;
@@ -257,7 +275,7 @@ class OffloadExecution {
   /// always drain (docs/RESILIENCE.md).
   bool integrity_slot_allowed(const IntegrityState& st, int slot) const;
   /// Deferred half of the output-commit path: verify the payload
-  /// checksums, ballot when voting, then commit via claim_commit.
+  /// checksums, ballot when voting, then commit().
   void finish_commit(int slot, std::shared_ptr<OutRecord> rec);
   /// A commit-side checksum mismatch: discard, queue a re-execution,
   /// maybe open a vote, maybe trip the integrity circuit breaker.
@@ -273,8 +291,14 @@ class OffloadExecution {
     return opts_.collect_audit || opts_.collect_trace;
   }
   /// Append a decision record; returns its index (for actual_s backfill).
+  /// Chunk records (assigned, speculated) also get the chunk's bytes and
+  /// the per-predictor expected seconds.
   std::size_t note_decision(int slot, DecisionKind kind,
                             const dist::Range& range, std::string detail);
+  /// Record a trace span on `p` (no-op unless collect_trace). `label` is
+  /// a C string or a callable returning the label, called only then.
+  template <class Label>
+  void span(Proxy& p, Phase phase, double t0, double t1, const Label& label);
   /// One counter-track sample (no-op unless collect_trace).
   void record_counter(const Proxy& p, CounterTrack track, double value);
   /// Sample the proxy's pipeline occupancy onto the queue-depth track.

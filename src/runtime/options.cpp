@@ -156,11 +156,6 @@ std::vector<std::string> OffloadOptions::validate() const {
                 "participating device — even fetching the first chunks "
                 "would exhaust it");
   }
-  if (h.replay && h.replay_seed == 0) {
-    v.push_back("harness.replay requires the recorded nonzero "
-                "harness.replay_seed (a defaulted seed replays a "
-                "different fault trajectory)");
-  }
 
   const IntegrityOptions& in = integrity;
   if (in.vote_after_failures < 1) {

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/checksum.h"
 #include "common/error.h"
 #include "common/stats.h"
 #include "dist/policy.h"
@@ -134,9 +133,6 @@ struct IntegrityOptions {
   /// mismatch is repaired by re-transfer (transient-retry path).
   bool verify_copy_in = true;
 
-  /// Checksum algorithm for payload verification.
-  ChecksumKind checksum = ChecksumKind::kMix64;
-
   /// After this many integrity failures on one chunk, stop trusting any
   /// single device for it and escalate to voting.
   int vote_after_failures = 2;
@@ -170,13 +166,6 @@ struct HarnessOptions {
   /// oracle's bit-exactness probe. Requires execute_bodies (a pure
   /// simulation has no result bytes to hash).
   bool capture_result_checksum = false;
-
-  /// This offload is a deterministic replay of a recorded fuzz scenario
-  /// (homp-fuzz --replay). Replays must carry the exact seed the repro
-  /// file recorded — validate() rejects a replay without one, because a
-  /// defaulted seed silently reproduces a *different* fault trajectory.
-  bool replay = false;
-  std::uint64_t replay_seed = 0;
 };
 
 struct OffloadOptions {
@@ -242,7 +231,7 @@ struct OffloadOptions {
   IntegrityOptions integrity;
 
   /// Fuzz/differential-harness taps (step-budget watchdog, result
-  /// checksum capture, replay bookkeeping; docs/FUZZING.md).
+  /// checksum capture; docs/FUZZING.md).
   HarnessOptions harness;
 
   /// Record per-activity spans into OffloadResult::trace (see

@@ -98,6 +98,18 @@ TEST(FuzzScenario, ParserRejectsGarbageWithLineNumbers) {
   EXPECT_THROW(fuzz::parse_scenario("no section header\n"), ConfigError);
 }
 
+TEST(FuzzScenario, ParserRejectsAReproWithoutItsFaultSeed) {
+  // A repro replays one fault trajectory; a defaulted seed would silently
+  // replay another.
+  const std::string text = fuzz::to_toml(fuzz::generate_scenario(7));
+  const auto at = text.find("fault_seed = ");
+  ASSERT_NE(at, std::string::npos);
+  std::string stripped = text;
+  stripped.erase(at, text.find('\n', at) + 1 - at);
+  EXPECT_NO_THROW(fuzz::parse_scenario(text));
+  EXPECT_THROW(fuzz::parse_scenario(stripped), ConfigError);
+}
+
 TEST(FuzzOracle, CleanScenarioPassesEveryInvariant) {
   fuzz::GeneratorLimits limits;
   limits.max_devices = 3;

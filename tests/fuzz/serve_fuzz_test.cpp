@@ -120,6 +120,23 @@ TEST(ServeOracle, CleanScenarioPassesEveryInvariant) {
                                          report.violations[0].detail);
 }
 
+// Trophy seeds (docs/FUZZING.md): a ballot copy that hung and was
+// speculated was owed both to the integrity queue and, after the hard
+// kill, to the plain requeue; both copies committed and the coverage
+// assert aborted.
+TEST(ServeOracle, DisputedBallotSeedsPassEveryInvariant) {
+  for (std::uint64_t seed : {5808u, 13552u}) {
+    const auto report =
+        fuzz::run_oracle(fuzz::generate_serve_scenario(seed));
+    EXPECT_TRUE(report.ok())
+        << "seed " << seed << ": "
+        << (report.violations.empty()
+                ? ""
+                : report.violations[0].invariant + ": " +
+                      report.violations[0].detail);
+  }
+}
+
 TEST(ServeOracle, DigestIsDeterministic) {
   fuzz::ServeGeneratorLimits limits;
   limits.max_jobs = 5;

@@ -117,12 +117,6 @@ TEST(OptionsValidate, HarnessKnobs) {
   EXPECT_TRUE(mentions(o.validate(), "step_budget"));
   o.harness.step_budget = 4;
   EXPECT_TRUE(o.validate().empty());
-
-  o.harness.replay = true;
-  o.harness.replay_seed = 0;
-  EXPECT_TRUE(mentions(o.validate(), "replay_seed"));
-  o.harness.replay_seed = 7;
-  EXPECT_TRUE(o.validate().empty());
 }
 
 TEST(OptionsValidate, ReportsEveryViolationInOnePass) {
