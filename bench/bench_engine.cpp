@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "runtime/metrics_export.h"
 #include "runtime/runtime.h"
 #include "sched/scheduler.h"
-#include "sim/dsan.h"
 #include "support/harness.h"
 
 namespace {
@@ -55,7 +53,7 @@ struct Result {
   double offloads_per_s = 0.0;
 };
 
-Result run_scenario(const Scenario& s, bool with_dsan = false) {
+Result run_scenario(const Scenario& s) {
   auto rt = rt::Runtime::from_builtin(s.machine);
   auto c = kern::make_case(s.kernel, s.n, /*materialize=*/false);
   auto maps = c->maps();
@@ -71,12 +69,6 @@ Result run_scenario(const Scenario& s, bool with_dsan = false) {
   (void)rt.offload(kernel, maps, o);
 
   // Time enough repetitions to get past clock granularity (~0.5 s).
-  // With --dsan, the whole timed region runs under an active sanitizer
-  // context — the overhead being measured is exactly what a --dsan fuzz
-  // corpus pays per event.
-  sim::dsan::Context dsan_ctx;
-  std::optional<sim::dsan::Scope> dsan_scope;
-  if (with_dsan) dsan_scope.emplace(dsan_ctx);
   Result r;
   r.name = s.name;
   const auto t0 = std::chrono::steady_clock::now();
@@ -89,7 +81,6 @@ Result run_scenario(const Scenario& s, bool with_dsan = false) {
                                             t0)
                   .count();
   }
-  dsan_ctx.finish();
   r.seconds = elapsed;
   r.events_per_s = static_cast<double>(r.events) / elapsed;
   r.offloads_per_s = static_cast<double>(r.reps) / elapsed;
@@ -103,7 +94,6 @@ int main(int argc, char** argv) {
   std::string json_out;
   std::string audit_out;
   std::string metrics_out;
-  bool with_dsan = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
       json_out = argv[++i];
@@ -111,12 +101,10 @@ int main(int argc, char** argv) {
       audit_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
       metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--dsan") == 0) {
-      with_dsan = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json-out FILE] [--audit-out FILE] "
-                   "[--metrics-out FILE] [--dsan]\n",
+                   "[--metrics-out FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -132,30 +120,14 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Result> results;
-  std::vector<Result> dsan_results;
-  std::printf("engine throughput (host wall-clock; execute_bodies=off)\n");
-  if (with_dsan) {
-    std::printf("dsan: %s\n",
-                sim::dsan::compiled_in() ? "compiled in (HOMP_DSAN=ON)"
-                                         : "compiled out (HOMP_DSAN=OFF)");
-  }
-  std::printf("\n");
-  std::printf("%-28s %8s %10s %14s %12s", "scenario", "reps", "events",
+  std::printf("engine throughput (host wall-clock; execute_bodies=off)\n\n");
+  std::printf("%-28s %8s %10s %14s %12s\n", "scenario", "reps", "events",
               "events/sec", "offloads/sec");
-  if (with_dsan) std::printf(" %14s %9s", "dsan-ev/sec", "overhead");
-  std::printf("\n");
   for (const auto& s : scenarios) {
     const auto r = run_scenario(s);
-    std::printf("%-28s %8d %10lld %14.0f %12.1f", r.name, r.reps, r.events,
+    std::printf("%-28s %8d %10lld %14.0f %12.1f\n", r.name, r.reps, r.events,
                 r.events_per_s, r.offloads_per_s);
     results.push_back(r);
-    if (with_dsan) {
-      const auto d = run_scenario(s, /*with_dsan=*/true);
-      std::printf(" %14.0f %8.2fx", d.events_per_s,
-                  r.events_per_s / d.events_per_s);
-      dsan_results.push_back(d);
-    }
-    std::printf("\n");
   }
 
   // Advisor artifacts: one extra audited offload per scenario, outside
@@ -199,18 +171,9 @@ int main(int argc, char** argv) {
       char buf[512];
       std::snprintf(buf, sizeof buf,
                     "    {\"name\": \"%s\", \"reps\": %d, \"events\": %lld, "
-                    "\"events_per_sec\": %.0f, \"offloads_per_sec\": %.1f",
+                    "\"events_per_sec\": %.0f, \"offloads_per_sec\": %.1f}",
                     r.name, r.reps, r.events, r.events_per_s, r.offloads_per_s);
-      out << buf;
-      if (with_dsan) {
-        const auto& d = dsan_results[i];
-        std::snprintf(buf, sizeof buf,
-                      ", \"dsan_events_per_sec\": %.0f, "
-                      "\"dsan_overhead\": %.2f",
-                      d.events_per_s, r.events_per_s / d.events_per_s);
-        out << buf;
-      }
-      out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+      out << buf << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
   }

@@ -32,8 +32,6 @@ struct OffloadMode {
   static ScenarioSpec generate(std::uint64_t seed, const FuzzConfig& cfg) {
     ScenarioSpec s = generate_scenario(seed, cfg.limits);
     if (cfg.plant) plant_corrupt_commit(s);
-    if (cfg.dsan) s.dsan = true;
-    if (cfg.plant_dsan) plant_dsan_conflict(s);
     return s;
   }
   static constexpr auto parse = &parse_scenario;
@@ -43,9 +41,7 @@ struct OffloadMode {
   static void write_config(std::ostream& os, const FuzzConfig& cfg) {
     os << "{\"seed\": " << cfg.seed << ", \"count\": " << cfg.count
        << ", \"max_devices\": " << cfg.limits.max_devices
-       << ", \"plant\": " << (cfg.plant ? "true" : "false")
-       << ", \"dsan\": " << (cfg.dsan || cfg.plant_dsan ? "true" : "false")
-       << "}";
+       << ", \"plant\": " << (cfg.plant ? "true" : "false") << "}";
   }
   /// Count one scenario into the totals and write its run-row fields.
   static void tally(FuzzSummary& sum, const ScenarioSpec& s,
@@ -89,9 +85,7 @@ struct ServeMode {
 
   static ServeScenarioSpec generate(std::uint64_t seed,
                                     const ServeFuzzConfig& cfg) {
-    ServeScenarioSpec s = generate_serve_scenario(seed, cfg.limits);
-    if (cfg.dsan) s.dsan = true;
-    return s;
+    return generate_serve_scenario(seed, cfg.limits);
   }
   static constexpr auto parse = &parse_serve_scenario;
   static constexpr auto invariants = &serve_invariant_names;
@@ -107,8 +101,7 @@ struct ServeMode {
        << ", \"count\": " << cfg.count
        << ", \"max_devices\": " << cfg.limits.max_devices
        << ", \"max_tenants\": " << cfg.limits.max_tenants
-       << ", \"max_jobs\": " << cfg.limits.max_jobs
-       << ", \"dsan\": " << (cfg.dsan ? "true" : "false") << "}";
+       << ", \"max_jobs\": " << cfg.limits.max_jobs << "}";
   }
   static void tally(ServeFuzzSummary& sum, const ServeScenarioSpec& s,
                     const ServeOracleReport& r, std::ostream& row) {
@@ -215,13 +208,7 @@ typename Mode::Summary run_corpus(const typename Mode::Config& cfg) {
       std::error_code ec;
       std::filesystem::create_directories(cfg.repro_dir, ec);
       HOMP_REQUIRE(!ec, "cannot create repro directory: " + cfg.repro_dir);
-      // Determinism findings get their own stem so a corpus directory
-      // separates ordering conflicts from result-level failures at a
-      // glance (docs/DETERMINISM.md "Reading a dsan repro").
-      const std::string stem =
-          (primary.invariant == "dsan-determinism" ? "dsan-repro-"
-                                                   : Mode::kStem) +
-          std::to_string(seed);
+      const std::string stem = Mode::kStem + std::to_string(seed);
       const std::string ini_name = stem + ".ini";
       const std::string toml_path = cfg.repro_dir + "/" + stem + ".toml";
       write_file(cfg.repro_dir + "/" + ini_name,

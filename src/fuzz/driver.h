@@ -33,10 +33,6 @@ struct CorpusConfig {
   /// Stop emitting repro files (but keep counting) after this many
   /// failures, so a systematically broken build cannot flood the disk.
   int max_repros = 8;
-
-  /// Sweep the corpus under homp-dsan (docs/DETERMINISM.md): conflicts
-  /// surface as "dsan-determinism" failures and dsan-repro-<seed> files.
-  bool dsan = false;
 };
 
 struct FuzzConfig : CorpusConfig {
@@ -46,10 +42,6 @@ struct FuzzConfig : CorpusConfig {
   /// scenario: integrity verification off plus a scripted silent compute
   /// corruption (scenario.h plant_corrupt_commit).
   bool plant = false;
-
-  /// Self-test plant: a same-timestamp write-write conflict dsan must
-  /// catch (scenario.h plant_dsan_conflict). Implies dsan mode.
-  bool plant_dsan = false;
 };
 
 /// One failing scenario as the summary reports it.

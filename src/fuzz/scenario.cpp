@@ -316,11 +316,6 @@ void plant_corrupt_commit(ScenarioSpec& s) {
   s.faults.push_back(f);
 }
 
-void plant_dsan_conflict(ScenarioSpec& s) {
-  s.dsan = true;
-  s.plant_dsan_conflict = true;
-}
-
 std::string to_toml(const ScenarioSpec& s, const std::string& machine_file,
                     const std::string& invariant,
                     const std::string& algorithm) {
@@ -341,9 +336,6 @@ std::string to_toml(const ScenarioSpec& s, const std::string& machine_file,
 
   os << "\n[options]\n";
   option_fields(w, s);
-  // dsan keys only when set: older repro files stay byte-identical.
-  if (s.dsan) w("dsan", true);
-  if (s.plant_dsan_conflict) w("plant_dsan_conflict", true);
 
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
     os << "\n[fault." << i << "]\n";
@@ -377,8 +369,6 @@ ParsedScenario parse_scenario(const std::string& text) {
     } else if (l.section == "options") {
       option_fields(l, s);
       has_fault_seed |= l.key == "fault_seed";
-      l("dsan", s.dsan);
-      l("plant_dsan_conflict", s.plant_dsan_conflict);
     } else if (starts_with(l.section, "fault.")) {
       fault_fields(l, s.faults.back());
     }

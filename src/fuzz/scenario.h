@@ -34,7 +34,7 @@ namespace homp::fuzz {
 /// inside the envelope the resilience test-suite exercises; widening them
 /// is how the harness explores new territory.
 struct GeneratorLimits {
-  int max_devices = 6;       ///< total devices including the host (>= 1)
+  int max_devices = 6;       ///< total devices including the host (>= 2)
   long long max_trip = 4096;  ///< problem-size cap (per-kernel quantized)
   int max_script_entries = 4;  ///< scripted faults per scenario
   bool allow_faults = true;    ///< false = topology/kernel space only
@@ -65,16 +65,6 @@ struct ScenarioSpec {
   /// sized from the scenario's device count and trip count so a healthy
   /// run never trips it but a livelock always does.
   long long step_budget = 0;
-
-  /// Run the oracle sweep under an attached homp-dsan context
-  /// (docs/DETERMINISM.md); any same-timestamp conflict becomes a
-  /// "dsan-determinism" finding. Serialized, so a dsan repro replays in
-  /// dsan mode without extra flags.
-  bool dsan = false;
-
-  /// Self-test plant: schedule a same-timestamp write-write conflict on
-  /// an ordered cell inside the oracle run; dsan must catch it.
-  bool plant_dsan_conflict = false;
 };
 
 /// Deterministically generate the scenario for `seed` within `limits`.
@@ -104,11 +94,6 @@ double rate(Prng& rng, double cap);
 /// silent compute corruption on the first accelerator. The oracle's
 /// reference / differential invariants must catch it.
 void plant_corrupt_commit(ScenarioSpec& s);
-
-/// Mutate `s` into the dsan self-test configuration: dsan mode on plus a
-/// planted same-timestamp write-write conflict on an ordered cell. The
-/// oracle's "dsan-determinism" invariant must catch it.
-void plant_dsan_conflict(ScenarioSpec& s);
 
 /// Serialize everything except the machine (see file comment). The
 /// optional `machine_file` is recorded so replay can find the paired

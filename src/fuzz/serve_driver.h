@@ -18,7 +18,6 @@
 
 namespace homp::fuzz {
 
-/// With `dsan` set, every scenario's first pass runs under homp-dsan.
 struct ServeFuzzConfig : CorpusConfig {
   ServeGeneratorLimits limits;
 };

@@ -255,8 +255,6 @@ std::string serve_to_toml(const ServeScenarioSpec& s,
   if (!machine_file.empty()) w("machine_file", machine_file);
   if (!invariant.empty()) w("invariant", invariant);
   option_fields(w, s.options);
-  // dsan key only when set: older repro files stay byte-identical.
-  if (s.dsan) w("dsan", true);
 
   for (std::size_t t = 0; t < s.tenants.size(); ++t) {
     os << "\n[tenant." << t << "]\n";
@@ -301,7 +299,6 @@ ParsedServeScenario parse_serve_scenario(const std::string& text) {
       l("machine_file", out.machine_file);
       l("invariant", out.invariant);
       option_fields(l, s.options);
-      l("dsan", s.dsan);
     } else if (starts_with(l.section, "tenant.")) {
       tenant_fields(l, s.tenants.back());
     } else if (starts_with(l.section, "job.")) {

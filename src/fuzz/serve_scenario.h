@@ -51,10 +51,6 @@ struct ServeScenarioSpec {
   serve::ServeOptions options;
   std::vector<serve::TenantSpec> tenants;
   std::vector<ServeJobEntry> jobs;
-
-  /// Run the first oracle pass under an attached homp-dsan context
-  /// (docs/DETERMINISM.md). Serialized, so dsan repros replay in kind.
-  bool dsan = false;
 };
 
 /// Deterministically generate the serve scenario for `seed`. The result

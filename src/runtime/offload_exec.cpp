@@ -608,10 +608,6 @@ dist::Range OffloadExecution::take_requeue() {
 }
 
 void OffloadExecution::try_fetch(int slot) {
-  // One logical scheduler-fetch operation (dsan): same-timestamp sibling
-  // fetches commute — the engine's FIFO tie-break picks the documented
-  // winner, and a parallel engine replays fetches in (time, seq) order.
-  HOMP_DSAN_WRITE(dsan_sched_);
   if (cancelled_) {
     // Cancelled jobs fetch nothing more: every drain path funnels back
     // here, so the proxy parks the moment its pipeline empties.
@@ -1329,7 +1325,6 @@ bool OffloadExecution::integrity_slot_allowed(const IntegrityState& st,
 }
 
 void OffloadExecution::finish_commit(int slot, std::shared_ptr<OutRecord> rec) {
-  HOMP_DSAN_WRITE(dsan_commit_);
   Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
   if (q.lost || rec->abandoned) return;  // quarantined during the scan
   ++q.stats.integrity_checks;
@@ -1579,8 +1574,6 @@ void OffloadExecution::on_device_lost(int slot) {
 
 void OffloadExecution::quarantine(int slot, sim::FaultKind kind,
                                   const std::string& detail) {
-  // Quarantine feeds the requeue — one logical scheduler mutation (dsan).
-  HOMP_DSAN_WRITE(dsan_sched_);
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (p.lost) return;
   p.lost = true;
@@ -1802,9 +1795,6 @@ void OffloadExecution::watchdog_hard(int slot, std::uint64_t serial) {
 }
 
 void OffloadExecution::commit(int slot, const OutRecord& rec) {
-  // First-commit-wins claim (dsan): commutative — the winner under a
-  // parallel engine is fixed by canonical (time, seq) commit order.
-  HOMP_DSAN_WRITE(dsan_commit_);
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   const auto& token = rec.token;
   const dist::Range& range = rec.range;

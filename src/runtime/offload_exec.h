@@ -387,17 +387,6 @@ class OffloadExecution {
   /// counter-track samples (collect_trace), in virtual-time order.
   std::vector<SchedDecision> decisions_;
   std::vector<CounterSample> counters_;
-
-#if HOMP_DSAN_ENABLED
-  /// dsan cells (docs/DETERMINISM.md "Tracked cells"). Both commutative:
-  /// a chunk fetch is one atomic scheduler operation whose same-timestamp
-  /// ties the engine resolves FIFO by contract, and commits are
-  /// first-commit-wins with the winner fixed by canonical (time, seq)
-  /// order at the barrier. Concurrent *reads* against either still flag.
-  sim::dsan::Cell dsan_sched_{"exec/sched", sim::dsan::CellKind::kCommutative};
-  sim::dsan::Cell dsan_commit_{"exec/commit",
-                               sim::dsan::CellKind::kCommutative};
-#endif
 };
 
 }  // namespace homp::rt

@@ -2,249 +2,18 @@
 #define HOMP_SIM_DSAN_H
 
 /// \file dsan.h
-/// homp-dsan: the virtual-time determinism sanitizer (docs/DETERMINISM.md).
-///
-/// Every guarantee the repo sells — byte-identical fuzz corpora,
-/// serve-determinism double runs, byte-for-byte CI comparison of
-/// BENCH_traffic.json — rests on one property: nothing observable depends
-/// on the relative order of events that carry the *same* virtual
-/// timestamp. The engine breaks those ties FIFO today, so runs are
-/// reproducible, but a future parallel engine (ROADMAP "raw speed":
-/// commit barrier at each event timestamp) would run same-timestamp
-/// events concurrently — and any pair of them that touches the same
-/// shared cell, with at least one write and no happens-before edge, is a
-/// latent nondeterminism the tie-break is silently papering over.
-///
-/// homp-dsan detects exactly those pairs. The model:
-///
-///  * Every executed event has a stable identity `(timestamp, generation,
-///    seq)` — virtual time, the Engine::GenTag it was scheduled under,
-///    and its FIFO sequence number.
-///  * Two events at *different* timestamps are always ordered (virtual
-///    time is real order under any conforming engine).
-///  * Two events at the same timestamp are ordered iff
-///      - one scheduled the other (transitively, through a chain of
-///        zero-delay schedules that never leaves the timestamp), or
-///      - both carry the same non-zero generation tag (a generation is
-///        single-owner by contract — docs/SERVING.md "Timer lifecycle" —
-///        so a parallel engine must serialize within it).
-///    Otherwise they are *concurrent*: a parallel engine may run them in
-///    either order.
-///  * Shared mutable state is tracked as named `Cell`s at the level of
-///    logical operations (a scheduler fetch, a link admission, a commit),
-///    not raw loads/stores. A cell is either
-///      - `kOrdered`: any concurrent access pair with at least one write
-///        is a violation, or
-///      - `kCommutative`: concurrent *writes* are declared
-///        order-insensitive (the parallel engine commits them in
-///        canonical (time, seq) order at the timestamp barrier), but a
-///        concurrent read against a write is still a violation — the
-///        reader observes an intermediate state whose value depends on
-///        intra-timestamp order.
-///
-/// Compile-time gate: hooks are compiled in unless the build sets
-/// -DHOMP_DSAN_DISABLED (CMake -DHOMP_DSAN=OFF), in which case every
-/// macro expands to nothing and the engine carries no extra state —
-/// true zero cost. When compiled in, the hooks are runtime-gated on an
-/// active Context (one branch + pointer load when no sanitizer is
-/// attached); bench_engine --dsan measures the attached overhead.
-///
-/// Usage:
-///   sim::dsan::Context ctx;
-///   {
-///     sim::dsan::Scope scope(ctx);   // activates the hooks
-///     ... run engines ...
-///   }                                // deactivates; flushes on finish()
-///   ctx.finish();
-///   for (const auto& v : ctx.violations()) ...
-///
-/// Single-threaded by design: the sanitizer observes the deterministic
-/// serial engine; it is the *detector* that makes a parallel engine
-/// landable, not itself thread-safe.
-
-#include <cstddef>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "sim/time.h"
-
-#if defined(HOMP_DSAN_DISABLED)
-#define HOMP_DSAN_ENABLED 0
-#else
-#define HOMP_DSAN_ENABLED 1
-#endif
+/// Compatibility stub. The virtual-time determinism sanitizer is gone;
+/// the engine's (time, seq) tie-break contract (sim/engine.h) is what
+/// keeps runs reproducible. Nothing under src/ includes this header.
+/// perfbench/main.cpp still does, for its run manifest's `homp_dsan` row,
+/// and perfbench compiles src/ standalone, so the header stays until
+/// perfbench drops that row.
 
 namespace homp::sim::dsan {
 
-/// How a cell's concurrent same-timestamp writes are judged (see file
-/// comment). Commutative cells still flag concurrent read-vs-write.
-enum class CellKind { kOrdered, kCommutative };
-
-/// True when the sanitizer hooks are compiled into this build.
-constexpr bool compiled_in() noexcept { return HOMP_DSAN_ENABLED != 0; }
-
-#if HOMP_DSAN_ENABLED
-
-/// One tracked unit of shared mutable state. Instances register a stable
-/// uid in construction order, which is deterministic for a deterministic
-/// program — violation reports are therefore byte-identical across runs.
-class Cell {
- public:
-  Cell(const char* label, CellKind kind);
-  Cell(const Cell&) = delete;
-  Cell& operator=(const Cell&) = delete;
-
-  std::uint64_t uid() const noexcept { return uid_; }
-  const char* label() const noexcept { return label_; }
-  CellKind kind() const noexcept { return kind_; }
-
- private:
-  std::uint64_t uid_;
-  const char* label_;
-  CellKind kind_;
-};
-
-#else  // !HOMP_DSAN_ENABLED
-
-class Cell {
- public:
-  constexpr Cell(const char*, CellKind) {}
-  Cell(const Cell&) = delete;
-  Cell& operator=(const Cell&) = delete;
-};
-
-#endif  // HOMP_DSAN_ENABLED
-
-/// Stable identity of one executed event.
-struct EventId {
-  Time time = 0.0;
-  std::uint64_t seq = 0;
-  std::uint64_t tag = 0;  ///< Engine::GenTag; 0 = untagged
-};
-
-/// One concurrent conflicting access pair.
-struct Violation {
-  std::string cell;  ///< "label#uid"
-  Time time = 0.0;   ///< the shared virtual timestamp
-  EventId first;     ///< ran earlier (smaller seq)
-  EventId second;    ///< ran later
-  bool first_write = false;
-  bool second_write = false;
-
-  /// Deterministic one-line rendering (docs/DETERMINISM.md "Reading a
-  /// dsan repro").
-  std::string to_string() const;
-};
-
-class Context {
- public:
-  Context();
-  ~Context();
-  Context(const Context&) = delete;
-  Context& operator=(const Context&) = delete;
-
-  // --- engine-side hooks (called by sim::Engine) ---------------------
-
-  /// An engine is about to run event `(t, seq, tag)`. `parent_seq` is the
-  /// seq of the event that scheduled it *iff* that event ran at the same
-  /// timestamp `t` (the zero-delay causal edge); kNoParent otherwise.
-  /// Switching timestamp or engine flushes the previous window.
-  void begin_event(const void* engine, Time t, std::uint64_t seq,
-                   std::uint64_t tag, std::uint64_t parent_seq);
-  void end_event() noexcept { in_event_ = false; }
-
-  static constexpr std::uint64_t kNoParent = ~std::uint64_t{0};
-
-  // --- instrumentation-side hook (via HOMP_DSAN_READ/WRITE) ----------
-
-  void on_access(const Cell& cell, bool write);
-
-  /// Flush the final timestamp window. Idempotent; call after the last
-  /// engine drains and before reading violations().
-  void finish();
-
-  // --- results -------------------------------------------------------
-
-  /// Stored violations, in discovery order (deterministic). Capped at
-  /// kMaxStored; total_conflicts() keeps the full count.
-  const std::vector<Violation>& violations() const noexcept {
-    return violations_;
-  }
-  std::size_t total_conflicts() const noexcept { return total_; }
-  bool ok() const noexcept { return total_ == 0; }
-
-  static constexpr std::size_t kMaxStored = 100;
-
- private:
-#if HOMP_DSAN_ENABLED
-  struct EventMeta {
-    std::uint64_t seq = 0;
-    std::uint64_t tag = 0;
-    std::uint64_t parent = kNoParent;
-  };
-  struct Access {
-    std::size_t event_index = 0;
-    bool write = false;
-  };
-  struct CellFacts {
-    const char* label = "";
-    CellKind kind = CellKind::kOrdered;
-    std::vector<Access> accesses;
-  };
-
-  void flush();
-  /// True when events_[a] is an ancestor of events_[b] through the
-  /// same-timestamp scheduling chain.
-  bool ancestor_of(std::size_t a, std::size_t b) const;
-  std::size_t index_of_seq(std::uint64_t seq) const;
-
-  const void* engine_ = nullptr;  ///< engine owning the current window
-  Time time_ = 0.0;               ///< current timestamp window
-  bool have_window_ = false;
-  std::vector<EventMeta> events_;  ///< events in the window, pop order
-  std::map<std::uint64_t, CellFacts> cells_;  ///< uid -> window accesses
-  std::size_t current_ = 0;  ///< index into events_ of the running event
-#endif
-  bool in_event_ = false;
-  std::vector<Violation> violations_;
-  std::size_t total_ = 0;
-};
-
-/// The active context, or nullptr. The hooks' runtime gate.
-Context* active() noexcept;
-
-/// RAII activation. Nesting is a usage error (asserted); the sanitizer
-/// observes one harness run at a time.
-class Scope {
- public:
-  explicit Scope(Context& ctx);
-  ~Scope();
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-};
+/// Always false: the sanitizer no longer exists.
+constexpr bool compiled_in() noexcept { return false; }
 
 }  // namespace homp::sim::dsan
-
-// The tracking hooks. Place them inside the *accessor operation* that
-// reads or mutates the tracked state (docs/DETERMINISM.md "Tracked
-// cells"); homp-lint HL008 flags event lambdas that mutate tracked state
-// without routing through such an accessor.
-#if HOMP_DSAN_ENABLED
-#define HOMP_DSAN_READ(cell)                                          \
-  do {                                                                \
-    if (::homp::sim::dsan::Context* hd_ = ::homp::sim::dsan::active()) \
-      hd_->on_access((cell), false);                                  \
-  } while (0)
-#define HOMP_DSAN_WRITE(cell)                                         \
-  do {                                                                \
-    if (::homp::sim::dsan::Context* hd_ = ::homp::sim::dsan::active()) \
-      hd_->on_access((cell), true);                                   \
-  } while (0)
-#else
-#define HOMP_DSAN_READ(cell) ((void)0)
-#define HOMP_DSAN_WRITE(cell) ((void)0)
-#endif
 
 #endif  // HOMP_SIM_DSAN_H

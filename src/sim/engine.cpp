@@ -8,14 +8,7 @@ std::uint64_t Engine::schedule_at(Time t, Callback fn, GenTag tag) {
   HOMP_ASSERT(t >= now_);
   HOMP_ASSERT(fn != nullptr);
   const std::uint64_t id = next_seq_++;
-#if HOMP_DSAN_ENABLED
-  HOMP_DSAN_WRITE(dsan_queue_);
-  const std::uint64_t parent =
-      (in_cb_ && t == now_) ? cur_seq_ : dsan::Context::kNoParent;
-  queue_.push(Entry{t, id, tag, parent, std::move(fn)});
-#else
   queue_.push(Entry{t, id, tag, std::move(fn)});
-#endif
   pending_.insert(id);
   if (tag != 0) {
     gens_[tag].insert(id);
@@ -35,7 +28,6 @@ void Engine::retire_from_generation(std::uint64_t id, GenTag tag) {
 }
 
 bool Engine::cancel(std::uint64_t id) {
-  HOMP_DSAN_WRITE(dsan_queue_);
   // Only genuinely pending events may be tombstoned: cancelling an id that
   // already ran (or was never issued) must not leave a tombstone behind —
   // nothing in the queue would ever reclaim it.
@@ -50,7 +42,6 @@ bool Engine::cancel(std::uint64_t id) {
 }
 
 std::size_t Engine::cancel_generation(GenTag tag) {
-  HOMP_DSAN_WRITE(dsan_queue_);
   if (tag == 0) return 0;
   auto git = gens_.find(tag);
   if (git == gens_.end()) return 0;
@@ -70,7 +61,6 @@ std::size_t Engine::cancel_generation(GenTag tag) {
 }
 
 std::size_t Engine::pending_in(GenTag tag) const {
-  HOMP_DSAN_READ(dsan_queue_);
   auto git = gens_.find(tag);
   return git == gens_.end() ? 0 : git->second.size();
 }
@@ -95,18 +85,7 @@ bool Engine::pop_one() {
   now_ = e.t;
   --live_events_;
   ++processed_;
-#if HOMP_DSAN_ENABLED
-  cur_seq_ = e.seq;
-  in_cb_ = true;
-  if (dsan::Context* d = dsan::active()) {
-    d->begin_event(this, e.t, e.seq, e.tag, e.parent);
-  }
   e.fn();
-  in_cb_ = false;
-  if (dsan::Context* d = dsan::active()) d->end_event();
-#else
-  e.fn();
-#endif
   return true;
 }
 

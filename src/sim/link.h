@@ -67,12 +67,6 @@ class SharedLink {
   std::string name_;
   double latency_;
   double bandwidth_;
-#if HOMP_DSAN_ENABLED
-  // Same-timestamp sibling admissions commute: processor sharing divides
-  // bandwidth by the lane count, not by arrival order within the instant.
-  dsan::Cell dsan_lanes_{"link/lanes", dsan::CellKind::kCommutative};
-#endif
-
   std::list<Active> active_;
   Time last_update_ = 0.0;
   std::uint64_t pending_event_ = 0;

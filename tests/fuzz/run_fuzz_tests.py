@@ -12,7 +12,8 @@ Contract under test (docs/FUZZING.md):
   * `--replay` on that repro re-runs it deterministically and exits 0
     reporting the same invariant failing; a serve repro replays through
     the same flag;
-  * usage errors exit 2.
+  * usage errors exit 2, including out-of-range integers, serve-only
+    flags without --serve and --plant with it.
 
 Needs the homp-fuzz binary: pass --fuzz-bin, as the ctest entry does.
 """
@@ -99,63 +100,6 @@ class PlantedViolation(unittest.TestCase):
         self.assertIn(failure["invariant"], rep.stdout)
 
 
-class DsanSanitizer(unittest.TestCase):
-    def test_planted_dsan_conflict_is_caught_shrunk_and_replayable(self):
-        """`--plant dsan-conflict` schedules two same-timestamp writes to
-        an ordered cell with no happens-before edge; homp-dsan must flag
-        them, the shrinker must minimize the carrier scenario, and the
-        repro (written as dsan-repro-<seed>.toml) must replay."""
-        repro_dir = os.path.join(WORK.name, "dsan-planted")
-        r = fuzz("--seed", "5", "--count", "1", "--plant", "dsan-conflict",
-                 "--repro-dir", repro_dir)
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        doc = json.loads(r.stdout)
-        self.assertTrue(doc["config"]["dsan"])
-        self.assertIn("dsan-determinism", doc["invariants"])
-        failure = doc["failures"][0]
-        self.assertEqual(failure["invariant"], "dsan-determinism")
-        self.assertIn("concurrent", failure["detail"])
-
-        toml = failure["repro"]
-        self.assertEqual(os.path.basename(toml),
-                         "dsan-repro-%d.toml" % failure["seed"])
-        self.assertTrue(os.path.exists(toml), toml)
-        self.assertLessEqual(failure["shrunk_devices"], 6)
-
-        rep = fuzz("--replay", toml)
-        self.assertEqual(rep.returncode, 0, rep.stdout + rep.stderr)
-        self.assertIn("REPRODUCED", rep.stdout)
-        self.assertIn("dsan-determinism", rep.stdout)
-
-    def test_dsan_corpus_is_clean_and_deterministic(self):
-        """A --dsan sweep over a fixed-seed corpus reports zero
-        violations and byte-identical summaries across two runs: the
-        sanitizer itself must not perturb simulation results."""
-        args = ("--dsan", "--seed", "3", "--count", "6",
-                "--repro-dir", os.path.join(WORK.name, "dsan-det"))
-        a = fuzz(*args)
-        b = fuzz(*args)
-        self.assertEqual(a.returncode, 0, a.stdout + a.stderr)
-        self.assertEqual(a.stdout, b.stdout,
-                         "--dsan summary JSON is not deterministic")
-        doc = json.loads(a.stdout)
-        self.assertTrue(doc["config"]["dsan"])
-        self.assertEqual(doc["violations"], 0)
-
-    def test_serve_dsan_corpus_is_clean_and_deterministic(self):
-        args = ("--serve", "--dsan", "--seed", "3", "--count", "4",
-                "--repro-dir", os.path.join(WORK.name, "dsan-serve"))
-        a = fuzz(*args)
-        b = fuzz(*args)
-        self.assertEqual(a.returncode, 0, a.stdout + a.stderr)
-        self.assertEqual(a.stdout, b.stdout)
-        self.assertEqual(json.loads(a.stdout)["violations"], 0)
-
-    def test_serve_mode_rejects_planting(self):
-        r = fuzz("--serve", "--plant", "dsan-conflict")
-        self.assertEqual(r.returncode, 2)
-
-
 class ServeMode(unittest.TestCase):
     def write_repro(self, name, kernel):
         """A hand-written serve repro: one tenant, one job, the recorded
@@ -195,6 +139,31 @@ class ErrorContract(unittest.TestCase):
     def test_unknown_flag_exits_2(self):
         r = fuzz("--frobnicate")
         self.assertEqual(r.returncode, 2)
+
+    def test_out_of_range_integers_exit_2(self):
+        """Values that do not fit an int exit 2 instead of wrapping
+        (2^32 + 1 would wrap to a 1-scenario run)."""
+        for args in (("--count", "4294967297"),
+                     ("--max-devices", "4294967302"),
+                     ("--serve", "--max-jobs", "4294967297")):
+            with self.subTest(args=args):
+                r = fuzz(*args, "--seed", "1")
+                self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+                self.assertIn("out of range", r.stderr)
+
+    def test_serve_only_flags_need_serve(self):
+        for args in (("--no-faults",), ("--max-tenants", "2"),
+                     ("--max-jobs", "3")):
+            with self.subTest(args=args):
+                r = fuzz(*args, "--seed", "1", "--count", "3")
+                self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+                self.assertIn("serve-mode option", r.stderr)
+                self.assertEqual(r.stdout, "")
+
+    def test_serve_mode_rejects_planting(self):
+        r = fuzz("--serve", "--plant", "corrupt-commit")
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+        self.assertIn("not a serve-mode option", r.stderr)
 
     def test_replay_of_missing_file_exits_2(self):
         r = fuzz("--replay", os.path.join(WORK.name, "nope.toml"))

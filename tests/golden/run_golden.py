@@ -26,13 +26,9 @@ on every machine.
 
 Usage:
   run_golden.py --bench-dir DIR --fuzz-bin PATH [--update] [--all]
-                [--skip-dsan]
 
   --update     rewrite the golden files from this build instead of diffing
-  --all        add the larger corpora only CI compares (the fuzz smoke and
-               the 200-scenario dsan corpus)
-  --skip-dsan  leave out the --dsan cases (a HOMP_DSAN=OFF build exits 2
-               on --dsan)
+  --all        add the larger corpus only CI compares (the fuzz smoke)
 
 Exit codes: 0 every output matches, 1 some output differs or a paper claim
 fails, 2 a run failed or the arguments are unusable.
@@ -68,24 +64,14 @@ BENCHES = [
     "bench_fault_degradation",
 ]
 
-# (case name, homp-fuzz arguments, expected exit code, needs dsan, CI only)
+# (case name, homp-fuzz arguments, expected exit code, CI only)
 FUZZ = [
-    ("seed1-count40", ["--seed", "1", "--count", "40"], 0, False, False),
-    ("dsan-seed1-count20", ["--dsan", "--seed", "1", "--count", "20"],
-     0, True, False),
+    ("seed1-count40", ["--seed", "1", "--count", "40"], 0, False),
     ("serve-seed1-count100", ["--serve", "--seed", "1", "--count", "100"],
-     0, False, False),
-    ("serve-dsan-seed1-count100",
-     ["--serve", "--dsan", "--seed", "1", "--count", "100"], 0, True, False),
+     0, False),
     ("plant-corrupt-commit-seed11",
-     ["--plant", "corrupt-commit", "--seed", "11", "--count", "1"],
-     1, False, False),
-    ("plant-dsan-conflict-seed5",
-     ["--plant", "dsan-conflict", "--seed", "5", "--count", "1"],
-     1, True, False),
-    ("seed1000-count100", ["--seed", "1000", "--count", "100"], 0, False, True),
-    ("dsan-seed1-count200", ["--dsan", "--seed", "1", "--count", "200"],
-     0, True, True),
+     ["--plant", "corrupt-commit", "--seed", "11", "--count", "1"], 1, False),
+    ("seed1000-count100", ["--seed", "1000", "--count", "100"], 0, True),
 ]
 
 
@@ -189,7 +175,6 @@ def main():
     ap.add_argument("--fuzz-bin", required=True)
     ap.add_argument("--update", action="store_true")
     ap.add_argument("--all", action="store_true")
-    ap.add_argument("--skip-dsan", action="store_true")
     args = ap.parse_args()
     # homp-fuzz runs in its own temporary directory.
     args.fuzz_bin = os.path.abspath(args.fuzz_bin)
@@ -198,8 +183,8 @@ def main():
         jobs = [(bench_job, (args.bench_dir, b)) for b in BENCHES]
         jobs.append((fig6_files_job, (args.bench_dir, tmp)))
         expected = set()
-        for name, fargs, expect, dsan, ci_only in FUZZ:
-            if (dsan and args.skip_dsan) or (ci_only and not args.all):
+        for name, fargs, expect, ci_only in FUZZ:
+            if ci_only and not args.all:
                 continue
             jobs.append((fuzz_job,
                          (args.fuzz_bin, tmp, name, fargs, expect)))

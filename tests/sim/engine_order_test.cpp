@@ -9,12 +9,11 @@
 namespace homp::sim {
 namespace {
 
-/// The tie-break contract (docs/DETERMINISM.md, engine.h file comment):
-/// events pop in strict (time, seq) lexicographic order — FIFO within a
-/// timestamp, regardless of generation tag, scheduling nesting, or
-/// cancellation history. homp-dsan's event identity and the future
-/// parallel engine's commit order both assume exactly this; a change
-/// here is a breaking change to the determinism model, not a tweak.
+/// The tie-break contract (engine.h file comment): events pop in strict
+/// (time, seq) lexicographic order — FIFO within a timestamp, regardless
+/// of generation tag, scheduling nesting, or cancellation history. Every
+/// byte-identical output rests on exactly this; a change here is a
+/// breaking change to the determinism model, not a tweak.
 
 /// One mixed scenario: N events at one timestamp across several
 /// generations, interleaved with cancellations and zero-delay

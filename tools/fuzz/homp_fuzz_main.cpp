@@ -21,12 +21,12 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
 #include "common/error.h"
 #include "fuzz/serve_driver.h"
-#include "sim/dsan.h"
 
 namespace {
 
@@ -45,20 +45,12 @@ void usage(std::ostream& os) {
         "  --plant corrupt-commit\n"
         "                     plant the acceptance-test violation into\n"
         "                     every scenario (integrity off + scripted\n"
-        "                     silent compute corruption)\n"
-        "  --plant dsan-conflict\n"
-        "                     plant a same-timestamp write-write conflict\n"
-        "                     the determinism sanitizer must catch\n"
-        "                     (implies --dsan; not a serve-mode option)\n"
-        "  --dsan             sweep the corpus under homp-dsan\n"
-        "                     (docs/DETERMINISM.md): same-timestamp\n"
-        "                     conflicts become dsan-determinism failures\n"
-        "                     and dsan-repro-<seed> files; works in both\n"
-        "                     corpus modes\n"
+        "                     silent compute corruption; not a serve-mode\n"
+        "                     option)\n"
         "\n"
         "serve mode (--serve): multi-tenant server scenarios checked\n"
         "against the serve-invariant catalog (fault containment, breaker,\n"
-        "timer lifecycle, determinism):\n"
+        "timer lifecycle, determinism); these options need --serve:\n"
         "  --max-tenants T    tenant roster cap (default 4)\n"
         "  --max-jobs J       timed submissions per scenario (default 14)\n"
         "  --no-faults        admission/scheduling space only\n";
@@ -73,6 +65,15 @@ long long parse_ll(const std::string& flag, const char* value) {
   }
   throw homp::ConfigError(flag + " needs an integer, got '" +
                           std::string(value) + "'");
+}
+
+int parse_int(const std::string& flag, const char* value) {
+  const long long v = parse_ll(flag, value);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw homp::ConfigError(flag + " is out of range: " + std::string(value));
+  }
+  return static_cast<int>(v);
 }
 
 /// Replay a repro of either mode and print what its oracle reported.
@@ -135,6 +136,7 @@ int main(int argc, char** argv) {
   homp::fuzz::ServeFuzzConfig serve_cfg;
   std::optional<int> max_devices;
   bool serve = false;
+  std::string serve_only;  // the last serve-mode-only flag given
   std::string summary_out;
   std::string replay_path;
 
@@ -155,15 +157,18 @@ int main(int argc, char** argv) {
       } else if (arg == "--seed") {
         corpus.seed = static_cast<std::uint64_t>(parse_ll(arg, value()));
       } else if (arg == "--count") {
-        corpus.count = static_cast<int>(parse_ll(arg, value()));
+        corpus.count = parse_int(arg, value());
       } else if (arg == "--max-devices") {
-        max_devices = static_cast<int>(parse_ll(arg, value()));
+        max_devices = parse_int(arg, value());
       } else if (arg == "--max-tenants") {
-        serve_cfg.limits.max_tenants = static_cast<int>(parse_ll(arg, value()));
+        serve_cfg.limits.max_tenants = parse_int(arg, value());
+        serve_only = arg;
       } else if (arg == "--max-jobs") {
-        serve_cfg.limits.max_jobs = static_cast<int>(parse_ll(arg, value()));
+        serve_cfg.limits.max_jobs = parse_int(arg, value());
+        serve_only = arg;
       } else if (arg == "--no-faults") {
         serve_cfg.limits.allow_faults = false;
+        serve_only = arg;
       } else if (arg == "--repro-dir") {
         corpus.repro_dir = value();
       } else if (arg == "--summary-out") {
@@ -172,17 +177,11 @@ int main(int argc, char** argv) {
         corpus.shrink_failures = false;
       } else if (arg == "--plant") {
         const std::string what = value();
-        if (what == "corrupt-commit") {
-          cfg.plant = true;
-        } else if (what == "dsan-conflict") {
-          cfg.plant_dsan = true;
-        } else {
-          throw homp::ConfigError(
-              "unknown --plant mode '" + what +
-              "' (corrupt-commit or dsan-conflict)");
+        if (what != "corrupt-commit") {
+          throw homp::ConfigError("unknown --plant mode '" + what +
+                                  "' (only corrupt-commit)");
         }
-      } else if (arg == "--dsan") {
-        corpus.dsan = true;
+        cfg.plant = true;
       } else if (arg == "--replay") {
         replay_path = value();
       } else {
@@ -190,18 +189,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    if ((corpus.dsan || cfg.plant_dsan) && !homp::sim::dsan::compiled_in()) {
-      std::cerr << "homp-fuzz: --dsan needs the sanitizer compiled in "
-                   "(rebuild without -DHOMP_DSAN=OFF)\n";
-      return 2;
-    }
-
     if (!replay_path.empty()) {
       return run_replay(replay_path);
     }
 
     if (serve) {
-      if (cfg.plant || cfg.plant_dsan) {
+      if (cfg.plant) {
         throw homp::ConfigError("--plant is not a serve-mode option");
       }
       static_cast<CorpusConfig&>(serve_cfg) = corpus;
@@ -215,6 +208,9 @@ int main(int argc, char** argv) {
                         std::to_string(s.cancelled) + " cancelled)");
     }
 
+    if (!serve_only.empty()) {
+      throw homp::ConfigError(serve_only + " is a serve-mode option");
+    }
     static_cast<CorpusConfig&>(cfg) = corpus;
     if (max_devices) cfg.limits.max_devices = *max_devices;
     const auto s = homp::fuzz::run_fuzz(cfg);
