@@ -12,6 +12,18 @@ namespace homp::advise {
 
 namespace {
 
+/// Overlap deficit fires when exposed transfer exceeds this fraction of
+/// the device's total transfer time...
+constexpr double kOverlapExposedRatio = 0.25;
+/// ...and at least this fraction of the makespan.
+constexpr double kOverlapMakespanRatio = 0.01;
+/// Findings saving at least this fraction of the makespan are
+/// severity-critical.
+constexpr double kCriticalMakespanRatio = 0.10;
+/// actuals_coverage fires when more than this fraction of assigned
+/// chunks never got an actual backfilled.
+constexpr double kCoverageMissingRatio = 0.50;
+
 /// Compact deterministic rendering for evidence prose (not meant to
 /// round-trip; report JSON re-renders savings with the %.17g rule).
 std::string fmt(double v) {
@@ -77,7 +89,7 @@ void attribute_run(const Session& s, const RunAudit& run,
   }
 
   auto severity_for = [&](double saving) {
-    return makespan > 0.0 && saving >= opt.critical_makespan_ratio * makespan
+    return makespan > 0.0 && saving >= kCriticalMakespanRatio * makespan
                ? kSeverityCritical
                : kSeverityWarning;
   };
@@ -122,7 +134,7 @@ void attribute_run(const Session& s, const RunAudit& run,
       f.ins.device = d->name;
       f.ins.saving_s =
           std::max(0.0, makespan - d->finish_time_s) * (1.0 - bias);
-      f.ins.severity = f.ins.saving_s >= opt.critical_makespan_ratio * makespan
+      f.ins.severity = f.ins.saving_s >= kCriticalMakespanRatio * makespan
                            ? kSeverityWarning
                            : kSeverityInfo;
       f.ins.evidence = "ran " + fmt(1.0 / bias) +
@@ -208,7 +220,7 @@ void attribute_run(const Session& s, const RunAudit& run,
     f.ins.kind = kKindSpeculationWaste;
     f.ins.device = d.name;
     f.ins.saving_s = static_cast<double>(lost) * mean_chunk;
-    f.ins.severity = f.ins.saving_s >= opt.critical_makespan_ratio * makespan
+    f.ins.severity = f.ins.saving_s >= kCriticalMakespanRatio * makespan
                          ? kSeverityWarning
                          : kSeverityInfo;
     f.ins.evidence = fmt_ll(lost) + " of " + fmt_ll(d.spec_copies_run) +
@@ -255,7 +267,7 @@ void attribute_run(const Session& s, const RunAudit& run,
     if (d.actual_s <= 0.0) ++missing;
   }
   if (assigned > 0 && static_cast<double>(missing) >
-                          opt.coverage_missing_ratio *
+                          kCoverageMissingRatio *
                               static_cast<double>(assigned)) {
     RawFinding f;
     f.ins.kind = kKindActualsCoverage;
@@ -269,20 +281,18 @@ void attribute_run(const Session& s, const RunAudit& run,
   }
 }
 
-void attribute_trace(const TraceEvidence& tr, const AttributionOptions& opt,
-                     std::vector<RawFinding>& out) {
+void attribute_trace(const TraceEvidence& tr, std::vector<RawFinding>& out) {
   for (const TraceDevice& d : tr.devices) {
     const double exposed = d.transfer_s - d.hidden_s;
     if (d.transfer_s <= 0.0) continue;
-    if (exposed <= opt.overlap_exposed_ratio * d.transfer_s) continue;
-    if (exposed < opt.overlap_makespan_ratio * tr.makespan_s) continue;
+    if (exposed <= kOverlapExposedRatio * d.transfer_s) continue;
+    if (exposed < kOverlapMakespanRatio * tr.makespan_s) continue;
     RawFinding f;
     f.ins.kind = kKindOverlapDeficit;
     f.ins.device = d.name;
     f.ins.saving_s = exposed;
     f.ins.severity =
-        tr.makespan_s > 0.0 &&
-                exposed >= opt.critical_makespan_ratio * tr.makespan_s
+        tr.makespan_s > 0.0 && exposed >= kCriticalMakespanRatio * tr.makespan_s
             ? kSeverityWarning
             : kSeverityInfo;
     f.ins.evidence = fmt(exposed) + "s of " + fmt(d.transfer_s) +
@@ -295,8 +305,7 @@ void attribute_trace(const TraceEvidence& tr, const AttributionOptions& opt,
   }
 }
 
-void attribute_serve(const ServeAudit& run, const AttributionOptions& opt,
-                     std::vector<RawFinding>& out) {
+void attribute_serve(const ServeAudit& run, std::vector<RawFinding>& out) {
   // Shed-ladder pressure: integrate virtual time spent at level >= 1.
   double pressured = 0.0;
   int level = 0;
@@ -337,7 +346,6 @@ void attribute_serve(const ServeAudit& run, const AttributionOptions& opt,
                  "heaviest tenant before the ladder engages";
     out.push_back(std::move(f));
   }
-  (void)opt;
 
   // Per-tenant breaker flapping.
   for (const ServeTenantRow& t : run.tenants) {
@@ -377,10 +385,10 @@ std::vector<Inspection> attribute(const Session& session,
     attribute_run(session, run, opt, raw);
   }
   for (const TraceEvidence& tr : session.traces) {
-    attribute_trace(tr, opt, raw);
+    attribute_trace(tr, raw);
   }
   for (const ServeAudit& run : session.serve_runs) {
-    attribute_serve(run, opt, raw);
+    attribute_serve(run, raw);
   }
 
   // Merge by (kind, device, tenant): saving is the mean over runs that

@@ -37,23 +37,13 @@ struct Inspection {
   bool persistent = false;       ///< fired in every eligible run
 };
 
-/// Attribution thresholds. Defaults match docs/OBSERVABILITY.md; the
-/// CLI exposes --bias-threshold.
+/// Attribution options. The default matches docs/OBSERVABILITY.md; the
+/// CLI exposes --bias-threshold. The other thresholds are constants in
+/// attribution.cpp.
 struct AttributionOptions {
   /// Under-prediction fires at bias >= this; over-prediction at
   /// bias <= 1/this, where bias = sum(actual)/sum(model2) per device.
   double bias_threshold = 1.5;
-  /// Overlap deficit fires when exposed transfer exceeds this fraction
-  /// of the device's total transfer time...
-  double overlap_exposed_ratio = 0.25;
-  /// ...and at least this fraction of the makespan.
-  double overlap_makespan_ratio = 0.01;
-  /// Findings saving at least this fraction of the makespan are
-  /// severity-critical.
-  double critical_makespan_ratio = 0.10;
-  /// actuals_coverage fires when more than this fraction of assigned
-  /// chunks never got an actual backfilled.
-  double coverage_missing_ratio = 0.50;
 };
 
 /// Rank of a severity string for sorting (critical > warning > info).

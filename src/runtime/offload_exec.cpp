@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <type_traits>
 #include <utility>
 
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/log.h"
-#include "common/prng.h"
 #include "dist/align.h"
 #include "model/cost.h"
 #include "model/loop_model.h"
+#include "runtime/resilience.h"
 #include "sched/extended_sched.h"
 #include "sched/partition_sched.h"
 #include "sched/selector.h"
@@ -33,165 +32,6 @@ struct OffloadExecution::SpecPlan {
   double ratio = 1.0;       ///< composite ALIGN ratio to the loop / root
   dist::Distribution static_dist;  ///< for partitioned non-following arrays
 };
-
-/// Shared state of the copies of one tardy chunk racing to commit.
-/// Exactly one copy wins (`committed` flips once, on the single-threaded
-/// engine); every other copy discards its results before they reach the
-/// host, so the race cannot double-apply effects or corrupt arrays.
-struct OffloadExecution::SpecToken {
-  dist::Range range;
-  int origin_slot = -1;   ///< the tardy device that triggered speculation
-  int runners = 0;        ///< copies currently in some pipeline
-  bool committed = false; ///< a copy's host effects have landed
-  bool queued = false;    ///< still offered in spec_queue_
-  /// Non-null once a copy of this chunk failed payload verification; the
-  /// surviving racers inherit the integrity state so a late clean copy
-  /// settles the chunk instead of re-queueing it.
-  std::shared_ptr<IntegrityState> integ;
-};
-
-/// Shared recovery state of one chunk whose commit failed payload
-/// verification (docs/RESILIENCE.md "Integrity"). The chunk is queued
-/// for re-execution on another device; after `vote_after_failures`
-/// mismatches it escalates to voting, where each execution becomes a
-/// ballot keyed by its payload checksum and the chunk commits only once
-/// `vote_quorum` ballots agree on the same sum.
-struct OffloadExecution::IntegrityState {
-  dist::Range range;
-  int failures = 0;     ///< verification mismatches observed so far
-  int executions = 0;   ///< re-executions served from the integrity queue
-  bool voting = false;  ///< escalated to quorum voting
-  bool resolved = false;  ///< the range's host commit has landed
-  std::vector<int> suspects;  ///< slots whose payload failed verification
-  std::vector<int> balloted;  ///< slots that already cast a ballot
-  struct Ballot {
-    std::uint64_t sum = 0;
-    int count = 0;
-  };
-  std::vector<Ballot> ballots;  ///< distinct payload sums seen while voting
-};
-
-/// A chunk moving through a proxy's pipeline.
-struct OffloadExecution::PendingChunk {
-  dist::Range range;
-  std::vector<mem::DeviceMapping*> chunk_maps;
-  mem::DeviceDataEnv env;      ///< statics + chunk slices
-  double fetch_start = 0.0;    ///< virtual time the chunk was acquired
-  double bytes_in = 0.0;
-  double bytes_out = 0.0;
-  bool from_requeue = false;   ///< redistributed after a quarantine
-  std::shared_ptr<SpecToken> token;  ///< non-null once speculated
-  bool is_spec = false;        ///< this copy is the speculative duplicate
-  bool is_probe = false;       ///< probation probe chunk
-  /// Non-zero: FaultPlan decided this chunk's kernel output is silently
-  /// corrupted; the seed drives the injected bit flips.
-  std::uint64_t corrupt_seed = 0;
-  std::shared_ptr<IntegrityState> integ;  ///< set for re-executions
-  /// Index of this chunk's kChunkAssigned audit record (actual_s is
-  /// backfilled at compute completion); npos when audit is off.
-  std::size_t decision_index = static_cast<std::size_t>(-1);
-};
-
-/// A computed chunk awaiting its host commit. On a discrete device its
-/// results are still device-resident while the output transfer is in
-/// flight (possibly retrying): host-visible effects — copy_out into host
-/// arrays, the partial reduction, the iteration count — commit only when
-/// the transfer succeeds, so a device quarantined mid-copy-out leaves the
-/// host bit-identical and its chunk free to requeue. A shared-memory
-/// chunk commits the instant its compute completes.
-struct OffloadExecution::OutRecord {
-  dist::Range range;
-  std::vector<mem::DeviceMapping*> maps;
-  double bytes_out = 0.0;
-  double reduction = 0.0;  ///< body result, committed on success
-  bool abandoned = false;  ///< quarantine requeued this chunk
-  std::shared_ptr<SpecToken> token;  ///< first-commit-wins gate
-  bool is_spec = false;
-  bool is_probe = false;
-  /// Integrity verification (docs/RESILIENCE.md "Integrity"). The three
-  /// sums snapshot the payload at each hand-off: after the kernel body
-  /// (`sum_result`), after any injected compute corruption
-  /// (`sum_payload`, the device-side checksum shipped with the chunk),
-  /// and as received after the output transfer (`sum_wire`). The commit
-  /// compares them to tell a corrupted kernel result from a corrupted
-  /// transfer.
-  bool verify = false;
-  std::uint64_t sum_result = 0;
-  std::uint64_t sum_payload = 0;
-  std::uint64_t sum_wire = 0;
-  std::shared_ptr<IntegrityState> integ;
-};
-
-/// Whether the wire loses a transfer attempt and, if it lands, the seed
-/// of its silent payload corruption (0 = clean).
-struct OffloadExecution::WireFault {
-  bool lost = false;
-  std::uint64_t corrupt_seed = 0;
-};
-
-/// Per-device proxy actor state.
-struct OffloadExecution::Proxy {
-  int slot = -1;
-  int device_id = -1;
-  const mach::DeviceDescriptor* desc = nullptr;
-  sim::SharedLink* down = nullptr;  ///< host -> device lane
-  sim::SharedLink* up = nullptr;    ///< device -> host lane
-  Prng noise{0};
-
-  mem::MappingStore store;
-  mem::DeviceDataEnv static_env;
-  bool statics_loaded = false;
-  bool alloc_paid = false;
-  bool setup_signalled = false;  ///< for serialized (!parallel) offloading
-
-  bool fetching = false;
-  std::optional<PendingChunk> inflight;   ///< input transfer in progress
-  std::optional<PendingChunk> ready;      ///< resident, awaiting compute
-  std::optional<PendingChunk> computing;  ///< kernel in progress
-  double compute_started = 0.0;
-  std::vector<std::shared_ptr<OutRecord>> outputs;  ///< in-flight copy-outs
-
-  bool waiting_stage = false;
-  double stage_wait_start = 0.0;
-  bool finalizing = false;
-  bool done = false;
-
-  bool lost = false;        ///< quarantined (possibly re-admitted later)
-  double loss_time = -1.0;  ///< scheduled permanent loss; < 0 = never
-
-  /// Watchdog / probation state.
-  std::uint64_t compute_serial = 0;  ///< guards stale watchdog events
-  double degrade_factor = 1.0;  ///< latched sustained-slowdown multiplier
-  double ewma_iter_s = 0.0;     ///< observed per-iteration time (EWMA)
-  bool probation = false;       ///< re-admitted, serving probe chunks
-  int probes_passed = 0;
-
-  double partial_reduction = 0.0;
-  double outstanding_bytes = 0.0;  ///< transfer bytes currently in flight
-  DeviceStats stats;
-  std::vector<TraceSpan> spans;
-
-  /// Anything in the pipeline: fetching, staged, computing, finalizing
-  /// or copying out.
-  bool busy() const {
-    return fetching || inflight || ready || computing || finalizing ||
-           !outputs.empty();
-  }
-};
-
-template <class Label>
-void OffloadExecution::span(Proxy& p, Phase phase, double t0, double t1,
-                            const Label& label) {
-  if (!opts_.collect_trace || t1 <= t0) return;
-  std::string text;
-  if constexpr (std::is_invocable_v<const Label&>) {
-    text = label();
-  } else {
-    text = label;
-  }
-  p.spans.push_back(
-      TraceSpan{p.slot, p.desc->name, phase, t0, t1, std::move(text)});
-}
 
 OffloadExecution::~OffloadExecution() {
   // Shared mode: revoke anything still pending (normally finish_now()
@@ -295,33 +135,7 @@ OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
   }
 
   build_proxies();
-  build_fault_plan();
-}
-
-void OffloadExecution::build_fault_plan() {
-  // Option values were already validated (OffloadOptions::validate_or_throw
-  // in the constructor); this only derives the runtime plan from them.
-  const WatchdogOptions& w = opts_.watchdog;
-  probe_grain_ = w.probe_iterations > 0
-                     ? w.probe_iterations
-                     : std::max(opts_.sched.min_chunk,
-                                kernel_.iterations.size() / 64);
-  if (probe_grain_ < 1) probe_grain_ = 1;
-
-  fault_plan_.set_seed(opts_.fault.seed);
-  for (const auto& p : proxies_) {
-    const sim::FaultProfile combined =
-        p->desc->fault.combined(opts_.fault.extra);
-    if (combined.any()) fault_plan_.set_profile(p->device_id, combined);
-  }
-  for (const auto& f : opts_.fault.scripted) fault_plan_.add_scripted(f);
-  fault_active_ = fault_plan_.active();
-  // Checksumming is armed whenever it could matter (fault injection on) or
-  // when explicitly requested (`integrity.always`, to measure its cost).
-  // Offloads inside a data region move no per-chunk bytes — integrity of
-  // the region's bulk transfers is the DataRegion's own verified exit.
-  integrity_armed_ = opts_.integrity.enabled && region_envs_ == nullptr &&
-                     (fault_active_ || opts_.integrity.always);
+  res_ = Resilience::build(*this);
 }
 
 void OffloadExecution::validate_and_plan() {
@@ -597,16 +411,6 @@ void OffloadExecution::pass_serial_token(int slot) {
   }
 }
 
-dist::Range OffloadExecution::take_requeue() {
-  HOMP_ASSERT(!requeue_.empty());
-  dist::Range& front = requeue_.front();
-  const long long take = std::min(requeue_grain_, front.size());
-  const dist::Range chunk(front.lo, front.lo + take);
-  front.lo += take;
-  if (front.empty()) requeue_.pop_front();
-  return chunk;
-}
-
 void OffloadExecution::try_fetch(int slot) {
   if (cancelled_) {
     // Cancelled jobs fetch nothing more: every drain path funnels back
@@ -628,73 +432,9 @@ void OffloadExecution::try_fetch(int slot) {
   }
   if (!opts_.parallel_offload && slot > serial_token_) return;
 
-  std::optional<dist::Range> chunk_opt;
-  bool from_requeue = false;
-  std::shared_ptr<SpecToken> token;
-  std::shared_ptr<IntegrityState> integ;
-  bool is_spec = false;
-  bool is_probe = false;
-  while (!integrity_queue_.empty() && integrity_queue_.front()->resolved) {
-    integrity_queue_.pop_front();
-  }
-  for (auto it = integrity_queue_.begin(); it != integrity_queue_.end();
-       ++it) {
-    // Chunks that failed payload verification outrank everything else:
-    // they sit on the critical path (completion waits on them) and may
-    // need several sequential vote rounds to settle.
-    if ((*it)->resolved || !integrity_slot_allowed(**it, slot)) continue;
-    integ = *it;
-    integrity_queue_.erase(it);
-    break;
-  }
-  if (integ) {
-    chunk_opt = integ->range;
-    from_requeue = true;  // recovery work, not the scheduler's own chunk
-    ++integ->executions;
-    ++p.stats.integrity_reexecutions;
-    if (integ->voting) ++p.stats.vote_rounds;
-  } else if (!requeue_.empty()) {
-    // Orphaned iterations of a quarantined device are served first, in
-    // dynamic grains, regardless of the algorithm in use — the
-    // redistribution fallback that lets single-stage (BLOCK/MODEL) plans
-    // survive a device loss.
-    chunk_opt = take_requeue();
-    from_requeue = true;
-  } else {
-    // Speculative duplicates of tardy chunks come next. Not for the tardy
-    // device itself (it is still running the original) and not for
-    // probation devices (probes must be cheap scheduler work).
-    while (!spec_queue_.empty() && spec_queue_.front()->committed) {
-      spec_queue_.front()->queued = false;
-      spec_queue_.pop_front();
-    }
-    if (!p.probation) {
-      for (auto it = spec_queue_.begin(); it != spec_queue_.end(); ++it) {
-        if ((*it)->committed || (*it)->origin_slot == slot) continue;
-        token = *it;
-        spec_queue_.erase(it);
-        token->queued = false;
-        ++token->runners;
-        is_spec = true;
-        chunk_opt = token->range;
-        ++p.stats.spec_copies_run;
-        break;
-      }
-    }
-    if (!chunk_opt) chunk_opt = scheduler_->next_chunk(slot);
-  }
-  if (chunk_opt && p.probation && !is_spec && !integ) {
-    // Probation: serve only a small probe; the rest goes back to the
-    // requeue where any device (including this one, later) can take it.
-    is_probe = true;
-    ++p.stats.probe_chunks;
-    if (chunk_opt->size() > probe_grain_) {
-      requeue_.push_front(
-          dist::Range(chunk_opt->lo + probe_grain_, chunk_opt->hi));
-      chunk_opt = dist::Range(chunk_opt->lo, chunk_opt->lo + probe_grain_);
-      kick_survivors();
-    }
-  }
+  std::shared_ptr<ChunkRecovery> recovery;
+  const std::optional<dist::Range> chunk_opt =
+      res_ ? res_->next_chunk(slot, &recovery) : scheduler_->next_chunk(slot);
   if (!chunk_opt) {
     // A proxy handed no work does no serialized setup, so it must pass
     // the token on: a two-stage scheduler can give a device an empty
@@ -719,23 +459,17 @@ void OffloadExecution::try_fetch(int slot) {
   PendingChunk chunk;
   chunk.range = *chunk_opt;
   chunk.fetch_start = engine_.now();
-  chunk.from_requeue = from_requeue;
-  chunk.token = std::move(token);
-  chunk.is_spec = is_spec;
-  chunk.is_probe = is_probe;
-  // A speculative copy of a chunk that already failed verification
-  // inherits its integrity state (set when the mismatch happened after
-  // speculation started).
-  chunk.integ =
-      integ ? std::move(integ) : (chunk.token ? chunk.token->integ : nullptr);
+  chunk.recovery = std::move(recovery);
 
   if (audit_on()) {
-    const char* source = chunk.integ && chunk.from_requeue
-                             ? "integrity re-execution"
-                             : chunk.is_spec     ? "speculative duplicate"
-                             : chunk.from_requeue ? "requeue"
-                             : chunk.is_probe     ? "probation probe"
-                                                  : "scheduler";
+    const ChunkRecovery* r = chunk.recovery.get();
+    const char* source = "scheduler";
+    if (r != nullptr) {
+      source = r->integ && r->from_requeue ? "integrity re-execution"
+               : r->is_spec                ? "speculative duplicate"
+               : r->from_requeue           ? "requeue"
+                                           : "probation probe";
+    }
     chunk.decision_index =
         note_decision(slot, DecisionKind::kChunkAssigned, chunk.range, source);
   }
@@ -798,10 +532,7 @@ void OffloadExecution::try_fetch(int slot) {
     if (pr.lost) {
       // Quarantined inside the alloc/scheduling-delay window: hand the
       // chunk straight back for redistribution.
-      if (release(c->token, c->integ)) {
-        pr.stats.requeued_iterations += requeue(c->range);
-      }
-      kick_survivors();
+      res_->reclaim(slot, *c);
       return;
     }
     pr.inflight = std::move(*c);
@@ -828,7 +559,7 @@ void OffloadExecution::issue_input(int slot, int attempt) {
           ? bytes / p.down->bandwidth() * p.desc->noise *
                 std::abs(p.noise.next_gaussian())
           : 0.0;
-  const WireFault wire = draw_wire_fault(p);
+  const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   if (attempt == 1) sample_queue_depth(p);
   adjust_outstanding_bytes(p, bytes);
   p.down->transfer(bytes, guard([this, slot, start, jitter, bytes, attempt,
@@ -839,10 +570,10 @@ void OffloadExecution::issue_input(int slot, int attempt) {
       Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
       if (q.lost || !q.inflight) return;  // quarantined mid-transfer
       if (wire.lost) {
-        lose_attempt(slot, start, attempt, "copy-in", &q.inflight->range,
-                     [this, slot, attempt] {
-                       issue_input(slot, attempt + 1);
-                     });
+        res_->lose_attempt(slot, start, attempt, "copy-in",
+                           &q.inflight->range, [this, slot, attempt] {
+                             issue_input(slot, attempt + 1);
+                           });
         return;
       }
       q.stats.phase_time[static_cast<int>(Phase::kCopyIn)] +=
@@ -877,62 +608,7 @@ void OffloadExecution::on_input_done(int slot, int attempt,
     for (auto* m : p.inflight->chunk_maps) m->copy_in();
   }
 
-  const bool had_transfer = p.down != nullptr && p.inflight->bytes_in > 0.0;
-  if (wire_seed != 0) {
-    // The copy-in payload was silently flipped on the wire. Only the
-    // chunk's own input slices are damaged (never writable statics — those
-    // are staged once and a re-transfer could not repair them).
-    ++p.stats.corruptions_injected;
-    note_fault(slot, sim::FaultKind::kCorruptTransfer, false,
-               "copy-in " + p.inflight->range.to_string() +
-                   " payload silently corrupted");
-    if (opts_.execute_bodies) {
-      apply_corruption(p.inflight->chunk_maps, /*input_side=*/true,
-                       wire_seed);
-    }
-  }
-
-  if (integrity_armed_ && opts_.integrity.verify_copy_in && had_transfer) {
-    // Corrupted *input* would produce a wrong-but-self-consistent result
-    // that output verification can never catch, so inputs get their own
-    // check: host-side sum (computed before the DMA) against the
-    // device-side sum of what arrived.
-    ++p.stats.integrity_checks;
-    bool bad;
-    if (opts_.execute_bodies) {
-      const std::uint64_t want =
-          payload_checksum(p.inflight->chunk_maps, /*input_side=*/true,
-                           /*host_side=*/true);
-      const std::uint64_t got =
-          payload_checksum(p.inflight->chunk_maps, /*input_side=*/true);
-      bad = want != got;
-    } else {
-      bad = wire_seed != 0;  // pure-simulation mode models the comparison
-    }
-    const double vdelay = integrity_delay(p.inflight->bytes_in, p);
-    p.stats.phase_time[static_cast<int>(Phase::kCopyIn)] += vdelay;
-    if (bad) {
-      ++p.stats.integrity_failures;
-      note_recovery(slot, RecoveryAction::kCorruptionDetected,
-                    "copy-in " + p.inflight->range.to_string() +
-                        " checksum mismatch — re-transferring");
-      // The verification scan still costs its time before the retry; the
-      // re-transfer re-stages the slices, repairing the flipped bytes.
-      sched_after(vdelay, [this, slot, attempt] {
-        Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
-        if (q.lost || !q.inflight) return;
-        handle_transient(slot, attempt, sim::FaultKind::kCorruptTransfer,
-                         [this, slot, attempt] {
-                           issue_input(slot, attempt + 1);
-                         });
-      });
-      return;
-    }
-    if (vdelay > 0.0) {
-      sched_after(vdelay, [this, slot] { input_ready(slot); });
-      return;
-    }
-  }
+  if (res_ && res_->check_input(slot, attempt, wire_seed)) return;
   input_ready(slot);
 }
 
@@ -960,67 +636,9 @@ void OffloadExecution::start_launch(int slot, int attempt) {
   p.compute_started = engine_.now();
   const double launch = p.desc->launch_overhead_s;
 
-  if (fault_active_ && fault_plan_.launch_fails(p.device_id)) {
-    // The failure surfaces after the launch overhead has been spent.
-    sched_after(launch, [this, slot, attempt, launch] {
-      Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
-      if (q.lost || !q.computing) return;  // quarantined meanwhile
-      q.stats.phase_time[static_cast<int>(Phase::kRecovery)] += launch;
-      span(q, Phase::kRecovery, engine_.now() - launch, engine_.now(),
-           [r = q.computing->range] {
-             return r.to_string() + " launch fault";
-           });
-      note_fault(slot, sim::FaultKind::kLaunch, false,
-                 "launch " + q.computing->range.to_string() + " attempt " +
-                     std::to_string(attempt));
-      handle_transient(slot, attempt, sim::FaultKind::kLaunch,
-                       [this, slot, attempt] {
-                         start_launch(slot, attempt + 1);
-                       });
-    });
-    return;
-  }
-
+  if (res_ && res_->launch_fails(slot, attempt, launch)) return;
   double compute = compute_seconds(p, p.computing->range);
-  bool hangs = false;
-  if (fault_active_) {
-    const double slow = fault_plan_.slowdown(p.device_id);
-    if (slow > 1.0) {
-      note_fault(slot, sim::FaultKind::kSlowdown, false,
-                 "compute " + p.computing->range.to_string() + " slowed x" +
-                     std::to_string(slow));
-      compute *= slow;
-    }
-    hangs = fault_plan_.compute_hangs(p.device_id);
-    if (hangs) {
-      note_fault(slot, sim::FaultKind::kHang, false,
-                 "compute " + p.computing->range.to_string() +
-                     " hangs (silent stall)");
-    }
-    const double deg = fault_plan_.degrade(p.device_id);
-    if (deg > 1.0) {
-      p.degrade_factor = std::max(p.degrade_factor, deg);
-      note_fault(slot, sim::FaultKind::kDegrade, false,
-                 "sustained degradation x" + std::to_string(deg) +
-                     " from " + p.computing->range.to_string());
-    }
-    compute *= p.degrade_factor;
-    if (p.up != nullptr) {
-      // Silent compute corruption: the kernel finishes on time but its
-      // output region is bit-flipped. Shared-memory devices are exempt —
-      // their writes land directly in host arrays with no commit
-      // boundary to verify at, so modelling silent corruption there
-      // would be undetectable by construction.
-      const std::uint64_t cs = fault_plan_.compute_corrupts(p.device_id);
-      if (cs != 0) {
-        p.computing->corrupt_seed = cs;
-        ++p.stats.corruptions_injected;
-        note_fault(slot, sim::FaultKind::kCorruptCompute, false,
-                   "compute " + p.computing->range.to_string() +
-                       " result silently corrupted");
-      }
-    }
-  }
+  const bool hangs = res_ && res_->perturb(slot, &compute);
   p.stats.phase_time[static_cast<int>(Phase::kLaunch)] += launch;
 
   // Prefetch the next chunk while this one computes (double buffering).
@@ -1032,30 +650,7 @@ void OffloadExecution::start_launch(int slot, int attempt) {
     sched_after(launch + compute,
                            [this, slot] { on_compute_done(slot); });
   }
-  // A hung chunk never completes; only the watchdog below can reclaim it
-  // (with the watchdog disabled, the offload deadlocks and run() reports
-  // the stuck device — the pre-watchdog behaviour).
-  if (fault_active_ && opts_.watchdog.enabled) {
-    const std::uint64_t serial = p.compute_serial;
-    const double soft =
-        std::max(opts_.watchdog.deadline_floor_s,
-                 opts_.watchdog.deadline_multiplier *
-                     predicted_chunk_seconds(p, p.computing->range));
-    sched_after(launch + soft, [this, slot, serial] {
-      watchdog_soft(slot, serial);
-    });
-    // The kill window after the soft fire must leave a speculative
-    // duplicate room to complete end-to-end, and the duplicate pays the
-    // per-transfer alpha cost the per-iteration prediction deliberately
-    // excludes — so the hard deadline scales (soft + round-trip latency),
-    // not soft alone. With no link the grace is zero and hard stays a
-    // plain multiple of soft.
-    const auto& din = loop_context_.devices[static_cast<std::size_t>(slot)];
-    const double grace = din.has_link ? 2.0 * din.link_latency_s : 0.0;
-    sched_after(
-        launch + (soft + grace) * opts_.watchdog.hard_kill_multiplier,
-        [this, slot, serial] { watchdog_hard(slot, serial); });
-  }
+  if (res_) res_->arm_watchdog(slot, launch);
 }
 
 void OffloadExecution::on_compute_done(int slot) {
@@ -1069,10 +664,13 @@ void OffloadExecution::on_compute_done(int slot) {
        [r = chunk.range] { return r.to_string(); });
   // Requeued and speculative chunks are recovery work the scheduler never
   // issued; feeding their timings back would skew the profiling rates.
-  if (!chunk.from_requeue && !chunk.is_spec) {
+  const ChunkRecovery* r = chunk.recovery.get();
+  const bool issued = r == nullptr || (!r->from_requeue && !r->is_spec);
+  const bool speculated = r != nullptr && r->token;
+  if (issued) {
     scheduler_->report(slot, chunk.range, engine_.now() - chunk.fetch_start);
   }
-  if (!chunk.token && chunk.range.size() > 0) {
+  if (!speculated && chunk.range.size() > 0) {
     // Healthy completions feed the per-device observed per-iteration time
     // the watchdog uses to loosen its deadline (tardy chunks excluded:
     // they would teach the watchdog to tolerate the very straggling it is
@@ -1090,18 +688,13 @@ void OffloadExecution::on_compute_done(int slot) {
   if (chunk.decision_index < decisions_.size()) {
     decisions_[chunk.decision_index].actual_s = chunk_elapsed;
   }
-  if (!chunk.from_requeue && !chunk.is_spec && !chunk.token) {
+  if (issued && !speculated) {
     accumulate_prediction_error(p, chunk.range,
                                 engine_.now() - p.compute_started,
                                 chunk_elapsed);
   }
 
-  if (chunk.token && chunk.token->committed) {
-    // Another copy of this chunk already committed while we computed:
-    // discard before any host effect, skip the (now pointless) output.
-    --chunk.token->runners;
-    note_recovery(slot, RecoveryAction::kTardyAbandoned,
-                  chunk.range.to_string() + " (other copy committed)");
+  if (res_ && res_->superseded(slot, chunk)) {
     try_start_compute(slot);
     try_fetch(slot);
     check_completion(slot);
@@ -1116,53 +709,20 @@ void OffloadExecution::on_compute_done(int slot) {
   if (opts_.execute_bodies) {
     out.reduction = kernel_.body(chunk.range, chunk.env);
   }
-  out.token = chunk.token;
-  out.is_spec = chunk.is_spec;
-  out.is_probe = chunk.is_probe;
-  out.integ = chunk.integ;
+  out.recovery = std::move(chunk.recovery);
   bool integ_settled = false;
 
   if (p.up != nullptr && chunk.bytes_out > 0.0) {
     out.bytes_out = chunk.bytes_out;
-    out.verify = integrity_armed_;
-    if (out.verify || chunk.corrupt_seed != 0) {
-      if (opts_.execute_bodies) {
-        out.sum_result = payload_checksum(out.maps, /*input_side=*/false);
-        if (chunk.corrupt_seed != 0) {
-          apply_corruption(out.maps, /*input_side=*/false,
-                           chunk.corrupt_seed);
-          out.sum_payload = payload_checksum(out.maps, /*input_side=*/false);
-        } else {
-          out.sum_payload = out.sum_result;
-        }
-      } else {
-        // Pure-simulation mode: model the sums symbolically. An injected
-        // flip XORs in a nonzero token, so a corrupted hand-off always
-        // compares unequal — same detection outcome, no real bytes.
-        out.sum_payload = chunk.corrupt_seed != 0
-                              ? (mix64(chunk.corrupt_seed) | 1)
-                              : 0;
-      }
-      out.sum_wire = out.sum_payload;
-    }
+    if (res_) res_->seal(out);
     auto rec = std::make_shared<OutRecord>(std::move(out));
     p.outputs.push_back(rec);
     issue_output(slot, std::move(rec), 1);
   } else {
     // Shared memory (or nothing to ship): effects become host-visible the
     // instant compute completes — an atomic commit on the DES engine, so
-    // a later loss cannot leave them half-applied. No wire was crossed,
-    // so a re-executed chunk landing here settles its integrity state
-    // without further verification.
-    if (chunk.integ && !chunk.integ->resolved) {
-      chunk.integ->resolved = true;
-      note_recovery(slot,
-                    chunk.integ->voting ? RecoveryAction::kVoteCommitted
-                                        : RecoveryAction::kReexecuteCommitted,
-                    chunk.range.to_string() +
-                        " settled by a shared-memory execution");
-      integ_settled = true;
-    }
+    // a later loss cannot leave them half-applied.
+    integ_settled = res_ && res_->settle_shared(slot, out);
     commit(slot, out);
   }
 
@@ -1181,21 +741,21 @@ void OffloadExecution::on_compute_done(int slot) {
 void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
                                     int attempt) {
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (p.lost || rec->abandoned) return;
+  if (p.lost || !p.holds(rec)) return;
   const double start = engine_.now();
   const double bytes = rec->bytes_out;
-  const WireFault wire = draw_wire_fault(p);
+  const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   adjust_outstanding_bytes(p, bytes);
   p.up->transfer(bytes, guard([this, slot, rec, start, bytes, attempt,
                                wire] {
     Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
     adjust_outstanding_bytes(q, -bytes);
-    if (q.lost || rec->abandoned) return;  // requeued at quarantine
+    if (q.lost || !q.holds(rec)) return;  // requeued at quarantine
     if (wire.lost) {
-      lose_attempt(slot, start, attempt, "copy-out", &rec->range,
-                   [this, slot, rec, attempt]() mutable {
-                     issue_output(slot, std::move(rec), attempt + 1);
-                   });
+      res_->lose_attempt(slot, start, attempt, "copy-out", &rec->range,
+                         [this, slot, rec, attempt]() mutable {
+                           issue_output(slot, std::move(rec), attempt + 1);
+                         });
       return;
     }
     q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] +=
@@ -1203,34 +763,8 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
     span(q, Phase::kCopyOut, start, engine_.now(),
          [r = rec->range] { return r.to_string(); });
     q.stats.bytes_out += bytes;  // physically transferred either way
-    if (wire.corrupt_seed != 0) {
-      // The copy-out payload was flipped on the wire. The flips land in
-      // the device-side chunk slices (the staging the host commit reads
-      // from), so an unverified commit materialises the damage.
-      ++q.stats.corruptions_injected;
-      note_fault(slot, sim::FaultKind::kCorruptTransfer, false,
-                 "copy-out " + rec->range.to_string() +
-                     " payload silently corrupted");
-      if (opts_.execute_bodies) {
-        apply_corruption(rec->maps, /*input_side=*/false, wire.corrupt_seed);
-        rec->sum_wire = payload_checksum(rec->maps, /*input_side=*/false);
-      } else {
-        rec->sum_wire = rec->sum_payload ^ (mix64(wire.corrupt_seed) | 1);
-      }
-    }
-    if (rec->verify) {
-      // Verified commit: spend the checksum scan (device-side sum was
-      // computed at compute end; the host side re-scans the received
-      // payload), then compare before any host effect lands.
-      const double vdelay = integrity_delay(2.0 * bytes, q);
-      q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] += vdelay;
-      if (vdelay > 0.0) {
-        sched_after(vdelay,
-                               [this, slot, rec] { finish_commit(slot, rec); });
-      } else {
-        finish_commit(slot, rec);
-      }
-      return;
+    if (res_ && res_->land_output(slot, rec, wire.corrupt_seed, bytes)) {
+      return;  // the verified commit follows its checksum scan
     }
     // Unverified commit: only now do the chunk's results reach the host —
     // and only for the first copy of a speculated chunk
@@ -1245,662 +779,16 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
   }));
 }
 
-std::uint64_t OffloadExecution::payload_checksum(
-    const std::vector<mem::DeviceMapping*>& maps, bool input_side,
-    bool host_side) const {
-  const ChecksumKind kind = ChecksumKind::kMix64;
-  std::uint64_t h = 0;
-  for (auto* m : maps) {
-    if (m->shared()) continue;  // no wire crossed, nothing to verify
-    if (input_side ? !mem::copies_in(m->spec().dir)
-                   : !mem::copies_out(m->spec().dir)) {
-      continue;
-    }
-    const dist::Region& r = input_side ? m->footprint() : m->owned();
-    const std::uint64_t s =
-        host_side ? m->checksum_host(r, kind) : m->checksum_device(r, kind);
-    h = mix64(h ^ s);
-  }
-  return h;
-}
-
-void OffloadExecution::apply_corruption(
-    const std::vector<mem::DeviceMapping*>& maps, bool input_side,
-    std::uint64_t seed) const {
-  // The seed picks one of the chunk's transferable slices and drives the
-  // byte flips inside it — always in *device* storage, so a re-transfer
-  // (copy-in) or a discarded commit (copy-out) leaves the host intact.
-  std::vector<mem::DeviceMapping*> candidates;
-  for (auto* m : maps) {
-    if (m->shared()) continue;
-    if (input_side ? !mem::copies_in(m->spec().dir)
-                   : !mem::copies_out(m->spec().dir)) {
-      continue;
-    }
-    const dist::Region& r = input_side ? m->footprint() : m->owned();
-    if (r.empty()) continue;
-    candidates.push_back(m);
-  }
-  if (candidates.empty()) return;
-  auto* m = candidates[static_cast<std::size_t>(
-      seed % static_cast<std::uint64_t>(candidates.size()))];
-  m->corrupt_device(input_side ? m->footprint() : m->owned(), seed);
-}
-
-double OffloadExecution::integrity_delay(double bytes, const Proxy& p) const {
-  // One pass over the payload at the device's sustained memory bandwidth —
-  // the checksum is memory-bound by construction.
-  const double bw = p.desc->sustained_membw_Bps();
-  return bw > 0.0 && bytes > 0.0 ? bytes / bw : 0.0;
-}
-
-bool OffloadExecution::integrity_slot_allowed(const IntegrityState& st,
-                                              int slot) const {
-  const Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (p.lost) return false;
-  auto excluded = [&st](int s) {
-    if (std::find(st.suspects.begin(), st.suspects.end(), s) !=
-        st.suspects.end()) {
-      return true;
-    }
-    return st.voting && std::find(st.balloted.begin(), st.balloted.end(),
-                                  s) != st.balloted.end();
-  };
-  // Graduated fallback: prefer an untainted full-service device; if none
-  // is alive, accept an untainted probation device; if even that fails
-  // (e.g. a two-device machine where both are implicated), let anyone
-  // alive serve so the queue can always drain.
-  bool strict = false;
-  bool relaxed = false;
-  for (const auto& q : proxies_) {
-    if (q->lost) continue;
-    if (!excluded(q->slot)) {
-      relaxed = true;
-      if (!q->probation) strict = true;
-    }
-  }
-  if (strict) return !excluded(slot) && !p.probation;
-  if (relaxed) return !excluded(slot);
-  return true;
-}
-
-void OffloadExecution::finish_commit(int slot, std::shared_ptr<OutRecord> rec) {
-  Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
-  if (q.lost || rec->abandoned) return;  // quarantined during the scan
-  ++q.stats.integrity_checks;
-  const bool bad_compute = rec->sum_payload != rec->sum_result;
-  const bool bad_wire = rec->sum_wire != rec->sum_payload;
-  if (bad_compute || bad_wire) {
-    handle_corrupt_commit(slot, rec, bad_wire && !bad_compute);
-    return;
-  }
-
-  auto st = rec->integ;
-  if (st && st->resolved) {
-    // Another execution already settled this chunk (vote quorum reached,
-    // or a clean re-execution committed): discard this late clean copy
-    // before it double-applies host effects.
-    if (rec->token) --rec->token->runners;
-    note_recovery(slot, RecoveryAction::kTardyAbandoned,
-                  rec->range.to_string() + " (chunk already settled)");
-    std::erase(q.outputs, rec);
-    try_fetch(slot);
-    sweep_completion();
-    return;
-  }
-  if (st && rec->token && rec->token->committed) {
-    // The racing copy committed while we verified; commit() below
-    // discards this copy, and the race winner's commit settled the range.
-    st->resolved = true;
-    st = nullptr;
-  }
-  if (st && st->voting) {
-    // Voting: this clean execution is a ballot keyed by its payload sum.
-    // The chunk commits only when vote_quorum ballots agree — and since
-    // equal checksums mean equal payloads, committing the quorum-reaching
-    // copy commits the agreed bytes.
-    int agree = 0;
-    for (auto& b : st->ballots) {
-      if (b.sum == rec->sum_wire) {
-        agree = ++b.count;
-        break;
-      }
-    }
-    if (agree == 0) {
-      st->ballots.push_back({rec->sum_wire, 1});
-      agree = 1;
-    }
-    st->balloted.push_back(slot);
-    if (agree < opts_.integrity.vote_quorum) {
-      if (rec->token) --rec->token->runners;
-      note_recovery(slot, RecoveryAction::kReexecuteQueued,
-                    rec->range.to_string() + " ballot " +
-                        std::to_string(agree) + "/" +
-                        std::to_string(opts_.integrity.vote_quorum) +
-                        " — needs another agreeing execution");
-      if (st->executions >= opts_.integrity.max_attempts) {
-        throw OffloadError(
-            "chunk " + rec->range.to_string() + " failed to reach a " +
-            std::to_string(opts_.integrity.vote_quorum) +
-            "-vote integrity quorum within integrity.max_attempts (" +
-            std::to_string(opts_.integrity.max_attempts) +
-                ") executions — data integrity cannot be established",
-            FailClass::kQuorumExhausted);
-      }
-      integrity_queue_.push_back(st);
-      std::erase(q.outputs, rec);
-      kick_survivors();
-      try_fetch(slot);
-      sweep_completion();
-      return;
-    }
-    st->resolved = true;
-    note_recovery(slot, RecoveryAction::kVoteCommitted,
-                  rec->range.to_string() + " quorum " +
-                      std::to_string(agree) + "/" +
-                      std::to_string(opts_.integrity.vote_quorum) +
-                      " — agreed payload committed");
-  } else if (st) {
-    st->resolved = true;
-    note_recovery(slot, RecoveryAction::kReexecuteCommitted,
-                  rec->range.to_string() +
-                      " re-execution verified and committed");
-  }
-
-  commit(slot, *rec);
-  std::erase(q.outputs, rec);
-  sample_queue_depth(q);
-  try_fetch(slot);
-  sweep_completion();
-}
-
-void OffloadExecution::handle_corrupt_commit(
-    int slot, const std::shared_ptr<OutRecord>& rec, bool wire_only) {
-  Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
-  ++q.stats.integrity_failures;
-  note_recovery(slot, RecoveryAction::kCorruptionDetected,
-                rec->range.to_string() +
-                    (wire_only ? " copy-out" : " kernel result") +
-                    " checksum mismatch — chunk discarded before commit");
-
-  auto st = rec->integ;
-  if (!st) {
-    st = std::make_shared<IntegrityState>();
-    st->range = rec->range;
-  }
-  ++st->failures;
-  if (std::find(st->suspects.begin(), st->suspects.end(), slot) ==
-      st->suspects.end()) {
-    st->suspects.push_back(slot);
-  }
-  if (!st->voting && st->failures >= opts_.integrity.vote_after_failures) {
-    st->voting = true;
-    note_recovery(slot, RecoveryAction::kVoteOpened,
-                  rec->range.to_string() + " escalated to " +
-                      std::to_string(opts_.integrity.vote_quorum) +
-                      "-vote agreement after " +
-                      std::to_string(st->failures) + " integrity failures");
-  }
-
-  // This copy is discarded. A racing copy still running inherits the
-  // integrity state and may settle the chunk; otherwise the chunk is
-  // queued for re-execution.
-  if (rec->token) rec->token->integ = st;
-  rec->abandoned = true;
-  std::erase(q.outputs, rec);
-
-  if (release(rec->token, st)) {
-    if (st->executions >= opts_.integrity.max_attempts) {
-      throw OffloadError(
-          "chunk " + rec->range.to_string() +
-          " still fails integrity verification after integrity."
-          "max_attempts (" +
-          std::to_string(opts_.integrity.max_attempts) +
-              ") executions — data integrity cannot be established",
-          FailClass::kMaxAttempts);
-    }
-    note_recovery(slot, RecoveryAction::kReexecuteQueued,
-                  st->range.to_string() +
-                      " queued for re-execution on another device");
-    integrity_queue_.push_back(st);
-  }
-
-  // Integrity circuit breaker: a device that repeatedly ships corrupt
-  // payloads is quarantined like a tardy straggler — and a probation
-  // device gets no second chance at all.
-  const sim::FaultKind kind = wire_only ? sim::FaultKind::kCorruptTransfer
-                                        : sim::FaultKind::kCorruptCompute;
-  const int threshold = opts_.integrity.quarantine_threshold;
-  if (q.probation) {
-    quarantine(slot, kind, "probation chunk failed integrity verification");
-  } else if (threshold > 0 &&
-             q.stats.integrity_failures >=
-                 static_cast<std::size_t>(threshold)) {
-    quarantine(slot, kind,
-               "repeated integrity failures (" +
-                   std::to_string(q.stats.integrity_failures) + ")");
-  } else {
-    kick_survivors();
-    try_fetch(slot);
-    sweep_completion();
-  }
-}
-
-OffloadExecution::WireFault OffloadExecution::draw_wire_fault(
-    const Proxy& p) {
-  // Whether this transfer attempt fails is drawn when it is issued; the
-  // failure surfaces when the transfer (virtually) completes, so a failed
-  // attempt costs its full transfer time before the retry backoff.
-  // Silent corruption of the payload is drawn alongside the loss fault so
-  // the per-device fault stream stays deterministic; a *failed* attempt
-  // delivers no payload, so it cannot also be corrupted.
-  WireFault wire;
-  if (!fault_active_) return wire;
-  wire.lost = fault_plan_.transfer_fails(p.device_id);
-  wire.corrupt_seed = fault_plan_.transfer_corrupts(p.device_id);
-  if (wire.lost) wire.corrupt_seed = 0;
-  return wire;
-}
-
-void OffloadExecution::lose_attempt(int slot, double start, int attempt,
-                                    const char* what,
-                                    const dist::Range* chunk,
-                                    std::function<void()> retry) {
-  Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
-  const std::string range = chunk != nullptr ? chunk->to_string() : "";
-  q.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
-      engine_.now() - start;
-  span(q, Phase::kRecovery, start, engine_.now(), [&range, what] {
-    return (range.empty() ? "" : range + " ") + what + " fault";
-  });
-  // The write-back has no chunk: it is the device's final transfer.
-  note_fault(slot, sim::FaultKind::kTransfer, false,
-             (range.empty() ? std::string("final ") + what
-                            : what + (" " + range)) +
-                 " attempt " + std::to_string(attempt));
-  handle_transient(slot, attempt, sim::FaultKind::kTransfer,
-                   std::move(retry));
-}
-
-void OffloadExecution::handle_transient(int slot, int attempt,
-                                        sim::FaultKind kind,
-                                        std::function<void()> retry) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (attempt > opts_.fault.max_retries) {
-    quarantine(slot, kind,
-               std::string(sim::to_string(kind)) + " retry budget (" +
-                   std::to_string(opts_.fault.max_retries) + ") exhausted");
-    return;
-  }
-  ++p.stats.retries;
-  const double backoff =
-      std::min(opts_.fault.backoff_base_s *
-                   std::pow(2.0, static_cast<double>(attempt - 1)),
-               opts_.fault.backoff_cap_s);
-  p.stats.phase_time[static_cast<int>(Phase::kRecovery)] += backoff;
-  span(p, Phase::kRecovery, engine_.now(), engine_.now() + backoff,
-       [attempt] { return "backoff #" + std::to_string(attempt); });
-  sched_after(backoff, [this, slot, retry = std::move(retry)] {
-    if (!proxies_[static_cast<std::size_t>(slot)]->lost) retry();
-  });
-}
-
-void OffloadExecution::note_fault(int slot, sim::FaultKind kind, bool fatal,
-                                  std::string detail) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  ++p.stats.faults;
-  fault_events_.push_back(FaultEvent{engine_.now(), slot, p.device_id, kind,
-                                     fatal, std::move(detail)});
-}
-
-void OffloadExecution::on_device_lost(int slot) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (p.lost) return;
-  if (p.done) {
-    // The device finished its share before failing: its results are
-    // committed and nothing needs requeuing — but it must never be
-    // revived for redistribution work.
-    p.lost = true;
-    ++p.stats.faults;
-    fault_events_.push_back(
-        FaultEvent{engine_.now(), slot, p.device_id,
-                   sim::FaultKind::kDeviceLoss, true,
-                   "device lost after completing its share"});
-    return;
-  }
-  ++p.stats.faults;
-  quarantine(slot, sim::FaultKind::kDeviceLoss, "device permanently lost");
-}
-
-void OffloadExecution::quarantine(int slot, sim::FaultKind kind,
-                                  const std::string& detail) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (p.lost) return;
-  p.lost = true;
-  p.probation = false;
-  p.probes_passed = 0;
-  p.stats.quarantined = true;
-  p.stats.quarantined_at = engine_.now();
-  ++p.stats.quarantine_count;
-  ++p.compute_serial;  // disarm any pending watchdog events
-  fault_events_.push_back(FaultEvent{engine_.now(), slot, p.device_id, kind,
-                                     /*fatal=*/true,
-                                     "quarantined: " + detail});
-  HOMP_WARN << "device '" << p.desc->name << "' quarantined at t="
-            << engine_.now() << ": " << detail;
-  if (audit_on()) {
-    note_decision(slot, DecisionKind::kQuarantined, dist::Range(),
-                  std::string(sim::to_string(kind)) + ": " + detail);
-  }
-  if (opts_.collect_trace) {
-    p.outstanding_bytes = 0.0;
-    record_counter(p, CounterTrack::kOutstandingBytes, 0.0);
-    sample_queue_depth(p);
-  }
-
-  // Requeue everything in flight. None of it has been committed to the
-  // host (commits ride the copy-out completion), so re-executing the
-  // chunks elsewhere cannot double-count or corrupt host arrays. Each
-  // copy goes through release(), which keeps the first-commit-wins
-  // invariant (committed ranges never requeue).
-  long long taken = 0;
-  for (std::optional<PendingChunk>* c : {&p.inflight, &p.ready, &p.computing}) {
-    if (*c && release((*c)->token, (*c)->integ)) taken += requeue((*c)->range);
-    c->reset();
-  }
-  p.fetching = false;
-  for (const auto& rec : p.outputs) {
-    rec->abandoned = true;
-    if (release(rec->token, rec->integ)) taken += requeue(rec->range);
-  }
-  p.outputs.clear();
-  leave_stage(p, nullptr);
-
-  // No survivors means nobody is left to serve the requeue: surface a
-  // clean error *before* asking the scheduler to deactivate its last
-  // slot (which would throw its own, less informative, OffloadError).
-  std::size_t survivors = 0;
-  for (const auto& q : proxies_) {
-    if (!q->lost) ++survivors;
-  }
-  if (survivors == 0) {
-    throw OffloadError("all devices lost during offload of '" +
-                           kernel_.name + "' (last: '" + p.desc->name +
-                           "', " + detail + ")",
-                       FailClass::kAllDevicesLost);
-  }
-
-  // Reserved-but-unissued iterations come back from the scheduler.
-  // Single-shot (BLOCK / MODEL_*) plans thereby fall back to dynamic
-  // redistribution of the orphaned partition.
-  for (const auto& r : scheduler_->deactivate(slot)) taken += requeue(r);
-  p.stats.requeued_iterations += taken;
-
-  if (!requeue_.empty()) {
-    long long total = 0;
-    for (const auto& r : requeue_) total += r.size();
-    requeue_grain_ = std::max(
-        opts_.sched.min_chunk,
-        total / static_cast<long long>(4 * survivors));
-    if (requeue_grain_ < 1) requeue_grain_ = 1;
-  }
-
-  // Unless the device is *really* gone, give it a path back: after an
-  // exponentially growing cooldown it re-enters in probation.
-  const bool permanent =
-      kind == sim::FaultKind::kDeviceLoss ||
-      (p.loss_time >= 0.0 && engine_.now() >= p.loss_time);
-  if (!permanent && opts_.watchdog.enabled && opts_.watchdog.probation) {
-    schedule_readmission(slot);
-  }
-
-  pass_serial_token(slot);
-  kick_survivors();
-  // The dead slot no longer holds the stage barrier; removing it may
-  // release the survivors.
-  check_stage_barrier();
-  // A spec-token'd chunk whose duplicate already committed requeues
-  // nothing, so this quarantine may have been the offload's last word.
-  maybe_finish();
-}
-
-bool OffloadExecution::release(
-    const std::shared_ptr<SpecToken>& token,
-    const std::shared_ptr<IntegrityState>& integ) {
-  if (token) {
-    --token->runners;
-    if (token->queued) {
-      // Still offered as optional work: withdraw the offer (nobody has to
-      // take it, which would strand the chunk).
-      token->queued = false;
-      std::erase(spec_queue_, token);
-    }
-    if (token->committed) return false;  // results already on the host
-    if (token->runners > 0) return false;  // another copy still races
-  }
-  // A settled chunk is owed nothing, and one whose integrity state is
-  // back on the integrity queue is owed there: requeueing it as well
-  // would commit it twice.
-  return !integ ||
-         (!integ->resolved &&
-          std::find(integrity_queue_.begin(), integrity_queue_.end(),
-                    integ) == integrity_queue_.end());
-}
-
-long long OffloadExecution::requeue(const dist::Range& range) {
-  if (range.empty()) return 0;
-  requeue_.push_back(range);
-  return range.size();
-}
-
-double OffloadExecution::predicted_chunk_seconds(
-    const Proxy& p, const dist::Range& chunk) const {
-  // MODEL_2's per-iteration prediction (peak numbers: systematically
-  // optimistic), loosened by what the device has actually demonstrated —
-  // its cross-offload throughput history and this offload's per-iteration
-  // EWMA — so a legitimately slow device is not hounded by false fires.
-  double iter_s = model::model2_iter_time(
-      loop_context_.kernel,
-      loop_context_.devices[static_cast<std::size_t>(p.slot)]);
-  if (opts_.sched.history != nullptr &&
-      opts_.sched.history->has(opts_.sched.history_kernel, p.device_id)) {
-    const double rate =
-        opts_.sched.history->rate(opts_.sched.history_kernel, p.device_id);
-    if (rate > 0.0) iter_s = std::max(iter_s, 1.0 / rate);
-  }
-  if (p.ewma_iter_s > 0.0) iter_s = std::max(iter_s, p.ewma_iter_s);
-  double t = static_cast<double>(chunk.size()) * iter_s +
-             p.desc->launch_overhead_s;
-  if (kernel_.work_factor) t *= kernel_.work_factor(chunk);
-  return t;
-}
-
-void OffloadExecution::watchdog_soft(int slot, std::uint64_t serial) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (p.lost || !p.computing || p.compute_serial != serial) return;
-  ++p.stats.tardy_chunks;
-  note_recovery(slot, RecoveryAction::kWatchdogFired,
-                p.computing->range.to_string() + " missed its soft deadline");
-
-  if (p.probation) {
-    // A probe that cannot even meet a 4x-slack deadline fails probation.
-    quarantine(slot, sim::FaultKind::kHang,
-               "probation probe " + p.computing->range.to_string() +
-                   " missed its deadline");
-    return;
-  }
-  const int threshold = opts_.watchdog.tardy_quarantine_threshold;
-  if (threshold > 0 &&
-      p.stats.tardy_chunks >= static_cast<std::size_t>(threshold)) {
-    quarantine(slot, sim::FaultKind::kHang,
-               "repeatedly tardy (" + std::to_string(p.stats.tardy_chunks) +
-                   " chunks missed their deadline)");
-    return;
-  }
-
-  // Speculate the tardy chunk onto a survivor. Disabled inside data
-  // regions (the chunk's data lives only in the tardy device's region
-  // slice) and for chunks that already carry a token.
-  if (!opts_.watchdog.speculation || region_envs_ != nullptr ||
-      p.computing->token) {
-    return;
-  }
-  std::vector<Proxy*> candidates;
-  for (const auto& q : proxies_) {
-    if (q->lost || q->slot == slot || q->probation) continue;
-    candidates.push_back(q.get());
-  }
-  if (candidates.empty()) return;
-
-  auto token = std::make_shared<SpecToken>();
-  token->range = p.computing->range;
-  token->origin_slot = slot;
-  token->runners = 1;  // the tardy original
-  token->queued = true;
-  token->integ = p.computing->integ;  // racing copies share the vote state
-  p.computing->token = token;
-  spec_queue_.push_back(std::move(token));
-  note_recovery(slot, RecoveryAction::kSpeculated,
-                p.computing->range.to_string() +
-                    " duplicated onto the survivors");
-  if (audit_on()) {
-    note_decision(slot, DecisionKind::kSpeculated, p.computing->range,
-                  "tardy chunk offered to the survivors");
-  }
-
-  // Wake idle survivors, fastest first: FIFO at the same virtual instant
-  // means the first proxy roused fetches the duplicate first.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Proxy* a, const Proxy* b) {
-              if (a->desc->sustained_gflops != b->desc->sustained_gflops) {
-                return a->desc->sustained_gflops > b->desc->sustained_gflops;
-              }
-              return a->slot < b->slot;
-            });
-  for (Proxy* q : candidates) rouse(*q);
-}
-
-void OffloadExecution::watchdog_hard(int slot, std::uint64_t serial) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (p.lost || !p.computing || p.compute_serial != serial) return;
-  // The chunk blew even the hard deadline: presumed hung. The time sunk
-  // into it was recovery overhead, not useful compute.
-  p.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
-      engine_.now() - p.compute_started;
-  span(p, Phase::kRecovery, p.compute_started, engine_.now(),
-       [r = p.computing->range] { return r.to_string() + " hung"; });
-  quarantine(slot, sim::FaultKind::kHang,
-             "compute " + p.computing->range.to_string() +
-                 " exceeded the hard watchdog deadline");
-}
-
 void OffloadExecution::commit(int slot, const OutRecord& rec) {
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  const auto& token = rec.token;
-  const dist::Range& range = rec.range;
-  if (token) {
-    --token->runners;
-    if (token->committed) {
-      note_recovery(slot, RecoveryAction::kTardyAbandoned,
-                    range.to_string() + " (lost the commit race)");
-      return;
-    }
-    token->committed = true;
-    if (rec.is_spec) {
-      ++p.stats.spec_copies_won;
-      note_recovery(slot, RecoveryAction::kSpecCommitted, range.to_string());
-      // First-commit-wins cancels the loser *now*. The origin missed its
-      // soft deadline and then lost to a from-scratch duplicate that paid
-      // the full copy-in/copy-out cost — it is hung or degraded beyond
-      // use, and every further second it grinds on an already-committed
-      // chunk holds the final barrier hostage. Quarantine it immediately
-      // (probation can re-admit it); the hard deadline stays as the
-      // backstop for chunks that were never speculated.
-      Proxy& origin = *proxies_[static_cast<std::size_t>(token->origin_slot)];
-      if (!origin.lost && origin.computing &&
-          origin.computing->token == token) {
-        origin.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
-            engine_.now() - origin.compute_started;
-        span(origin, Phase::kRecovery, origin.compute_started, engine_.now(),
-             [range] { return range.to_string() + " lost to its duplicate"; });
-        quarantine(token->origin_slot, sim::FaultKind::kHang,
-                   "compute " + range.to_string() +
-                       " lost the commit race to its speculative duplicate");
-      }
-    }
-  }
-  if (rec.is_probe && p.probation) {
-    ++p.probes_passed;
-    note_recovery(slot, RecoveryAction::kProbePassed, range.to_string());
-    if (p.probes_passed >= opts_.watchdog.probation_successes) {
-      p.probation = false;
-      note_recovery(slot, RecoveryAction::kPromoted,
-                    "restored to full service after " +
-                        std::to_string(p.probes_passed) + " probes");
-    }
-  }
+  if (res_ && !res_->claim(slot, rec)) return;
   if (opts_.execute_bodies) {
     for (auto* m : rec.maps) m->copy_out();
   }
   p.partial_reduction += rec.reduction;
-  p.stats.iterations += range.size();
+  p.stats.iterations += rec.range.size();
   record_counter(p, CounterTrack::kIterations,
                  static_cast<double>(p.stats.iterations));
-}
-
-void OffloadExecution::schedule_readmission(int slot) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  const double cooldown = std::min(
-      opts_.watchdog.cooldown_cap_s,
-      opts_.watchdog.cooldown_base_s *
-          std::pow(opts_.watchdog.cooldown_growth,
-                   static_cast<double>(p.stats.quarantine_count - 1)));
-  span(p, Phase::kRecovery, engine_.now(), engine_.now() + cooldown,
-       "quarantine cooldown");
-  sched_after(cooldown, [this, slot] { readmit(slot); });
-}
-
-void OffloadExecution::readmit(int slot) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (!p.lost) return;
-  // Quarantined first, *then* its scheduled permanent loss passed: dead.
-  if (p.loss_time >= 0.0 && engine_.now() >= p.loss_time) return;
-  // Offload effectively over: nothing left to prove, stay quarantined.
-  const bool running =
-      std::any_of(proxies_.begin(), proxies_.end(),
-                  [](const auto& q) { return !q->lost && !q->done; });
-  if (!running && !owed_work()) return;
-
-  p.lost = false;
-  p.probation = true;
-  p.probes_passed = 0;
-  p.done = false;
-  p.finalizing = false;
-  p.stats.quarantined = false;
-  ++p.stats.readmissions;
-  note_recovery(slot, RecoveryAction::kReadmitted,
-                "probation after cooldown (quarantine #" +
-                    std::to_string(p.stats.quarantine_count) + ")");
-  if (audit_on()) {
-    note_decision(slot, DecisionKind::kReadmitted, dist::Range(),
-                  "probation after cooldown (quarantine #" +
-                      std::to_string(p.stats.quarantine_count) + ")");
-  }
-  HOMP_INFO << "device '" << p.desc->name << "' re-admitted in probation at "
-            << "t=" << engine_.now();
-  scheduler_->reactivate(slot);
-  sched_after(0.0, [this, slot] { try_fetch(slot); });
-}
-
-bool OffloadExecution::has_work_for(int slot) const {
-  if (!requeue_.empty()) return true;
-  for (const auto& st : integrity_queue_) {
-    if (!st->resolved && integrity_slot_allowed(*st, slot)) return true;
-  }
-  for (const auto& t : spec_queue_) {
-    if (!t->committed && t->origin_slot != slot) return true;
-  }
-  return false;
 }
 
 void OffloadExecution::rouse(Proxy& q) {
@@ -1919,13 +807,6 @@ void OffloadExecution::rouse(Proxy& q) {
   }
   const int s = q.slot;
   sched_after(0.0, [this, s] { try_fetch(s); });
-}
-
-void OffloadExecution::note_recovery(int slot, RecoveryAction action,
-                                     std::string detail) {
-  Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  recovery_events_.push_back(RecoveryEvent{engine_.now(), slot, p.device_id,
-                                           action, std::move(detail)});
 }
 
 std::size_t OffloadExecution::note_decision(int slot, DecisionKind kind,
@@ -2028,19 +909,6 @@ void OffloadExecution::accumulate_prediction_error(Proxy& p,
   }
 }
 
-void OffloadExecution::kick_survivors() {
-  for (const auto& q : proxies_) {
-    if (q->lost || !has_work_for(q->slot)) continue;
-    rouse(*q);
-  }
-}
-
-bool OffloadExecution::owed_work() const {
-  return !requeue_.empty() ||
-         std::any_of(integrity_queue_.begin(), integrity_queue_.end(),
-                     [](const auto& st) { return !st->resolved; });
-}
-
 void OffloadExecution::check_stage_barrier() {
   if (!scheduler_->stage_barrier_pending()) return;
   std::size_t waiting = 0;
@@ -2081,7 +949,10 @@ void OffloadExecution::check_completion(int slot) {
   if (p.done || p.finalizing || p.lost) return;
   // Unsettled integrity re-executions are mandatory work too: nobody
   // finalizes while a discarded chunk still awaits a verified commit.
-  if (!scheduler_->finished(slot) || owed_work() || p.busy()) return;
+  if (!scheduler_->finished(slot) || (res_ && res_->owed_work()) ||
+      p.busy()) {
+    return;
+  }
   finalize_device(slot);
 }
 
@@ -2116,42 +987,25 @@ void OffloadExecution::issue_finalize(int slot, double bytes, int attempt) {
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (p.lost) return;
   const double start = engine_.now();
-  // The final static write-back rides the same transfer fault stream, so
-  // it can also be silently corrupted. With integrity armed it is caught
-  // and re-sent; unarmed it is modelled only (no real bytes are flipped:
-  // flipping host statics could poison a later revived device's copy-in,
-  // and the retry path could not repair it — see docs/RESILIENCE.md).
-  const WireFault wire = draw_wire_fault(p);
+  const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   adjust_outstanding_bytes(p, bytes);
   p.up->transfer(bytes, guard([this, slot, start, bytes, attempt, wire] {
     Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
     adjust_outstanding_bytes(q, -bytes);
     if (q.lost) return;  // quarantined mid-write-back
     if (wire.lost) {
-      lose_attempt(slot, start, attempt, "write-back", nullptr,
-                   [this, slot, bytes, attempt] {
-                     issue_finalize(slot, bytes, attempt + 1);
-                   });
+      res_->lose_attempt(slot, start, attempt, "write-back", nullptr,
+                         [this, slot, bytes, attempt] {
+                           issue_finalize(slot, bytes, attempt + 1);
+                         });
       return;
     }
     q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] +=
         engine_.now() - start;
     q.stats.bytes_out += bytes;
-    if (wire.corrupt_seed != 0) {
-      ++q.stats.corruptions_injected;
-      note_fault(slot, sim::FaultKind::kCorruptTransfer, false,
-                 "final write-back payload silently corrupted");
-      if (integrity_armed_) {
-        ++q.stats.integrity_checks;
-        ++q.stats.integrity_failures;
-        note_recovery(slot, RecoveryAction::kCorruptionDetected,
-                      "final write-back checksum mismatch — re-sending");
-        handle_transient(slot, attempt, sim::FaultKind::kCorruptTransfer,
-                         [this, slot, bytes, attempt] {
-                           issue_finalize(slot, bytes, attempt + 1);
-                         });
-        return;
-      }
+    if (wire.corrupt_seed != 0 &&
+        res_->resend_write_back(slot, attempt, bytes)) {
+      return;
     }
     complete_finalize(slot);
   }));
@@ -2166,7 +1020,7 @@ void OffloadExecution::complete_finalize(int slot) {
   q.stats.finish_time = engine_.now();
   // Redistribution work may have arrived while the write-back was in
   // flight; a healthy finished device takes its share.
-  if (has_work_for(slot)) rouse(q);
+  if (res_ && res_->has_work_for(slot)) rouse(q);
   maybe_finish();
 }
 
@@ -2206,19 +1060,7 @@ void OffloadExecution::launch() {
     const int s = static_cast<int>(slot);
     sched_after(0.0, [this, s] { try_fetch(s); });
   }
-  if (fault_active_) {
-    for (const auto& p : proxies_) {
-      const double lt = fault_plan_.loss_time(p->device_id);
-      // loss_time() is relative to the offload's start; store and
-      // schedule it absolute so quarantine's permanence check and the
-      // event both live on the shared clock.
-      p->loss_time = lt >= 0.0 ? start_time_ + lt : -1.0;
-      if (lt >= 0.0) {
-        const int s = p->slot;
-        sched_after(lt, [this, s] { on_device_lost(s); });
-      }
-    }
-  }
+  if (res_) res_->arm_losses();
 }
 
 void OffloadExecution::start(std::function<void(OffloadResult&&)>
@@ -2241,7 +1083,7 @@ void OffloadExecution::maybe_finish() {
   // (check_completion would have parked them, not finalized them — but a
   // quarantine can strand the queue momentarily). A cancelled job owes
   // nothing: its results are discarded anyway.
-  if (!cancelled_ && owed_work()) return;
+  if (!cancelled_ && res_ && res_->owed_work()) return;
   finish_now();
 }
 
@@ -2374,8 +1216,10 @@ OffloadResult OffloadExecution::harvest() {
     res.has_cutoff = true;
   }
   res.chunks_issued = scheduler_->chunks_issued();
-  res.fault_events = std::move(fault_events_);
-  res.recovery_events = std::move(recovery_events_);
+  if (res_) {
+    res.fault_events = std::move(res_->fault_events);
+    res.recovery_events = std::move(res_->recovery_events);
+  }
   res.decisions = std::move(decisions_);
   res.counters = std::move(counters_);
 

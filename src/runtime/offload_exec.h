@@ -23,44 +23,22 @@
 /// kernel bodies run against the device copies, so distribution bugs
 /// corrupt results instead of hiding in the timing model.
 ///
-/// The pipeline is fault-tolerant (docs/RESILIENCE.md): transient
-/// transfer/launch faults injected by the sim::FaultPlan are retried with
-/// capped exponential backoff; a device that exhausts its retry budget or
-/// is permanently lost is quarantined, and its in-flight plus unissued
-/// iterations are requeued and redistributed to the survivors. Host
-/// commits (copy-out, reduction, iteration counts) ride the copy-out
-/// completion, so a quarantined chunk never half-writes host arrays.
-///
-/// On top of retry/quarantine sits a watchdog (armed only while fault
-/// injection is active): every compute gets a soft deadline derived from
-/// the model-predicted chunk time, and a hard deadline a fixed multiple
-/// beyond it. A chunk past its soft deadline is *tardy* — it may be
-/// speculatively duplicated onto the fastest idle survivor, with
-/// first-commit-wins deciding which copy's host effects land (the loser
-/// is discarded before touching host state, keeping results
-/// bit-identical). A chunk past its hard deadline is presumed hung
-/// (FaultKind::kHang) and its device is quarantined. Quarantine is no
-/// longer necessarily permanent: unless the device is really lost, it is
-/// re-admitted after an exponentially growing cooldown into a probation
-/// state that feeds it small probe chunks until it either proves itself
-/// (promotion) or fails again (re-quarantine).
-///
-/// The third resilience leg is end-to-end data integrity
-/// (docs/RESILIENCE.md "Integrity"): chunk payloads are checksummed on
-/// the device side and verified before their host commit, so silently
-/// corrupted transfers or kernel results (FaultKind::kCorruptTransfer /
-/// kCorruptCompute) are discarded before touching host state,
-/// re-executed on a different device, and escalated to quorum voting on
-/// repeated disagreement. Devices that repeatedly fail verification trip
-/// a circuit breaker into the same quarantine + probation machinery.
+/// Recovery from injected faults (retry, quarantine, watchdog,
+/// probation, integrity) is the Resilience module's (resilience.h). It is
+/// built only when fault injection is active or integrity is armed, and
+/// the pipeline reaches it at commit(), at a loss and at the few points
+/// where a fault can land.
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/prng.h"
 #include "dist/distribution.h"
 #include "machine/device.h"
 #include "memory/data_env.h"
@@ -70,10 +48,12 @@
 #include "runtime/options.h"
 #include "sched/scheduler.h"
 #include "sim/engine.h"
-#include "sim/fault.h"
 #include "sim/link.h"
 
 namespace homp::rt {
+
+class Resilience;
+struct ChunkRecovery;
 
 class OffloadExecution {
  public:
@@ -130,31 +110,15 @@ class OffloadExecution {
   /// `cls`/`reason` and whatever partial statistics accrued.
   void request_cancel(FailClass cls, std::string reason);
 
-  /// Shared mode: the cancellation generation every timer this execution
-  /// arms belongs to; 0 standalone. After the completion callback fires
-  /// the generation has no pending events — the serving layer's
-  /// memory-flatness invariant checks this via Engine::live_generations.
-  sim::Engine::GenTag generation() const noexcept { return gen_; }
-
-  /// The effective cost profile (kernel FLOPs/memory plus transfer bytes
-  /// per iteration derived from the actual map footprints) used for model
-  /// predictions.
-  const model::KernelCostProfile& effective_profile() const noexcept {
-    return effective_profile_;
-  }
-
  private:
+  friend class Resilience;
   struct SpecPlan;
-  struct SpecToken;
   struct PendingChunk;
   struct OutRecord;
   struct Proxy;
-  struct IntegrityState;
-  struct WireFault;
 
   void validate_and_plan();
   void build_proxies();
-  void build_fault_plan();
   /// Schedule the offload's opening events (fetches, loss timers) at the
   /// engine's current time; shared front half of run()/start().
   void launch();
@@ -202,88 +166,24 @@ class OffloadExecution {
   void on_compute_done(int slot);
   void issue_output(int slot, std::shared_ptr<OutRecord> rec, int attempt);
   /// The one commit: the first-commit-wins claim (plus probation
-  /// bookkeeping), then, for the winning copy, the host effects: copy-out,
-  /// partial reduction, iteration count and counter sample.
+  /// bookkeeping) when recovering, then, for the winning copy, the host
+  /// effects: copy-out, partial reduction, iteration count and counter
+  /// sample.
   void commit(int slot, const OutRecord& rec);
   void check_stage_barrier();
   /// End `p`'s stage-barrier wait, if any: the wait is barrier time, and
   /// `label` (if non-null) names its trace span.
   void leave_stage(Proxy& p, const char* label);
   void check_completion(int slot);
+  /// check_completion for every slot — used when integrity work settles,
+  /// since earlier refusals may have parked idle proxies.
+  void sweep_completion();
   void finalize_device(int slot);
   void issue_finalize(int slot, double bytes, int attempt);
   void complete_finalize(int slot);
   void pass_serial_token(int slot);
-
-  // Fault recovery (docs/RESILIENCE.md).
-  void on_device_lost(int slot);
-  /// The one wire-fault draw of a transfer attempt (copy-in, copy-out or
-  /// final write-back), made when the attempt is issued.
-  WireFault draw_wire_fault(const Proxy& p);
-  /// The one lost-attempt path of a transfer the wire lost: its time is
-  /// recovery time, the fault is noted, and handle_transient retries it.
-  /// `what` names the transfer; `chunk` is null for the write-back.
-  void lose_attempt(int slot, double start, int attempt, const char* what,
-                    const dist::Range* chunk, std::function<void()> retry);
-  void handle_transient(int slot, int attempt, sim::FaultKind kind,
-                        std::function<void()> retry);
-  void quarantine(int slot, sim::FaultKind kind, const std::string& detail);
-  void note_fault(int slot, sim::FaultKind kind, bool fatal,
-                  std::string detail);
-  dist::Range take_requeue();
-  /// Append `range` to the requeue; returns the iterations it added.
-  long long requeue(const dist::Range& range);
-  /// Mandatory work no proxy holds: requeued iterations or unsettled
-  /// integrity re-executions.
-  bool owed_work() const;
-  void kick_survivors();
-
-  // Watchdog, speculation, probation (docs/RESILIENCE.md).
-  double predicted_chunk_seconds(const Proxy& p,
-                                 const dist::Range& chunk) const;
-  void watchdog_soft(int slot, std::uint64_t serial);
-  void watchdog_hard(int slot, std::uint64_t serial);
-  /// The one release rule for a copy that will not commit: it leaves its
-  /// speculation race (drops its runner count; a queued offer is
-  /// withdrawn). True when its range is owed again: not when it
-  /// committed, another copy still races, or its integrity state is
-  /// settled or already back on the integrity queue.
-  bool release(const std::shared_ptr<SpecToken>& token,
-               const std::shared_ptr<IntegrityState>& integ);
-  /// Anything (mandatory requeue or a speculative duplicate another
-  /// device originated) this slot could usefully fetch right now?
-  bool has_work_for(int slot) const;
   /// Wake an idle / done / barrier-waiting proxy to fetch work.
   void rouse(Proxy& q);
-  void schedule_readmission(int slot);
-  void readmit(int slot);
-  void note_recovery(int slot, RecoveryAction action, std::string detail);
-
-  // Data integrity (docs/RESILIENCE.md "Integrity").
-  /// Device-side (or host-side) combined checksum over the chunk's
-  /// mappings in the given direction. 0 in pure-simulation mode.
-  std::uint64_t payload_checksum(
-      const std::vector<mem::DeviceMapping*>& maps, bool input_side,
-      bool host_side = false) const;
-  /// Flip seeded bytes in one of the chunk's mappings (device storage).
-  void apply_corruption(const std::vector<mem::DeviceMapping*>& maps,
-                        bool input_side, std::uint64_t seed) const;
-  /// Virtual time to checksum `bytes` on the device (device memory scan).
-  double integrity_delay(double bytes, const Proxy& p) const;
-  /// May `slot` serve this troubled chunk? Suspect and already-balloted
-  /// devices are excluded, with graduated fallback so the queue can
-  /// always drain (docs/RESILIENCE.md).
-  bool integrity_slot_allowed(const IntegrityState& st, int slot) const;
-  /// Deferred half of the output-commit path: verify the payload
-  /// checksums, ballot when voting, then commit().
-  void finish_commit(int slot, std::shared_ptr<OutRecord> rec);
-  /// A commit-side checksum mismatch: discard, queue a re-execution,
-  /// maybe open a vote, maybe trip the integrity circuit breaker.
-  void handle_corrupt_commit(int slot, const std::shared_ptr<OutRecord>& rec,
-                             bool wire_only);
-  /// check_completion for every slot — used when the integrity queue
-  /// drains, since earlier refusals may have parked idle proxies.
-  void sweep_completion();
 
   // Observability (docs/OBSERVABILITY.md).
   /// Decision-audit recording armed? (collect_audit or collect_trace.)
@@ -363,31 +263,108 @@ class OffloadExecution {
   int serial_token_ = 0;  // !parallel_offload: next slot allowed to set up
   bool ran_ = false;
 
-  sim::FaultPlan fault_plan_;
-  bool fault_active_ = false;
-  /// Orphaned iterations of quarantined devices, redistributed to the
-  /// survivors in dynamic grains ahead of the scheduler's own chunks.
-  std::deque<dist::Range> requeue_;
-  long long requeue_grain_ = 1;
-  std::vector<FaultEvent> fault_events_;
-
-  /// Tardy chunks offered for speculative duplication (optional work:
-  /// completion never waits on it; a hung original converts its entry
-  /// into mandatory requeue work at quarantine).
-  std::deque<std::shared_ptr<SpecToken>> spec_queue_;
-  long long probe_grain_ = 1;
-  std::vector<RecoveryEvent> recovery_events_;
-
-  /// Chunks discarded after a checksum mismatch, awaiting re-execution
-  /// (served ahead of everything else; completion waits on it).
-  std::deque<std::shared_ptr<IntegrityState>> integrity_queue_;
-  bool integrity_armed_ = false;
+  /// The recovery policy; null on a fault-free offload (resilience.h).
+  std::unique_ptr<Resilience> res_;
 
   /// Scheduler decision audit trail (collect_audit / collect_trace) and
   /// counter-track samples (collect_trace), in virtual-time order.
   std::vector<SchedDecision> decisions_;
   std::vector<CounterSample> counters_;
 };
+
+/// A chunk moving through a proxy's pipeline.
+struct OffloadExecution::PendingChunk {
+  dist::Range range;
+  std::vector<mem::DeviceMapping*> chunk_maps;
+  mem::DeviceDataEnv env;      ///< statics + chunk slices
+  double fetch_start = 0.0;    ///< virtual time the chunk was acquired
+  double bytes_in = 0.0;
+  double bytes_out = 0.0;
+  /// Recovery state; null unless recovery touched the chunk.
+  std::shared_ptr<ChunkRecovery> recovery;
+  /// Index of this chunk's kChunkAssigned audit record (actual_s is
+  /// backfilled at compute completion); npos when audit is off.
+  std::size_t decision_index = static_cast<std::size_t>(-1);
+};
+
+/// A computed chunk awaiting its host commit. On a discrete device its
+/// results are still device-resident while the output transfer is in
+/// flight (possibly retrying): host-visible effects — copy_out into host
+/// arrays, the partial reduction, the iteration count — commit only when
+/// the transfer succeeds, so a device quarantined mid-copy-out leaves the
+/// host bit-identical and its chunk free to requeue. A shared-memory
+/// chunk commits the instant its compute completes.
+struct OffloadExecution::OutRecord {
+  dist::Range range;
+  std::vector<mem::DeviceMapping*> maps;
+  double bytes_out = 0.0;
+  double reduction = 0.0;  ///< body result, committed on success
+  /// The chunk's recovery state, carried over from its PendingChunk.
+  std::shared_ptr<ChunkRecovery> recovery;
+};
+
+/// Per-device proxy actor state.
+struct OffloadExecution::Proxy {
+  int slot = -1;
+  int device_id = -1;
+  const mach::DeviceDescriptor* desc = nullptr;
+  sim::SharedLink* down = nullptr;  ///< host -> device lane
+  sim::SharedLink* up = nullptr;    ///< device -> host lane
+  Prng noise{0};
+
+  mem::MappingStore store;
+  mem::DeviceDataEnv static_env;
+  bool statics_loaded = false;
+  bool alloc_paid = false;
+  bool setup_signalled = false;  ///< for serialized (!parallel) offloading
+
+  bool fetching = false;
+  std::optional<PendingChunk> inflight;   ///< input transfer in progress
+  std::optional<PendingChunk> ready;      ///< resident, awaiting compute
+  std::optional<PendingChunk> computing;  ///< kernel in progress
+  double compute_started = 0.0;
+  std::vector<std::shared_ptr<OutRecord>> outputs;  ///< in-flight copy-outs
+
+  bool waiting_stage = false;
+  double stage_wait_start = 0.0;
+  bool finalizing = false;
+  bool done = false;
+
+  bool lost = false;        ///< quarantined (possibly re-admitted later)
+  std::uint64_t compute_serial = 0;  ///< guards stale watchdog events
+  double ewma_iter_s = 0.0;     ///< observed per-iteration time (EWMA)
+
+  double partial_reduction = 0.0;
+  double outstanding_bytes = 0.0;  ///< transfer bytes currently in flight
+  DeviceStats stats;
+  std::vector<TraceSpan> spans;
+
+  /// Anything in the pipeline: fetching, staged, computing, finalizing
+  /// or copying out.
+  bool busy() const {
+    return fetching || inflight || ready || computing || finalizing ||
+           !outputs.empty();
+  }
+  /// Is `rec` still this proxy's? Quarantine and a discarded commit drop
+  /// it, and a late completion of a dropped record does nothing.
+  bool holds(const std::shared_ptr<OutRecord>& rec) const {
+    return std::find(outputs.begin(), outputs.end(), rec) != outputs.end();
+  }
+};
+
+template <class Label>
+void OffloadExecution::span(Proxy& p, Phase phase, double t0, double t1,
+                            const Label& label) {
+  if (!opts_.collect_trace || t1 <= t0) return;
+  std::string text;
+  if constexpr (std::is_invocable_v<const Label&>) {
+    text = label();
+  } else {
+    text = label;
+  }
+  p.spans.push_back(
+      TraceSpan{p.slot, p.desc->name, phase, t0, t1, std::move(text)});
+}
 
 }  // namespace homp::rt
 

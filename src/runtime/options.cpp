@@ -113,36 +113,12 @@ std::vector<std::string> OffloadOptions::validate() const {
                 "cyclic_block_fraction)");
   }
 
-  if (fault.max_retries < 0) {
-    v.push_back("fault.max_retries must be non-negative");
-  }
-  if (!(fault.backoff_base_s >= 0.0 &&
-        fault.backoff_cap_s >= fault.backoff_base_s)) {
-    v.push_back("fault backoff must satisfy 0 <= base <= cap");
-  }
   auto fv = fault.extra.violations("offload fault options");
   v.insert(v.end(), fv.begin(), fv.end());
-
-  const WatchdogOptions& w = watchdog;
-  if (!(w.deadline_multiplier > 0.0 && w.deadline_floor_s >= 0.0)) {
-    v.push_back("watchdog deadline_multiplier must be > 0 and the floor "
-                ">= 0");
-  }
-  if (!(w.hard_kill_multiplier >= 1.0)) {
-    v.push_back("watchdog hard_kill_multiplier must be >= 1 (the hard "
-                "deadline cannot precede the soft one)");
-  }
-  if (w.tardy_quarantine_threshold < 0) {
-    v.push_back("watchdog tardy_quarantine_threshold must be >= 0");
-  }
-  if (!(w.cooldown_base_s >= 0.0 && w.cooldown_growth >= 1.0 &&
-        w.cooldown_cap_s >= w.cooldown_base_s)) {
-    v.push_back("watchdog cooldown must satisfy 0 <= base <= cap, "
-                "growth >= 1");
-  }
-  if (!(w.probe_iterations >= 0 && w.probation_successes >= 1)) {
-    v.push_back("watchdog probation knobs must be non-negative (and at "
-                "least one probe success required)");
+  for (std::size_t i = 0; i < fault.scripted.size(); ++i) {
+    fv = fault.scripted[i].violations("fault.scripted[" + std::to_string(i) +
+                                      "]");
+    v.insert(v.end(), fv.begin(), fv.end());
   }
 
   const HarnessOptions& h = harness;
@@ -155,19 +131,6 @@ std::vector<std::string> OffloadOptions::validate() const {
     v.push_back("harness.step_budget is below one engine event per "
                 "participating device — even fetching the first chunks "
                 "would exhaust it");
-  }
-
-  const IntegrityOptions& in = integrity;
-  if (in.vote_after_failures < 1) {
-    v.push_back("integrity.vote_after_failures must be >= 1");
-  }
-  if (in.vote_quorum < 1) v.push_back("integrity.vote_quorum must be >= 1");
-  if (in.max_attempts < 2) {
-    v.push_back("integrity.max_attempts must be >= 2 (the original "
-                "execution plus at least one re-execution)");
-  }
-  if (in.quarantine_threshold < 0) {
-    v.push_back("integrity.quarantine_threshold must be >= 0");
   }
 
   return v;

@@ -40,7 +40,8 @@ const char* to_string(Phase p) noexcept;
 /// the machine file are combined with the offload-level `extra` profile
 /// (independent fault sources); scripted faults fire regardless of rates.
 /// Everything is reproducible: the same seed + plan yields the same fault
-/// sequence and the same OffloadResult (docs/RESILIENCE.md).
+/// sequence and the same OffloadResult (docs/RESILIENCE.md). Retry,
+/// watchdog and integrity tuning are fixed constants (runtime/resilience.h).
 struct FaultInjection {
   /// Seed for the per-device fault streams (independent of noise_seed).
   std::uint64_t seed = 0x5eedfa;
@@ -52,67 +53,24 @@ struct FaultInjection {
   /// Deterministic scripted faults (fire at a given op index or virtual
   /// time, regardless of the random rates).
   std::vector<sim::ScriptedFault> scripted;
-
-  /// Retry budget per pipeline stage attempt chain; exceeding it
-  /// quarantines the device.
-  int max_retries = 3;
-
-  /// Exponential backoff before retry k (1-based):
-  /// min(backoff_base_s * 2^(k-1), backoff_cap_s) virtual seconds.
-  double backoff_base_s = 100e-6;
-  double backoff_cap_s = 10e-3;
 };
 
-/// Watchdog, straggler mitigation and probation re-admission knobs
+/// Watchdog, straggler mitigation and probation re-admission switches
 /// (docs/RESILIENCE.md). Only consulted while fault injection is active:
 /// a fault-free offload runs with zero watchdog machinery, so it stays
 /// bit-identical to a run without the subsystem.
 struct WatchdogOptions {
   /// Master switch. Off: no deadlines, no speculation, no probation —
-  /// PR-1 recovery semantics (permanent quarantine) apply.
+  /// a quarantine is permanent.
   bool enabled = true;
-
-  /// Soft deadline for one chunk = max(deadline_floor_s,
-  /// deadline_multiplier x predicted), where predicted comes from the
-  /// model layer (MODEL_2 per-iteration time), loosened by the device's
-  /// ThroughputHistory rate and its own observed per-iteration EWMA.
-  /// Missing the soft deadline marks the chunk tardy and (optionally)
-  /// speculates it onto the fastest idle survivor.
-  double deadline_multiplier = 4.0;
-  double deadline_floor_s = 50e-6;
-
-  /// Hard deadline = hard_kill_multiplier x (soft deadline + the chunk's
-  /// round-trip link latency). The latency grace leaves a speculative
-  /// duplicate — which pays its own copy-in/copy-out alpha cost — room to
-  /// commit before the original is killed. A chunk still computing past
-  /// the hard deadline is presumed hung; the device is quarantined.
-  double hard_kill_multiplier = 3.0;
 
   /// Duplicate a tardy chunk onto the fastest idle survivor; the first
   /// copy to commit wins, the loser is discarded before touching host
   /// state (first-commit-wins keeps results bit-identical).
   bool speculation = true;
-
-  /// Quarantine a device once this many of its chunks went tardy
-  /// (repeatedly-slow circuit breaker); 0 disables.
-  int tardy_quarantine_threshold = 3;
-
-  /// Re-admit quarantined devices after a cooldown, in probation: small
-  /// probe chunks, promoted after `probation_successes` commits,
-  /// re-quarantined (cooldown grows by `cooldown_growth`) on failure.
-  /// Devices that are permanently lost (kDeviceLoss) are never readmitted.
-  bool probation = true;
-  double cooldown_base_s = 1e-3;
-  double cooldown_growth = 2.0;
-  double cooldown_cap_s = 1.0;
-
-  /// Probe chunk size while in probation; 0 derives
-  /// max(sched.min_chunk, loop/64).
-  long long probe_iterations = 0;
-  int probation_successes = 2;
 };
 
-/// End-to-end data-integrity knobs (docs/RESILIENCE.md "Integrity").
+/// End-to-end data-integrity switches (docs/RESILIENCE.md "Integrity").
 /// Every chunk payload is checksummed on the device side and verified at
 /// commit; a mismatch discards the chunk before it touches host state and
 /// re-executes it on a different device, escalating to quorum voting on
@@ -126,29 +84,6 @@ struct IntegrityOptions {
   /// Arm verification even without fault injection (overhead
   /// measurement; also catches host-side memory errors in principle).
   bool always = false;
-
-  /// Verify host->device chunk payloads right after copy-in. On by
-  /// default: a corrupted *input* yields a wrong-but-self-consistent
-  /// kernel result that no output checksum can catch. A detected input
-  /// mismatch is repaired by re-transfer (transient-retry path).
-  bool verify_copy_in = true;
-
-  /// After this many integrity failures on one chunk, stop trusting any
-  /// single device for it and escalate to voting.
-  int vote_after_failures = 2;
-
-  /// Ballots that must agree byte-for-byte before a voted chunk commits
-  /// (2 = classic 2-of-3 with the failed original).
-  int vote_quorum = 2;
-
-  /// Hard cap on total executions + ballots for one chunk; exceeding it
-  /// raises OffloadError instead of looping forever.
-  int max_attempts = 8;
-
-  /// Quarantine a device once this many of its commits failed
-  /// verification (flaky-DMA circuit breaker, healed by the watchdog's
-  /// probation machinery); 0 disables.
-  int quarantine_threshold = 3;
 };
 
 /// Differential-harness taps consumed by the scenario fuzzer
@@ -217,16 +152,16 @@ struct OffloadOptions {
   /// Seed for the per-device execution-time noise streams.
   std::uint64_t noise_seed = 42;
 
-  /// Fault injection and recovery tuning (docs/RESILIENCE.md). Faults are
-  /// active when any device's machine-file profile, `fault.extra`, or
-  /// `fault.scripted` specifies one; otherwise this adds no overhead.
+  /// Fault injection (docs/RESILIENCE.md). Faults are active when any
+  /// device's machine-file profile, `fault.extra`, or `fault.scripted`
+  /// specifies one; otherwise this adds no overhead.
   FaultInjection fault;
 
-  /// Watchdog / straggler-mitigation / probation tuning; armed only while
-  /// fault injection is active.
+  /// Watchdog / straggler-mitigation / probation switches; armed only
+  /// while fault injection is active.
   WatchdogOptions watchdog;
 
-  /// Data-integrity verification tuning; armed only while fault
+  /// Data-integrity verification switches; armed only while fault
   /// injection is active unless `integrity.always`.
   IntegrityOptions integrity;
 
@@ -246,9 +181,9 @@ struct OffloadOptions {
   /// DeviceStats does not depend on this flag.
   bool collect_audit = false;
 
-  /// All knob-range violations across sched / fault / watchdog /
-  /// integrity options (empty = valid). Centralized here so every entry
-  /// point — Runtime::offload, direct OffloadExecution use, tests —
+  /// All knob-range violations across sched / fault / harness options,
+  /// scripted faults included (empty = valid). Centralized here so every
+  /// entry point — Runtime::offload, direct OffloadExecution use, tests —
   /// shares one diagnostic.
   std::vector<std::string> validate() const;
 

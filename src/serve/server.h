@@ -110,9 +110,9 @@ struct ServeOptions {
   /// Root seed; per-job noise/fault seeds derive from it + the job id.
   std::uint64_t seed = 0x5e12e;
 
-  /// Template for every job's OffloadOptions (fault retry budgets,
-  /// watchdog tuning, ...). device_ids / sched.kind / seeds / trace
-  /// flags are overridden per job.
+  /// Template for every job's OffloadOptions (watchdog and integrity
+  /// switches, scheduler tuning, ...). device_ids / sched.kind / seeds /
+  /// trace flags are overridden per job.
   rt::OffloadOptions base;
 };
 

@@ -1,5 +1,7 @@
 #include "sim/fault.h"
 
+#include <cmath>
+
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/strings.h"
@@ -99,24 +101,28 @@ void FaultPlan::set_profile(int device_id, const FaultProfile& profile) {
   if (profile.any()) active_ = true;
 }
 
-void FaultPlan::add_scripted(const ScriptedFault& fault) {
-  HOMP_REQUIRE(fault.device_id >= 0,
-               "scripted fault needs a non-negative device id");
-  if (fault.kind == FaultKind::kDeviceLoss) {
-    HOMP_REQUIRE(fault.at_s >= 0.0,
-                 "scripted device loss needs a non-negative time");
-  } else {
-    HOMP_REQUIRE(fault.op >= 0,
-                 "scripted transient fault needs a non-negative op ordinal");
-    if (fault.kind == FaultKind::kSlowdown ||
-        fault.kind == FaultKind::kDegrade) {
-      HOMP_REQUIRE(fault.factor <= 1.0 || fault.factor >= 1.0,
-                   "scripted factor must be a number");  // NaN guard
-      HOMP_REQUIRE(!(fault.factor > 0.0 && fault.factor < 1.0),
-                   "scripted slowdown/degrade factor must be >= 1 (or <= 0 "
-                   "to use the device profile's)");
+std::vector<std::string> ScriptedFault::violations(
+    const std::string& who) const {
+  std::vector<std::string> out;
+  if (device_id < 0) out.push_back(who + " needs a non-negative device id");
+  if (kind == FaultKind::kDeviceLoss) {
+    if (!(at_s >= 0.0)) {
+      out.push_back(who + " (device loss) needs a non-negative time");
     }
+    return out;
   }
+  if (op < 0) out.push_back(who + " needs a non-negative op ordinal");
+  if ((kind == FaultKind::kSlowdown || kind == FaultKind::kDegrade) &&
+      (std::isnan(factor) || (factor > 0.0 && factor < 1.0))) {
+    out.push_back(who + " factor must be a number >= 1 (or <= 0 to use "
+                        "the device profile's)");
+  }
+  return out;
+}
+
+void FaultPlan::add_scripted(const ScriptedFault& fault) {
+  const auto v = fault.violations("scripted fault");
+  if (!v.empty()) throw ConfigError(join(v, "; "));
   scripted_.push_back(fault);
   active_ = true;
 }

@@ -9,7 +9,7 @@
 /// every device in the device(...) list survives. This module supplies the
 /// fault *model* — which operations fail, when, on which device — while
 /// the recovery *policy* (retry, backoff, quarantine, redistribution)
-/// lives in the runtime (see runtime/offload_exec.cpp and
+/// lives in the runtime (see runtime/resilience.h and
 /// docs/RESILIENCE.md).
 ///
 /// Two injection modes compose:
@@ -130,6 +130,10 @@ struct ScriptedFault {
   /// For kSlowdown / kDegrade: factor override; <= 1 uses the device
   /// profile's.
   double factor = 0.0;
+
+  /// Every malformed field as a message (empty = valid); `who` names the
+  /// script in each message.
+  std::vector<std::string> violations(const std::string& who) const;
 };
 
 /// The resolved fault schedule for one offload: per-device profiles,
@@ -147,8 +151,8 @@ class FaultPlan {
   /// Install (replacing) the profile for one device.
   void set_profile(int device_id, const FaultProfile& profile);
 
-  /// Add one scripted fault. Validated: throws ConfigError on a
-  /// malformed spec.
+  /// Add one scripted fault. Validated: throws ConfigError listing its
+  /// violations().
   void add_scripted(const ScriptedFault& fault);
 
   /// True when any device can fault at all; when false the runtime

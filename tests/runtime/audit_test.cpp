@@ -144,7 +144,6 @@ TEST(Audit, QuarantineAndReadmissionAreAudited) {
   hang.kind = sim::FaultKind::kHang;
   hang.op = 0;
   o.fault.scripted.push_back(hang);
-  o.watchdog.deadline_floor_s = 1e-8;
   auto maps = c.maps();
   auto kernel = c.kernel();
   auto res = rt.offload(kernel, maps, o);

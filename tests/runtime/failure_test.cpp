@@ -9,6 +9,7 @@
 #include "kernels/case.h"
 #include "kernels/sum.h"
 #include "machine/profiles.h"
+#include "runtime/resilience.h"
 #include "runtime/runtime.h"
 
 namespace homp {
@@ -309,40 +310,53 @@ TEST(FaultRecovery, EarlyLossQuarantinesAndRedistributesEverything) {
   EXPECT_GT(res.chunks_issued, 1);
 }
 
-TEST(FaultRecovery, RetryBudgetExhaustionQuarantines) {
-  rt::Runtime rt{mach::testing_machine(2)};
-  kern::AxpyCase c(1000, /*materialize=*/true);
+TEST(FaultRecovery, RetryBudgetHoldsExactlyMaxRetries) {
+  // Attempts 1..failures (ops 0..failures-1) of device 2's first transfer
+  // fail: kMaxRetries of them are retried and recover, one more exhausts
+  // the budget and quarantines the device.
+  auto run_once = [](long long failures) {
+    rt::Runtime rt{mach::testing_machine(2)};
+    kern::AxpyCase c(1000, /*materialize=*/true);
+    rt::OffloadOptions o;
+    o.device_ids = {1, 2};
+    o.sched.kind = sched::AlgorithmKind::kBlock;
+    for (long long op = 0; op < failures; ++op) {
+      sim::ScriptedFault f;
+      f.device_id = 2;
+      f.kind = sim::FaultKind::kTransfer;
+      f.op = op;
+      o.fault.scripted.push_back(f);
+    }
+    auto maps = c.maps();
+    auto kernel = c.kernel();
+    auto res = rt.offload(kernel, maps, o);
+    std::string why;
+    EXPECT_TRUE(c.verify(&why)) << why;
+    return res;
+  };
+  const auto n = static_cast<std::size_t>(rt::kMaxRetries);
 
-  rt::OffloadOptions o;
-  o.device_ids = {1, 2};
-  o.sched.kind = sched::AlgorithmKind::kBlock;
-  o.fault.max_retries = 2;
-  // Script attempts 1..3 (ops 0..2) of device 2's first transfer to fail:
-  // budget exhausted => quarantine, survivor picks everything up.
-  for (long long op = 0; op < 3; ++op) {
-    sim::ScriptedFault f;
-    f.device_id = 2;
-    f.kind = sim::FaultKind::kTransfer;
-    f.op = op;
-    o.fault.scripted.push_back(f);
-  }
+  const auto recovered = run_once(rt::kMaxRetries);
+  const auto& retried = recovered.devices[1];
+  EXPECT_FALSE(recovered.degraded);
+  EXPECT_FALSE(retried.quarantined);
+  EXPECT_EQ(retried.retries, n);
+  EXPECT_EQ(retried.faults, n);
+  EXPECT_EQ(retried.iterations, 500);
+  ASSERT_EQ(recovered.fault_events.size(), n);
+  for (const auto& e : recovered.fault_events) EXPECT_FALSE(e.fatal);
 
-  auto maps = c.maps();
-  auto kernel = c.kernel();
-  auto res = rt.offload(kernel, maps, o);
-
-  std::string why;
-  EXPECT_TRUE(c.verify(&why)) << why;
-  EXPECT_TRUE(res.degraded);
-  const auto& lost = res.devices[1];
+  const auto exhausted = run_once(rt::kMaxRetries + 1);
+  const auto& lost = exhausted.devices[1];
+  EXPECT_TRUE(exhausted.degraded);
   EXPECT_TRUE(lost.quarantined);
-  EXPECT_EQ(lost.retries, 2u);
-  EXPECT_EQ(lost.faults, 3u);
+  EXPECT_EQ(lost.retries, n);
+  EXPECT_EQ(lost.faults, n + 1);
   EXPECT_EQ(lost.iterations, 0);
-  EXPECT_EQ(res.devices[0].iterations, 1000);
-  // The fatal quarantine event trails the three transient ones.
-  ASSERT_EQ(res.fault_events.size(), 4u);
-  EXPECT_TRUE(res.fault_events.back().fatal);
+  EXPECT_EQ(exhausted.devices[0].iterations, 1000);
+  // The fatal quarantine event trails the n + 1 transient ones.
+  ASSERT_EQ(exhausted.fault_events.size(), n + 2);
+  EXPECT_TRUE(exhausted.fault_events.back().fatal);
 }
 
 TEST(FaultRecovery, AllDevicesLostThrowsExecutionError) {

@@ -1,9 +1,11 @@
 // OffloadOptions::validate() centralizes every knob-range check — sched,
-// fault, watchdog and integrity — and reports *all* violations in one
-// pass, so a misconfigured offload fails with a complete diagnostic
-// instead of one error per attempt.
+// fault rates, scripted faults and harness — and reports *all* violations
+// in one pass, so a misconfigured offload fails with a complete
+// diagnostic instead of one error per attempt.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "kernels/axpy.h"
 #include "machine/profiles.h"
@@ -46,15 +48,6 @@ TEST(OptionsValidate, RejectsBadSchedulerFractions) {
 
 TEST(OptionsValidate, RejectsBadFaultKnobs) {
   rt::OffloadOptions o;
-  o.fault.max_retries = -1;
-  EXPECT_TRUE(mentions(o.validate(), "max_retries"));
-
-  o = rt::OffloadOptions{};
-  o.fault.backoff_base_s = 2.0;
-  o.fault.backoff_cap_s = 1.0;  // cap < base
-  EXPECT_TRUE(mentions(o.validate(), "backoff"));
-
-  o = rt::OffloadOptions{};
   o.fault.extra.corrupt_transfer_rate = 1.0;  // must be < 1
   EXPECT_TRUE(mentions(o.validate(), "fault_corrupt_transfer_rate"));
 
@@ -63,44 +56,37 @@ TEST(OptionsValidate, RejectsBadFaultKnobs) {
   EXPECT_TRUE(mentions(o.validate(), "fault_corrupt_compute_rate"));
 }
 
-TEST(OptionsValidate, RejectsBadWatchdogKnobs) {
-  rt::OffloadOptions o;
-  o.watchdog.deadline_multiplier = 0.0;
-  EXPECT_TRUE(mentions(o.validate(), "deadline_multiplier"));
-
-  o = rt::OffloadOptions{};
-  o.watchdog.hard_kill_multiplier = 0.5;  // hard before soft
-  EXPECT_TRUE(mentions(o.validate(), "hard_kill_multiplier"));
-
-  o = rt::OffloadOptions{};
-  o.watchdog.tardy_quarantine_threshold = -1;
-  EXPECT_TRUE(mentions(o.validate(), "tardy_quarantine_threshold"));
-
-  o = rt::OffloadOptions{};
-  o.watchdog.cooldown_growth = 0.5;  // must be >= 1
-  EXPECT_TRUE(mentions(o.validate(), "cooldown"));
-
-  o = rt::OffloadOptions{};
-  o.watchdog.probation_successes = 0;
-  EXPECT_TRUE(mentions(o.validate(), "probation"));
-}
-
-TEST(OptionsValidate, RejectsBadIntegrityKnobs) {
-  rt::OffloadOptions o;
-  o.integrity.vote_after_failures = 0;
-  EXPECT_TRUE(mentions(o.validate(), "integrity.vote_after_failures"));
-
-  o = rt::OffloadOptions{};
-  o.integrity.vote_quorum = 0;
-  EXPECT_TRUE(mentions(o.validate(), "integrity.vote_quorum"));
-
-  o = rt::OffloadOptions{};
-  o.integrity.max_attempts = 1;  // needs the original + one re-execution
-  EXPECT_TRUE(mentions(o.validate(), "integrity.max_attempts"));
-
-  o = rt::OffloadOptions{};
-  o.integrity.quarantine_threshold = -1;
-  EXPECT_TRUE(mentions(o.validate(), "integrity.quarantine_threshold"));
+TEST(OptionsValidate, RejectsMalformedScriptedFaults) {
+  // The checks FaultPlan::add_scripted makes, reported up front.
+  sim::ScriptedFault valid;
+  valid.device_id = 1;
+  auto violations = [valid](const sim::ScriptedFault& f) {
+    rt::OffloadOptions o;
+    o.fault.scripted = {valid, f};
+    return o.validate();
+  };
+  EXPECT_TRUE(violations(valid).empty());
+  sim::ScriptedFault f = valid;
+  f.device_id = -1;
+  EXPECT_TRUE(mentions(violations(f), "fault.scripted[1] needs a "
+                                      "non-negative device id"));
+  f = valid;
+  f.op = -1;
+  EXPECT_TRUE(mentions(violations(f), "non-negative op ordinal"));
+  f = valid;
+  f.kind = sim::FaultKind::kDeviceLoss;
+  f.at_s = -1.0;
+  EXPECT_TRUE(mentions(violations(f), "non-negative time"));
+  for (double factor : {0.5, std::nan("")}) {
+    f = valid;
+    f.kind = sim::FaultKind::kDegrade;
+    f.factor = factor;
+    EXPECT_TRUE(mentions(violations(f), "factor")) << factor;
+  }
+  f = valid;
+  f.kind = sim::FaultKind::kSlowdown;
+  f.factor = 0.0;  // <= 0 uses the device profile's
+  EXPECT_TRUE(violations(f).empty());
 }
 
 TEST(OptionsValidate, HarnessKnobs) {
@@ -122,15 +108,18 @@ TEST(OptionsValidate, HarnessKnobs) {
 TEST(OptionsValidate, ReportsEveryViolationInOnePass) {
   rt::OffloadOptions o;
   o.sched.min_chunk = 0;
-  o.fault.max_retries = -1;
-  o.watchdog.hard_kill_multiplier = 0.0;
-  o.integrity.vote_quorum = 0;
+  o.fault.extra.hang_rate = 1.5;
+  sim::ScriptedFault bad;
+  bad.device_id = 2;
+  bad.op = -1;  // a transfer fault with no valid ordinal
+  o.fault.scripted.push_back(bad);
+  o.harness.step_budget = -1;
   const auto v = o.validate();
   EXPECT_EQ(v.size(), 4u);
   EXPECT_TRUE(mentions(v, "min_chunk"));
-  EXPECT_TRUE(mentions(v, "max_retries"));
-  EXPECT_TRUE(mentions(v, "hard_kill_multiplier"));
-  EXPECT_TRUE(mentions(v, "vote_quorum"));
+  EXPECT_TRUE(mentions(v, "fault_hang_rate"));
+  EXPECT_TRUE(mentions(v, "fault.scripted[0]"));
+  EXPECT_TRUE(mentions(v, "step_budget"));
 
   // ...and the thrown diagnostic carries all of them too.
   try {
@@ -140,7 +129,7 @@ TEST(OptionsValidate, ReportsEveryViolationInOnePass) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("invalid offload options"), std::string::npos);
     EXPECT_NE(msg.find("min_chunk"), std::string::npos);
-    EXPECT_NE(msg.find("vote_quorum"), std::string::npos);
+    EXPECT_NE(msg.find("fault.scripted[0]"), std::string::npos);
   }
 }
 
@@ -149,10 +138,20 @@ TEST(OptionsValidate, RuntimeOffloadRejectsBadKnobsUpFront) {
   kern::AxpyCase c(64, /*materialize=*/true);
   rt::OffloadOptions o;
   o.device_ids = {0, 1};
-  o.integrity.max_attempts = 0;
+  sim::ScriptedFault bad;
+  bad.device_id = 1;
+  bad.op = -1;
+  o.fault.scripted.push_back(bad);
   auto maps = c.maps();
   auto kernel = c.kernel();
-  EXPECT_THROW(rt.offload(kernel, maps, o), ConfigError);
+  try {
+    rt.offload(kernel, maps, o);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    // Rejected by validate() before planning, not later by the fault plan.
+    EXPECT_NE(std::string(e.what()).find("invalid offload options"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -117,7 +117,6 @@ TEST(Trace, FaultAndRecoveryMarkersBecomeInstantEvents) {
   o.sched.kind = sched::AlgorithmKind::kDynamic;
   o.execute_bodies = false;
   o.collect_trace = true;
-  o.watchdog.deadline_floor_s = 1e-8;
   sim::ScriptedFault hang;
   hang.device_id = 2;
   hang.kind = sim::FaultKind::kHang;

@@ -14,6 +14,7 @@
 #include "kernels/case.h"
 #include "kernels/sum.h"
 #include "machine/profiles.h"
+#include "runtime/resilience.h"
 #include "runtime/runtime.h"
 
 namespace homp {
@@ -30,22 +31,28 @@ long long wd_size(const std::string& name) {
   return 16;
 }
 
+/// Virtual time is free: a heavier cost profile stretches chunks past the
+/// watchdog's deadline floor (rt::kDeadlineFloorS) and offloads past the
+/// probation cooldown (rt::kCooldownBaseS), while the host runs the same
+/// bodies over the same data.
+rt::LoopKernel heavier(rt::LoopKernel k, double factor) {
+  k.cost.flops_per_iter *= factor;
+  k.cost.mem_bytes_per_iter *= factor;
+  return k;
+}
+
 bool run_and_verify(rt::Runtime& rt, kern::KernelCase& c,
                     const rt::OffloadOptions& o, rt::OffloadResult* out,
-                    std::string* why) {
+                    std::string* why, double heavy = 1.0) {
   c.init();
   auto maps = c.maps();
-  auto kernel = c.kernel();
+  auto kernel = heavier(c.kernel(), heavy);
   *out = rt.offload(kernel, maps, o);
   if (auto* sum = dynamic_cast<kern::SumCase*>(&c)) {
     sum->set_result(out->reduction);
   }
   return c.verify(why);
 }
-
-/// Deadlines bite at the microsecond scale of the testing machine only
-/// with the production 50us floor lowered.
-void tighten(rt::OffloadOptions& o) { o.watchdog.deadline_floor_s = 1e-8; }
 
 bool has_action(const rt::OffloadResult& res, rt::RecoveryAction a) {
   return std::any_of(res.recovery_events.begin(), res.recovery_events.end(),
@@ -69,7 +76,6 @@ TEST_P(Watchdog, HungChunkIsSpeculatedBitCorrectly) {
     rt::OffloadOptions o;
     o.device_ids = {1, 2, 3};
     o.sched.kind = alg;
-    tighten(o);
     sim::ScriptedFault hang;
     hang.device_id = 2;
     hang.kind = sim::FaultKind::kHang;
@@ -108,34 +114,38 @@ TEST_P(Watchdog, HungChunkIsSpeculatedBitCorrectly) {
 }
 
 TEST_P(Watchdog, DegradedStragglerTripsTheCircuitBreaker) {
+  // A mild (6x) straggler mostly beats its own duplicates until three
+  // tardy chunks trip the tardiness breaker; a severe (64x) one loses the
+  // race to its first duplicate and is quarantined on the spot.
   const std::string name = GetParam();
-  rt::Runtime rt{mach::testing_machine(3)};
-  auto c = kern::make_case(name, wd_size(name), /*materialize=*/true);
+  for (double factor : {6.0, 64.0}) {
+    rt::Runtime rt{mach::testing_machine(3)};
+    auto c = kern::make_case(name, wd_size(name), /*materialize=*/true);
 
-  rt::OffloadOptions o;
-  o.device_ids = {1, 2, 3};
-  o.sched.kind = sched::AlgorithmKind::kDynamic;
-  tighten(o);
-  // Keep the probation machinery out of the timing question here: the
-  // degrade factor is latched, so probes would just re-quarantine.
-  o.watchdog.probation = false;
-  sim::ScriptedFault deg;
-  deg.device_id = 2;
-  deg.kind = sim::FaultKind::kDegrade;
-  deg.op = 0;
-  deg.factor = 64.0;  // way past the 4x soft deadline
-  o.fault.scripted.push_back(deg);
+    rt::OffloadOptions o;
+    o.device_ids = {1, 2, 3};
+    o.sched.kind = sched::AlgorithmKind::kDynamic;
+    sim::ScriptedFault deg;
+    deg.device_id = 2;
+    deg.kind = sim::FaultKind::kDegrade;
+    deg.op = 0;
+    deg.factor = factor;  // past the 4x soft deadline
+    o.fault.scripted.push_back(deg);
 
-  rt::OffloadResult res;
-  std::string why;
-  ASSERT_TRUE(run_and_verify(rt, *c, o, &res, &why)) << name << ": " << why;
-  EXPECT_EQ(res.total_iterations(), c->kernel().iterations.size());
-  const auto& straggler = res.devices[1];
-  EXPECT_GE(straggler.tardy_chunks, 1u) << name;
-  EXPECT_GE(straggler.quarantine_count, 1u)
-      << name << ": repeated tardiness must quarantine";
-  EXPECT_TRUE(has_action(res, rt::RecoveryAction::kWatchdogFired)) << name;
-  EXPECT_TRUE(res.degraded);
+    // 1e4 times heavier: degraded chunks overrun the deadline floor.
+    rt::OffloadResult res;
+    std::string why;
+    ASSERT_TRUE(run_and_verify(rt, *c, o, &res, &why, 1e4))
+        << name << " x" << factor << ": " << why;
+    EXPECT_EQ(res.total_iterations(), c->kernel().iterations.size());
+    const auto& straggler = res.devices[1];
+    EXPECT_GE(straggler.tardy_chunks, 1u) << name << " x" << factor;
+    EXPECT_GE(straggler.quarantine_count, 1u)
+        << name << " x" << factor << ": repeated tardiness must quarantine";
+    EXPECT_TRUE(has_action(res, rt::RecoveryAction::kWatchdogFired))
+        << name << " x" << factor;
+    EXPECT_TRUE(res.degraded);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, Watchdog,
@@ -148,7 +158,6 @@ TEST(Watchdog, HangOnOnlyDeviceThrowsOffloadError) {
 
   rt::OffloadOptions o;
   o.device_ids = {1};
-  tighten(o);
   sim::ScriptedFault hang;
   hang.device_id = 1;
   hang.kind = sim::FaultKind::kHang;
@@ -170,7 +179,6 @@ TEST(Watchdog, SpeculationKeepsHangSlowdownBounded) {
     rt::OffloadOptions o;
     o.device_ids = {1, 2, 3};
     o.sched.kind = sched::AlgorithmKind::kDynamic;
-    tighten(o);
     if (with_hang) {
       sim::ScriptedFault hang;
       hang.device_id = 3;
@@ -192,6 +200,18 @@ TEST(Watchdog, SpeculationKeepsHangSlowdownBounded) {
       << "speculation must cap the hang penalty below 2x";
 }
 
+/// Scripts the first `failures` attempts (ops 0..failures-1) of device 2's
+/// first transfer to fail.
+void fail_first_transfers(rt::OffloadOptions& o, long long failures) {
+  for (long long op = 0; op < failures; ++op) {
+    sim::ScriptedFault f;
+    f.device_id = 2;
+    f.kind = sim::FaultKind::kTransfer;
+    f.op = op;
+    o.fault.scripted.push_back(f);
+  }
+}
+
 TEST(Watchdog, ProbationReadmitsAfterTransientBurst) {
   // ISSUE acceptance: a device quarantined by a transient burst is
   // re-admitted via probation and contributes iterations again within the
@@ -202,28 +222,14 @@ TEST(Watchdog, ProbationReadmitsAfterTransientBurst) {
   rt::OffloadOptions o;
   o.device_ids = {1, 2};
   o.sched.kind = sched::AlgorithmKind::kDynamic;
-  tighten(o);
-  o.fault.max_retries = 2;
-  o.fault.backoff_base_s = 1e-7;  // exhaust the budget quickly
-  o.fault.backoff_cap_s = 1e-6;
-  o.watchdog.cooldown_base_s = 1e-6;  // ... and re-admit mid-offload
-  // Attempts 1..3 (ops 0..2) of device 2's first transfer fail; every
-  // transfer after re-admission succeeds.
-  for (long long op = 0; op < 3; ++op) {
-    sim::ScriptedFault f;
-    f.device_id = 2;
-    f.kind = sim::FaultKind::kTransfer;
-    f.op = op;
-    o.fault.scripted.push_back(f);
-  }
+  // One failure past the retry budget quarantines device 2; every
+  // transfer after re-admission succeeds. A 1e3 times heavier kernel
+  // keeps the offload running past the re-admission cooldown.
+  fail_first_transfers(o, rt::kMaxRetries + 1);
 
-  auto maps = c.maps();
-  auto kernel = c.kernel();
-  c.init();
-  auto res = rt.offload(kernel, maps, o);
-
+  rt::OffloadResult res;
   std::string why;
-  EXPECT_TRUE(c.verify(&why)) << why;
+  EXPECT_TRUE(run_and_verify(rt, c, o, &res, &why, 1e3)) << why;
   EXPECT_EQ(res.total_iterations(), 20000);
   const auto& healed = res.devices[1];
   EXPECT_GE(healed.quarantine_count, 1u);
@@ -239,32 +245,21 @@ TEST(Watchdog, ProbationReadmitsAfterTransientBurst) {
   EXPECT_TRUE(res.degraded);
 }
 
-TEST(Watchdog, ProbationDisabledKeepsQuarantinePermanent) {
+TEST(Watchdog, WatchdogDisabledKeepsQuarantinePermanent) {
+  // Without the watchdog there is no probation: the same burst and the
+  // same long offload leave device 2 quarantined for good.
   rt::Runtime rt{mach::testing_machine(2)};
   kern::AxpyCase c(20000, /*materialize=*/true);
 
   rt::OffloadOptions o;
   o.device_ids = {1, 2};
   o.sched.kind = sched::AlgorithmKind::kDynamic;
-  tighten(o);
-  o.watchdog.probation = false;
-  o.fault.max_retries = 2;
-  o.fault.backoff_base_s = 1e-7;
-  o.fault.backoff_cap_s = 1e-6;
-  for (long long op = 0; op < 3; ++op) {
-    sim::ScriptedFault f;
-    f.device_id = 2;
-    f.kind = sim::FaultKind::kTransfer;
-    f.op = op;
-    o.fault.scripted.push_back(f);
-  }
+  o.watchdog.enabled = false;
+  fail_first_transfers(o, rt::kMaxRetries + 1);
 
-  auto maps = c.maps();
-  auto kernel = c.kernel();
-  c.init();
-  auto res = rt.offload(kernel, maps, o);
+  rt::OffloadResult res;
   std::string why;
-  EXPECT_TRUE(c.verify(&why)) << why;
+  EXPECT_TRUE(run_and_verify(rt, c, o, &res, &why, 1e3)) << why;
   const auto& lost = res.devices[1];
   EXPECT_TRUE(lost.quarantined);
   EXPECT_EQ(lost.readmissions, 0u);
@@ -278,20 +273,20 @@ TEST(Watchdog, IdenticalSeedAndPlanGiveIdenticalResults) {
   // OffloadResult, timestamps included.
   for (auto alg : kWatchdogAlgorithms) {
     auto run_once = [alg]() {
-      rt::Runtime rt{mach::testing_machine(3)};
+      // Four devices, so the latched degrades leave a survivor.
+      rt::Runtime rt{mach::testing_machine(4)};
       kern::AxpyCase c(5000, /*materialize=*/true);
       rt::OffloadOptions o;
-      o.device_ids = {1, 2, 3};
+      o.device_ids = {1, 2, 3, 4};
       o.sched.kind = alg;
-      tighten(o);
-      o.watchdog.cooldown_base_s = 1e-6;
       o.fault.seed = 77;
       o.fault.extra.hang_rate = 0.05;
       o.fault.extra.degrade_rate = 0.05;
       o.fault.extra.degrade_factor = 16.0;
       o.fault.extra.transfer_fault_rate = 0.05;
       auto maps = c.maps();
-      auto kernel = c.kernel();
+      // 1e3 times heavier: quarantined devices are re-admitted mid-run.
+      auto kernel = heavier(c.kernel(), 1e3);
       return rt.offload(kernel, maps, o);
     };
     const auto a = run_once();
@@ -329,51 +324,28 @@ TEST(Watchdog, IdenticalSeedAndPlanGiveIdenticalResults) {
 }
 
 TEST(Watchdog, FaultFreeRunIsUntouchedByWatchdogOptions) {
-  // With no faults the watchdog never arms: toggling it (or tightening
-  // its deadlines) must not perturb the simulation at all.
-  auto run_once = [](bool watchdog_on, double floor_s) {
+  // With no faults the watchdog never arms: toggling it (or speculation)
+  // must not perturb the simulation at all.
+  auto run_once = [](bool watchdog_on, bool speculation) {
     rt::Runtime rt{mach::testing_machine(2)};
     kern::AxpyCase c(1500, /*materialize=*/true);
     rt::OffloadOptions o;
     o.device_ids = {1, 2};
     o.sched.kind = sched::AlgorithmKind::kDynamic;
     o.watchdog.enabled = watchdog_on;
-    o.watchdog.deadline_floor_s = floor_s;
+    o.watchdog.speculation = speculation;
     auto maps = c.maps();
     auto kernel = c.kernel();
     return rt.offload(kernel, maps, o);
   };
-  const auto a = run_once(true, 50e-6);
-  const auto b = run_once(false, 50e-6);
-  const auto d = run_once(true, 1e-9);
+  const auto a = run_once(true, true);
+  const auto b = run_once(false, true);
+  const auto d = run_once(true, false);
   EXPECT_EQ(a.total_time, b.total_time);
   EXPECT_EQ(a.total_time, d.total_time);
   EXPECT_TRUE(a.recovery_events.empty());
   EXPECT_TRUE(d.recovery_events.empty());
   EXPECT_FALSE(a.degraded);
-}
-
-TEST(Watchdog, RejectsBadWatchdogOptions) {
-  rt::Runtime rt{mach::testing_machine(1)};
-  kern::AxpyCase c(100, /*materialize=*/true);
-  auto maps = c.maps();
-  auto kernel = c.kernel();
-  auto try_opts = [&](auto mutate) {
-    rt::OffloadOptions o;
-    o.device_ids = {1};
-    o.fault.extra.hang_rate = 0.01;  // arm the fault machinery
-    mutate(o);
-    EXPECT_THROW(rt.offload(kernel, maps, o), ConfigError);
-  };
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.deadline_multiplier = 0.0; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.deadline_floor_s = -1.0; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.hard_kill_multiplier = 0.9; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.tardy_quarantine_threshold = -1; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.cooldown_base_s = -1.0; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.cooldown_growth = 0.5; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.cooldown_cap_s = 1e-9; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.probe_iterations = -5; });
-  try_opts([](rt::OffloadOptions& o) { o.watchdog.probation_successes = 0; });
 }
 
 }  // namespace
