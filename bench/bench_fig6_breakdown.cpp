@@ -7,12 +7,15 @@
 //                        kernel x policy run (JSON; .prom for the
 //                        Prometheus text exposition)
 //   --trace-out PATH     Chrome/Perfetto trace of the first run
+//   --audit-out PATH     decision audit of the first run (homp-advise
+//                        report input)
 
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 
 #include "common/table.h"
+#include "runtime/audit_export.h"
 #include "runtime/metrics_export.h"
 #include "runtime/trace.h"
 #include "support/harness.h"
@@ -21,9 +24,11 @@ int main(int argc, char** argv) {
   using namespace homp;
   const char* metrics_out = nullptr;
   const char* trace_out = nullptr;
+  const char* audit_out = nullptr;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics-out") == 0) metrics_out = argv[++i];
     if (std::strcmp(argv[i], "--trace-out") == 0) trace_out = argv[++i];
+    if (std::strcmp(argv[i], "--audit-out") == 0) audit_out = argv[++i];
   }
 
   auto rt = rt::Runtime::from_builtin("gpu4");
@@ -44,12 +49,14 @@ int main(int argc, char** argv) {
                  "compute%", "copy-out%", "barrier%", "imbalance%"});
     auto c = kern::make_case(name, n, false);
     for (const auto& p : bench::seven_policies()) {
-      const bool trace_this = trace_out != nullptr && !traced;
+      const bool trace_this =
+          (trace_out != nullptr || audit_out != nullptr) && !traced;
       const auto res = bench::run_policy(rt, *c, devices, p,
                                          /*unified_memory=*/false,
                                          /*seed=*/42, trace_this);
       if (trace_this) {
-        rt::write_chrome_trace_file(res, trace_out);
+        if (trace_out != nullptr) rt::write_chrome_trace_file(res, trace_out);
+        if (audit_out != nullptr) rt::write_audit_file(res, audit_out);
         traced = true;
       }
       if (metrics_out != nullptr) rt::collect_metrics(res, session);
@@ -76,6 +83,10 @@ int main(int argc, char** argv) {
   }
   if (trace_out != nullptr) {
     std::printf("trace of the first run written to %s\n", trace_out);
+  }
+  if (audit_out != nullptr) {
+    std::printf("decision audit of the first run written to %s\n",
+                audit_out);
   }
   return 0;
 }

@@ -10,9 +10,8 @@
 ///
 /// Every formula is deterministic arithmetic over the session
 /// (docs/OBSERVABILITY.md "Inspection catalog" documents each one), so
-/// the same artifact files always produce byte-identical reports. That
-/// property is what lets the CI perf sentinel diff advisor output
-/// across commits.
+/// the same artifact files always produce byte-identical reports, so
+/// advisor output can be diffed across commits.
 
 #include <string>
 #include <vector>

@@ -166,7 +166,7 @@ enum class Direction { kHigherBetter, kLowerBetter, kNeutral };
 
 /// Good direction of a flattened key, by its leaf name. Conservative:
 /// only obviously-directional families regress; everything else is a
-/// neutral change (reported, never failing the sentinel).
+/// neutral change (reported, never a regression).
 Direction direction_of(const std::string& path) {
   std::string k = leaf(path);
   if (k == "value") {

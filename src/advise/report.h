@@ -4,12 +4,11 @@
 /// \file report.h
 /// Rendering and comparison surfaces of the advisor: the ranked finding
 /// report (text and JSON), the trace summary rows, and the
-/// direction-aware two-artifact diff the CI perf sentinel runs.
+/// direction-aware two-artifact diff.
 ///
 /// Both renderers are pure functions of their inputs with deterministic
 /// number formatting, so identical sessions produce byte-identical
-/// output — the report determinism tests and the sentinel both depend
-/// on it.
+/// output — the report determinism tests depend on it.
 
 #include <iosfwd>
 #include <string>

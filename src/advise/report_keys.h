@@ -7,8 +7,8 @@
 /// the trace summary rows.
 ///
 /// Everything the advisor prints that a consumer might match against
-/// (CI scripts grepping `homp-advise report --json`, the perf sentinel,
-/// tests asserting exact findings) lives here — never as inline string
+/// (CI scripts grepping `homp-advise report --json`, tests asserting
+/// exact findings) lives here — never as inline string
 /// literals at the emission site. homp-lint HL005 enforces the roster:
 /// each constant below must be referenced by the attribution or report
 /// code, and emission sites must use the constant.

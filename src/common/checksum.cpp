@@ -6,9 +6,6 @@ namespace homp {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 inline std::uint64_t load_word(const unsigned char* p) noexcept {
   std::uint64_t w;
   std::memcpy(&w, p, sizeof w);
@@ -17,34 +14,11 @@ inline std::uint64_t load_word(const unsigned char* p) noexcept {
 
 }  // namespace
 
-const char* to_string(ChecksumKind kind) noexcept {
-  switch (kind) {
-    case ChecksumKind::kFnv1a:
-      return "fnv1a";
-    case ChecksumKind::kMix64:
-      return "mix64";
-  }
-  return "?";
-}
-
-Checksummer::Checksummer(ChecksumKind kind) noexcept
-    : kind_(kind),
-      state_(kind == ChecksumKind::kFnv1a ? kFnvOffset : 0) {}
-
 void Checksummer::update(const void* data, std::size_t bytes) noexcept {
   const unsigned char* p = static_cast<const unsigned char*>(data);
   total_ += bytes;
-  if (kind_ == ChecksumKind::kFnv1a) {
-    std::uint64_t h = state_;
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= kFnvPrime;
-    }
-    state_ = h;
-    return;
-  }
-  // kMix64: absorb 8-byte words; buffer the tail so digests do not
-  // depend on update() segmentation.
+  // Absorb 8-byte words; buffer the tail so digests do not depend on
+  // update() segmentation.
   if (carry_len_ != 0) {
     while (carry_len_ < 8 && bytes > 0) {
       carry_[carry_len_++] = *p++;
@@ -68,13 +42,6 @@ void Checksummer::update(const void* data, std::size_t bytes) noexcept {
 }
 
 std::uint64_t Checksummer::digest() const noexcept {
-  if (kind_ == ChecksumKind::kFnv1a) {
-    // Fold in the length so prefixes of each other differ.
-    std::uint64_t h = state_;
-    h ^= total_;
-    h *= kFnvPrime;
-    return h;
-  }
   std::uint64_t h = state_;
   if (carry_len_ != 0) {
     unsigned char tail[8] = {0, 0, 0, 0, 0, 0, 0, 0};

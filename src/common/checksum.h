@@ -5,12 +5,9 @@
 /// Fast payload checksums for the data-integrity layer
 /// (docs/RESILIENCE.md "Integrity").
 ///
-/// Two pluggable kinds:
-///  * kFnv1a — canonical 64-bit FNV-1a, byte at a time. Slow but a
-///    well-known reference; useful to cross-check the fast path.
-///  * kMix64 — 8 bytes per step through the splitmix64 finalizer.
-///    The default: cheap enough that verifying every chunk payload
-///    stays within the < 3% runtime-overhead budget.
+/// kMix64 takes 8 bytes per step through the splitmix64 finalizer:
+/// cheap enough that verifying every chunk payload stays within the
+/// < 3% runtime-overhead budget. It is the only kind.
 ///
 /// Checksums are *error-detection* codes, not cryptographic digests:
 /// the adversary is a flipped DMA bit, not an attacker.
@@ -21,11 +18,8 @@
 namespace homp {
 
 enum class ChecksumKind {
-  kFnv1a,
   kMix64,
 };
-
-const char* to_string(ChecksumKind kind) noexcept;
 
 /// splitmix64 finalizer — a cheap, well-distributed 64-bit mixer. Also
 /// used to derive corruption seeds and to combine per-array checksums
@@ -43,7 +37,7 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 /// run and compared against a contiguous traversal of the same bytes.
 class Checksummer {
  public:
-  explicit Checksummer(ChecksumKind kind) noexcept;
+  explicit Checksummer(ChecksumKind /*kind*/) noexcept {}
 
   void update(const void* data, std::size_t bytes) noexcept;
 
@@ -51,13 +45,10 @@ class Checksummer {
   /// differ. May be called repeatedly (update() between calls is fine).
   std::uint64_t digest() const noexcept;
 
-  ChecksumKind kind() const noexcept { return kind_; }
-
  private:
-  ChecksumKind kind_;
-  std::uint64_t state_;
+  std::uint64_t state_ = 0;
   std::uint64_t total_ = 0;
-  unsigned char carry_[8];  ///< kMix64: partial word between updates
+  unsigned char carry_[8] = {};  ///< partial word between updates
   std::size_t carry_len_ = 0;
 };
 

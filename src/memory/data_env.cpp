@@ -1,5 +1,6 @@
 #include "memory/data_env.h"
 
+#include "common/checksum.h"
 #include "common/error.h"
 
 namespace homp::mem {
@@ -37,20 +38,20 @@ void DeviceDataEnv::copy_out_all() const {
   for (const auto& [_, m] : maps_) m->copy_out();
 }
 
-std::uint64_t DeviceDataEnv::checksum_out_device(ChecksumKind kind) const {
+std::uint64_t DeviceDataEnv::checksum_out_device() const {
   std::uint64_t h = 0;
   for (const auto& [_, m] : maps_) {
     if (m->shared() || !copies_out(m->spec().dir)) continue;
-    h = mix64(h ^ m->checksum_device(m->owned(), kind));
+    h = mix64(h ^ m->checksum_device(m->owned()));
   }
   return h;
 }
 
-std::uint64_t DeviceDataEnv::checksum_out_host(ChecksumKind kind) const {
+std::uint64_t DeviceDataEnv::checksum_out_host() const {
   std::uint64_t h = 0;
   for (const auto& [_, m] : maps_) {
     if (m->shared() || !copies_out(m->spec().dir)) continue;
-    h = mix64(h ^ m->checksum_host(m->owned(), kind));
+    h = mix64(h ^ m->checksum_host(m->owned()));
   }
   return h;
 }

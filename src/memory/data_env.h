@@ -72,8 +72,8 @@ class DeviceDataEnv {
   /// on *both* sides (they cross no wire, so there is nothing to
   /// verify), keeping the two sums comparable. Iterates in name order,
   /// so the combination is deterministic.
-  std::uint64_t checksum_out_device(ChecksumKind kind) const;
-  std::uint64_t checksum_out_host(ChecksumKind kind) const;
+  std::uint64_t checksum_out_device() const;
+  std::uint64_t checksum_out_host() const;
 
   std::vector<std::string> names() const;
   std::size_t size() const noexcept { return maps_.size(); }

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/checksum.h"
+
 namespace homp::mem {
 
 DeviceMapping::DeviceMapping(const MapSpec& spec, dist::Region owned,
@@ -139,7 +141,6 @@ void DeviceMapping::copy_region(const dist::Region& region, bool to_device) {
 }
 
 std::uint64_t DeviceMapping::checksum_side(const dist::Region& r,
-                                           ChecksumKind kind,
                                            bool device_side) const {
   HOMP_REQUIRE(footprint_.contains(r) || r.empty(),
                "checksum region escapes footprint of '" + spec_->name + "'");
@@ -147,7 +148,7 @@ std::uint64_t DeviceMapping::checksum_side(const dist::Region& r,
                               ? storage_.data()
                               : static_cast<const std::byte*>(
                                     spec_->binding.base);
-  Checksummer c(kind);
+  Checksummer c(ChecksumKind::kMix64);
   for_each_run(r, [&](std::size_t hoff, std::size_t loff,
                       std::size_t run_bytes) {
     c.update(base + (device_side ? loff : hoff), run_bytes);
@@ -155,16 +156,14 @@ std::uint64_t DeviceMapping::checksum_side(const dist::Region& r,
   return c.digest();
 }
 
-std::uint64_t DeviceMapping::checksum_device(const dist::Region& r,
-                                             ChecksumKind kind) const {
+std::uint64_t DeviceMapping::checksum_device(const dist::Region& r) const {
   if (shared_ || !materialized_) return 0;
-  return checksum_side(r, kind, /*device_side=*/true);
+  return checksum_side(r, /*device_side=*/true);
 }
 
-std::uint64_t DeviceMapping::checksum_host(const dist::Region& r,
-                                           ChecksumKind kind) const {
+std::uint64_t DeviceMapping::checksum_host(const dist::Region& r) const {
   if (shared_) return 0;
-  return checksum_side(r, kind, /*device_side=*/false);
+  return checksum_side(r, /*device_side=*/false);
 }
 
 void DeviceMapping::corrupt_side(const dist::Region& r, std::uint64_t seed,

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/checksum.h"
 #include "dist/range.h"
 #include "memory/map_spec.h"
 #include "memory/view.h"
@@ -70,8 +69,8 @@ class DeviceMapping {
   /// data agree. Device-side calls return 0 / no-op when the mapping is
   /// shared or not materialized — aliased or modeled storage has no
   /// separate payload to verify or damage.
-  std::uint64_t checksum_device(const dist::Region& r, ChecksumKind kind) const;
-  std::uint64_t checksum_host(const dist::Region& r, ChecksumKind kind) const;
+  std::uint64_t checksum_device(const dist::Region& r) const;
+  std::uint64_t checksum_host(const dist::Region& r) const;
 
   /// Flip a few seeded bytes of `r` in device storage / the host array,
   /// simulating silent corruption (`seed` != 0 selects which bytes and
@@ -114,8 +113,7 @@ class DeviceMapping {
   template <typename Fn>
   void for_each_run(const dist::Region& region, Fn&& fn) const;
 
-  std::uint64_t checksum_side(const dist::Region& r, ChecksumKind kind,
-                              bool device_side) const;
+  std::uint64_t checksum_side(const dist::Region& r, bool device_side) const;
   void corrupt_side(const dist::Region& r, std::uint64_t seed,
                     bool device_side);
 

@@ -239,7 +239,7 @@ double DataRegion::close() {
     // combined sum before anything crosses the wire.
     const std::uint64_t want =
         opts_.verify_exit
-            ? envs_[slot].checksum_out_device(ChecksumKind::kMix64)
+            ? envs_[slot].checksum_out_device()
             : 0;
     envs_[slot].copy_out_all();
     if (opts_.exit_corrupt_seed != 0 &&
@@ -260,7 +260,7 @@ double DataRegion::close() {
     if (!opts_.verify_exit) continue;
 
     int attempt = 0;
-    while (envs_[slot].checksum_out_host(ChecksumKind::kMix64) != want) {
+    while (envs_[slot].checksum_out_host() != want) {
       HOMP_REQUIRE(attempt < opts_.max_exit_retries,
                    "data region exit verification still failing after " +
                        std::to_string(attempt) +

@@ -66,6 +66,9 @@ OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
     gen_ = engine_.new_generation();
     alive_ = std::make_shared<bool>(true);
   }
+  // The one validation of every entry point (Runtime::offload,
+  // DataRegion::offload, server jobs): bad knob combinations are rejected,
+  // every violation in one message, before any planning work starts.
   opts_.validate_or_throw();
   if (region_envs_ != nullptr) {
     HOMP_REQUIRE(maps_.empty(),

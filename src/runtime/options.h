@@ -427,7 +427,7 @@ struct OffloadResult {
   bool degraded = false;
 
   /// DES engine events processed by this offload — the denominator of the
-  /// step-budget watchdog and the bench_engine events/sec figure.
+  /// step-budget watchdog.
   std::size_t engine_events = 0;
 
   /// Combined checksum over every copies-out host buffer after the final

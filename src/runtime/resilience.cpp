@@ -59,7 +59,6 @@ ChunkRecovery& touch(std::shared_ptr<ChunkRecovery>& r) {
 /// in the given direction. 0 in pure-simulation mode.
 std::uint64_t payload_checksum(const std::vector<mem::DeviceMapping*>& maps,
                                bool input_side, bool host_side = false) {
-  const ChecksumKind kind = ChecksumKind::kMix64;
   std::uint64_t h = 0;
   for (auto* m : maps) {
     if (m->shared()) continue;  // no wire crossed, nothing to verify
@@ -69,7 +68,7 @@ std::uint64_t payload_checksum(const std::vector<mem::DeviceMapping*>& maps,
     }
     const dist::Region& r = input_side ? m->footprint() : m->owned();
     const std::uint64_t s =
-        host_side ? m->checksum_host(r, kind) : m->checksum_device(r, kind);
+        host_side ? m->checksum_host(r) : m->checksum_device(r);
     h = mix64(h ^ s);
   }
   return h;

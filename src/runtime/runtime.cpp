@@ -69,9 +69,6 @@ OffloadResult Runtime::offload(const LoopKernel& kernel,
   o.sched.history = &history_;
   o.sched.history_kernel = kernel.name;
   o.sched.history_device_ids = o.device_ids;
-  // Reject bad knob combinations up front, with every violation in one
-  // message, before any planning work starts.
-  o.validate_or_throw();
   OffloadExecution exec(machine_, kernel, maps, o);
   OffloadResult res = exec.run();
 

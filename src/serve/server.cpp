@@ -557,7 +557,10 @@ void OffloadServer::place(int tenant, PendingJob&& pj,
     o.watchdog.speculation = false;
     ++report_.speculation_shed_jobs;
   }
-  o.validate_or_throw();
+  // Built before any grant is recorded: its constructor validates the
+  // options and throws on a bad combination.
+  aj->exec = std::make_unique<rt::OffloadExecution>(
+      machine_, aj->kernel, aj->maps, o, nullptr, nullptr, &ctx_);
 
   ts.service += pj.predicted_s * static_cast<double>(devices.size());
   ts.backlog_s = std::max(0.0, ts.backlog_s - pj.predicted_s);
@@ -577,8 +580,6 @@ void OffloadServer::place(int tenant, PendingJob&& pj,
     note_event(ServeEventKind::kDispatch, tenant, pj.job_id, detail);
   }
 
-  aj->exec = std::make_unique<rt::OffloadExecution>(
-      machine_, aj->kernel, aj->maps, o, nullptr, nullptr, &ctx_);
   ActiveJob* raw = aj.get();
   active_.push_back(std::move(aj));
   raw->exec->start([this, raw](rt::OffloadResult&& res) {

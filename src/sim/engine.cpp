@@ -8,19 +8,14 @@ std::uint64_t Engine::schedule_at(Time t, Callback fn, GenTag tag) {
   HOMP_ASSERT(t >= now_);
   HOMP_ASSERT(fn != nullptr);
   const std::uint64_t id = next_seq_++;
-  queue_.push(Entry{t, id, tag, std::move(fn)});
-  pending_.insert(id);
-  if (tag != 0) {
-    gens_[tag].insert(id);
-    tag_of_.emplace(id, tag);
-  }
-  ++live_events_;
+  queue_.push(Entry{t, id, std::move(fn)});
+  pending_.emplace(id, tag);
+  if (tag != 0) gens_[tag].insert(id);
   return id;
 }
 
 void Engine::retire_from_generation(std::uint64_t id, GenTag tag) {
   if (tag == 0) return;
-  tag_of_.erase(id);
   auto git = gens_.find(tag);
   if (git == gens_.end()) return;
   git->second.erase(id);
@@ -28,16 +23,10 @@ void Engine::retire_from_generation(std::uint64_t id, GenTag tag) {
 }
 
 bool Engine::cancel(std::uint64_t id) {
-  // Only genuinely pending events may be tombstoned: cancelling an id that
-  // already ran (or was never issued) must not leave a tombstone behind —
-  // nothing in the queue would ever reclaim it.
   auto it = pending_.find(id);
   if (it == pending_.end()) return false;
+  retire_from_generation(id, it->second);
   pending_.erase(it);
-  cancelled_.insert(id);
-  auto tit = tag_of_.find(id);
-  if (tit != tag_of_.end()) retire_from_generation(id, tit->second);
-  if (live_events_ > 0) --live_events_;
   return true;
 }
 
@@ -45,18 +34,9 @@ std::size_t Engine::cancel_generation(GenTag tag) {
   if (tag == 0) return 0;
   auto git = gens_.find(tag);
   if (git == gens_.end()) return 0;
-  // Detach the set first: cancel() mutates gens_ via retire_from_generation
-  // and would invalidate the iteration otherwise.
-  std::unordered_set<std::uint64_t> ids = std::move(git->second);
-  gens_.erase(git);
   std::size_t n = 0;
-  for (std::uint64_t id : ids) {
-    tag_of_.erase(id);
-    if (pending_.erase(id) == 0) continue;
-    cancelled_.insert(id);
-    if (live_events_ > 0) --live_events_;
-    ++n;
-  }
+  for (std::uint64_t id : git->second) n += pending_.erase(id);
+  gens_.erase(git);
   return n;
 }
 
@@ -66,10 +46,7 @@ std::size_t Engine::pending_in(GenTag tag) const {
 }
 
 void Engine::purge_cancelled_top() {
-  while (!queue_.empty()) {
-    auto it = cancelled_.find(queue_.top().seq);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
+  while (!queue_.empty() && !pending_.contains(queue_.top().seq)) {
     queue_.pop();
   }
 }
@@ -79,11 +56,11 @@ bool Engine::pop_one() {
   if (queue_.empty()) return false;
   Entry e = std::move(const_cast<Entry&>(queue_.top()));
   queue_.pop();
-  pending_.erase(e.seq);
-  retire_from_generation(e.seq, e.tag);
+  const auto it = pending_.find(e.seq);
+  retire_from_generation(e.seq, it->second);
+  pending_.erase(it);
   HOMP_ASSERT(e.t >= now_);
   now_ = e.t;
-  --live_events_;
   ++processed_;
   e.fn();
   return true;

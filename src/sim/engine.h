@@ -70,9 +70,9 @@ class Engine {
   }
 
   /// Cancel a pending event. Returns false if it already ran or was
-  /// cancelled. Cancellation is O(1): the entry is tombstoned and skipped.
-  /// Every tombstone is reclaimed when its queue entry surfaces, so
-  /// repeated cancellation cannot grow the engine without bound.
+  /// cancelled. Cancellation is O(1): the event leaves the pending map,
+  /// and its queue entry, now a tombstone, is dropped when it surfaces,
+  /// so repeated cancellation cannot grow the engine without bound.
   bool cancel(std::uint64_t id);
 
   /// Cancel every still-pending event in `tag`'s generation and retire
@@ -111,10 +111,10 @@ class Engine {
   void stop() noexcept { stopped_ = true; }
 
   /// True when no pending (non-cancelled) events remain.
-  bool idle() const noexcept { return live_events_ == 0; }
+  bool idle() const noexcept { return pending_.empty(); }
 
   /// Pending (non-cancelled) events across all generations.
-  std::size_t live_events() const noexcept { return live_events_; }
+  std::size_t live_events() const noexcept { return pending_.size(); }
 
   std::size_t events_processed() const noexcept { return processed_; }
 
@@ -122,7 +122,6 @@ class Engine {
   struct Entry {
     Time t;
     std::uint64_t seq;  // FIFO tie-break and cancellation id
-    GenTag tag;         // 0 = untagged
     Callback fn;
     bool operator>(const Entry& o) const noexcept {
       if (t != o.t) return t > o.t;
@@ -137,18 +136,17 @@ class Engine {
   void retire_from_generation(std::uint64_t id, GenTag tag);
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  std::unordered_set<std::uint64_t> pending_;    // scheduled, not yet run
-  std::unordered_set<std::uint64_t> cancelled_;  // tombstones in queue_
+  /// Scheduled, not yet run or cancelled: id -> generation tag (0 =
+  /// untagged). A queue entry whose id is absent here is a tombstone.
+  std::unordered_map<std::uint64_t, GenTag> pending_;
   /// Generation membership, kept only for tagged *pending* events; a
   /// generation's map entry disappears when its last pending event runs
   /// or is cancelled, so long-lived engines stay flat.
   std::unordered_map<GenTag, std::unordered_set<std::uint64_t>> gens_;
-  std::unordered_map<std::uint64_t, GenTag> tag_of_;  // tagged pending only
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   GenTag next_gen_ = 0;
   std::size_t processed_ = 0;
-  std::size_t live_events_ = 0;
   bool stopped_ = false;
 };
 

@@ -11,7 +11,9 @@ What is pinned:
   * fuzz/<case>.json       homp-fuzz summaries (stdout and --summary-out
                            must both equal it);
   * fuzz/<case>/<file>     the repro pairs of the planted runs, the only
-                           runs that pin a shrink result byte for byte.
+                           runs that pin a shrink result byte for byte;
+  * perf/<workload>.json   with --perfbench only: the exact counts of one
+                           traced perfbench run per workload (below).
 
 The paper's qualitative claims (EXPERIMENTS.md) are checked on the
 regenerated bench stdout in both modes, so a refresh cannot commit outputs
@@ -24,11 +26,23 @@ homp-fuzz runs inside a temporary directory with the relative
 `--repro-dir repros`, so the repro paths a summary records are the same
 on every machine.
 
+--perfbench replaces the bench and fuzz runs with the repository
+benchmark (perfbench/run.py, which builds its own tree in .bench_build/):
+one traced run per workload at --seed 1 --seconds 1 --trace 1, run from
+the repository root. Every run must report a correct result with no failed
+operation. Its virtual digest and the seven virtual-deterministic counts
+must equal the golden's on every build. The three heap-allocation counts
+are exact for one compiler only, so they are compared when the run
+manifest names the golden's compiler and reported as skipped otherwise.
+No host-time figure is compared.
+
 Usage:
   run_golden.py --bench-dir DIR --fuzz-bin PATH [--update] [--all]
+  run_golden.py --perfbench [--update]
 
   --update     rewrite the golden files from this build instead of diffing
   --all        add the larger corpus only CI compares (the fuzz smoke)
+  --perfbench  compare perfbench's exact counts instead (perf/*.json)
 
 Exit codes: 0 every output matches, 1 some output differs or a paper claim
 fails, 2 a run failed or the arguments are unusable.
@@ -37,6 +51,7 @@ fails, 2 a run failed or the arguments are unusable.
 import argparse
 import concurrent.futures
 import difflib
+import json
 import os
 import re
 import subprocess
@@ -44,6 +59,7 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
 
 BENCHES = [
     "bench_table2_algorithms",
@@ -87,6 +103,27 @@ PAPER_SHAPE = [
      r"^matvec-48k {2,}.+? {2,}([\d.]+) ", lambda v: v < 1.0),
     ("V-C max BLAS slowdown within 10-18x", "bench_ablation_unified_memory",
      r"max BLAS slowdown: ([\d.]+)x", lambda v: 10.0 <= v <= 18.0),
+]
+
+
+PERF_WORKLOADS = ["sim-sweep", "real-data", "serve-soak", "fuzz-corpus"]
+PERF_ARGS = ["--seed", "1", "--seconds", "1", "--trace", "1"]
+# Functions of the seed and the source alone: equal on every build.
+PERF_EXACT = [
+    "sim.events_per_offload",
+    "sched.chunks_per_offload",
+    "memory.bytes_per_offload",
+    "runtime.integrity_checks_per_offload",
+    "runtime.recovery_events_per_offload",
+    "serve.admitted_share",
+    "fuzz.offloads_per_scenario",
+]
+# Counted by perfbench's operator new: they also depend on the standard
+# library, so they are exact for one compiler only.
+PERF_ALLOCS = [
+    "sim.allocs_per_event",
+    "runtime.allocs_per_offload",
+    "serve.allocs_per_event",
 ]
 
 
@@ -169,13 +206,90 @@ def show_diff(rel, want, got):
         print("  ... %d more diff lines" % (len(lines) - 40))
 
 
+def perf_record(workload):
+    """Run perfbench once; return the golden record of what it printed."""
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+           "--workload", workload, *PERF_ARGS]
+    lines = run(cmd, cwd=ROOT).decode(errors="replace").splitlines()
+    log = dict(line.split(": ", 1) for line in lines[:-1] if ": " in line)
+    result = json.loads(lines[-1])
+    if result["correct"] is not True or result["failed"] != 0:
+        raise RunError("perfbench %s: correct %s, %d of %d operations failed"
+                       % (workload, result["correct"], result["failed"],
+                          result["attempted"]))
+    value = {k: m["value"] for k, m in result["metrics"].items()}
+    return {
+        "workload": workload,
+        "args": " ".join(PERF_ARGS),
+        "virtual_digest": log["virtual digest"],
+        "exact": {k: value[k] for k in PERF_EXACT},
+        "compiler": log["manifest.compiler"],
+        "allocs": {k: value[k] for k in PERF_ALLOCS},
+    }
+
+
+def perf_differences(want, got):
+    """One message per recorded figure that `got` does not reproduce."""
+    rows = [("virtual digest", want["virtual_digest"], got["virtual_digest"])]
+    rows += [(k, v, got["exact"][k]) for k, v in want["exact"].items()]
+    if want["compiler"] == got["compiler"]:
+        rows += [(k, v, got["allocs"][k]) for k, v in want["allocs"].items()]
+    else:
+        print("perf/%s.json: allocation counts not compared: recorded with "
+              "%s, this build is %s" % (want["workload"], want["compiler"],
+                                        got["compiler"]))
+    return ["%s: golden %s, this build %s" % (k, w, g)
+            for k, w, g in rows if w != g]
+
+
+def perf_main(update):
+    produced = {}
+    try:
+        # One at a time: the first run builds perfbench's tree.
+        for w in PERF_WORKLOADS:
+            produced["perf/%s.json" % w] = perf_record(w)
+    except (RunError, OSError, subprocess.TimeoutExpired, KeyError,
+            ValueError) as e:
+        print("golden: %s" % e, file=sys.stderr)
+        return 2
+    if update:
+        for rel, rec in produced.items():
+            path = os.path.join(HERE, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as f:
+                f.write(json.dumps(rec, indent=2) + "\n")
+        print("golden: wrote %d files" % len(produced))
+        return 0
+    bad = 0
+    for rel, got in produced.items():
+        path = os.path.join(HERE, rel)
+        if not os.path.exists(path):
+            print("NEW %s: produced but not committed" % rel)
+            bad += 1
+            continue
+        with open(path) as f:
+            diffs = perf_differences(json.load(f), got)
+        for msg in diffs:
+            print("DIFF %s %s" % (rel, msg))
+        bad += bool(diffs)
+    print("golden: %d perfbench runs checked, %d differ"
+          % (len(produced), bad))
+    return 1 if bad else 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--bench-dir", required=True)
-    ap.add_argument("--fuzz-bin", required=True)
+    ap.add_argument("--bench-dir")
+    ap.add_argument("--fuzz-bin")
     ap.add_argument("--update", action="store_true")
     ap.add_argument("--all", action="store_true")
+    ap.add_argument("--perfbench", action="store_true")
     args = ap.parse_args()
+    if args.perfbench:
+        return perf_main(args.update)
+    if args.bench_dir is None or args.fuzz_bin is None:
+        ap.error("--bench-dir and --fuzz-bin are required without "
+                 "--perfbench")
     # homp-fuzz runs in its own temporary directory.
     args.fuzz_bin = os.path.abspath(args.fuzz_bin)
 

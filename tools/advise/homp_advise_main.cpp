@@ -10,8 +10,7 @@
 /// session, runs the attribution engine, and prints the ranked findings,
 /// then each trace's summary rows (text mode only).
 /// `diff` compares two artifacts of the same kind (bench records,
-/// metrics, audits, traces) with direction-aware tolerance; the CI perf
-/// sentinel runs it against the committed BENCH_engine.json.
+/// metrics, audits, traces) with direction-aware tolerance.
 ///
 /// Exit codes, report mode:  0 = no findings,
 ///                           1 = findings printed,
