@@ -5,9 +5,17 @@
 /// Fast payload checksums for the data-integrity layer
 /// (docs/RESILIENCE.md "Integrity").
 ///
-/// kMix64 takes 8 bytes per step through the splitmix64 finalizer:
-/// cheap enough that verifying every chunk payload stays within the
-/// < 3% runtime-overhead budget. It is the only kind.
+/// kMix64, the only kind, runs 8 independent splitmix64 lanes over
+/// 64-byte blocks: lane i absorbs word i (bytes 8i..8i+7) of every
+/// block, one mix64 step per word, so eight multiply chains overlap
+/// instead of queueing behind one another. digest() folds the lanes in
+/// lane order, then the words of the partial block (the last one
+/// zero-padded), then the total length. On a 4-core Xeon VM (GCC 12.2,
+/// -O2) perfbench's `common.checksum_gb_s` probe reads 3.2-3.5 GB/s over
+/// 1 MiB and 64 MiB arrays, against 1.2 GB/s for one serial chain; 4
+/// lanes read less and 16 no more. The integrity layer only ever
+/// compares sums for equality, so no value is meaningful beyond "same
+/// bytes, same length".
 ///
 /// Checksums are *error-detection* codes, not cryptographic digests:
 /// the adversary is a flipped DMA bit, not an attacker.
@@ -33,10 +41,14 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 }
 
 /// Streaming checksummer. Results are independent of how the input is
-/// split across update() calls, so a strided region can be fed run by
-/// run and compared against a contiguous traversal of the same bytes.
+/// split across update() calls — a partial block waits in a 64-byte
+/// carry for the next call — so a strided region can be fed run by run
+/// and compared against a contiguous traversal of the same bytes.
 class Checksummer {
  public:
+  static constexpr std::size_t kLanes = 8;
+  static constexpr std::size_t kBlockBytes = kLanes * 8;
+
   explicit Checksummer(ChecksumKind /*kind*/) noexcept {}
 
   void update(const void* data, std::size_t bytes) noexcept;
@@ -46,9 +58,12 @@ class Checksummer {
   std::uint64_t digest() const noexcept;
 
  private:
-  std::uint64_t state_ = 0;
+  /// Fold `blocks` whole blocks starting at `p` into the lanes.
+  void absorb(const unsigned char* p, std::size_t blocks) noexcept;
+
+  std::uint64_t lanes_[kLanes] = {};
   std::uint64_t total_ = 0;
-  unsigned char carry_[8] = {};  ///< partial word between updates
+  unsigned char carry_[kBlockBytes] = {};  ///< partial block between updates
   std::size_t carry_len_ = 0;
 };
 

@@ -30,9 +30,12 @@ DeviceMapping::DeviceMapping(const MapSpec& spec, dist::Region owned,
   for (std::size_t d = footprint_.rank(); d-- > 1;) {
     local_strides_[d - 1] = local_strides_[d] * footprint_.dim(d).size();
   }
-  if (materialized_) {
-    storage_.resize(static_cast<std::size_t>(footprint_.volume()) *
-                    spec.binding.elem_size);
+  const std::size_t bytes =
+      static_cast<std::size_t>(footprint_.volume()) * spec.binding.elem_size;
+  if (materialized_ && bytes > 0) {
+    storage_ = copies_in(spec.dir)
+                   ? std::make_unique_for_overwrite<std::byte[]>(bytes)
+                   : std::make_unique<std::byte[]>(bytes);
   }
 }
 
@@ -131,7 +134,7 @@ void DeviceMapping::copy_region(const dist::Region& region, bool to_device) {
   for_each_run(region, [&](std::size_t hoff, std::size_t loff,
                            std::size_t run_bytes) {
     std::byte* h = host + hoff;
-    std::byte* l = storage_.data() + loff;
+    std::byte* l = storage_.get() + loff;
     if (to_device) {
       std::memcpy(l, h, run_bytes);
     } else {
@@ -145,7 +148,7 @@ std::uint64_t DeviceMapping::checksum_side(const dist::Region& r,
   HOMP_REQUIRE(footprint_.contains(r) || r.empty(),
                "checksum region escapes footprint of '" + spec_->name + "'");
   const std::byte* base = device_side
-                              ? storage_.data()
+                              ? storage_.get()
                               : static_cast<const std::byte*>(
                                     spec_->binding.base);
   Checksummer c(ChecksumKind::kMix64);
@@ -174,7 +177,7 @@ void DeviceMapping::corrupt_side(const dist::Region& r, std::uint64_t seed,
   const std::size_t total =
       static_cast<std::size_t>(r.volume()) * spec_->binding.elem_size;
   std::byte* base = device_side
-                        ? storage_.data()
+                        ? storage_.get()
                         : static_cast<std::byte*>(spec_->binding.base);
   const std::size_t flips = 1 + static_cast<std::size_t>(seed % 3);
   for (std::size_t f = 0; f < flips; ++f) {

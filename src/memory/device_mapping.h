@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dist/range.h"
@@ -98,7 +99,7 @@ class DeviceMapping {
                  "kernel body execution requested on a non-materialized "
                  "mapping of '" +
                      spec_->name + "'");
-    return ArrayView<T>(reinterpret_cast<T*>(storage_.data()), footprint_);
+    return ArrayView<T>(reinterpret_cast<T*>(storage_.get()), footprint_);
   }
 
  private:
@@ -122,7 +123,10 @@ class DeviceMapping {
   dist::Region footprint_;
   bool shared_;
   bool materialized_;
-  std::vector<std::byte> storage_;
+  /// Packed footprint; null when empty or not materialized. Zeroed only
+  /// for maps that do not copy in: copy_in() overwrites every byte of
+  /// the rest before anything reads them.
+  std::unique_ptr<std::byte[]> storage_;
   std::vector<long long> local_strides_;  // packed strides of footprint
 };
 

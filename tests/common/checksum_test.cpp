@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -25,10 +26,12 @@ std::uint64_t one_shot(const std::vector<unsigned char>& v) {
   return checksum_bytes(ChecksumKind::kMix64, v.data(), v.size());
 }
 
+// Two whole 64-byte blocks and a 29-byte partial one (three words and a
+// 5-byte tail), so splits fall on and inside block and word boundaries.
+constexpr std::size_t kTwoBlocksAndAPart = 2 * Checksummer::kBlockBytes + 29;
+
 TEST(Checksum, DigestDoesNotDependOnHowUpdateSplitsTheInput) {
-  // 29 bytes: three whole 8-byte words and a 5-byte tail, so the split
-  // points fall both on and inside word boundaries.
-  const auto v = payload(29);
+  const auto v = payload(kTwoBlocksAndAPart);
   const std::uint64_t whole = one_shot(v);
   for (std::size_t i = 0; i <= v.size(); ++i) {
     for (std::size_t j = i; j <= v.size(); ++j) {
@@ -66,7 +69,7 @@ TEST(Checksum, DigestCanBeTakenRepeatedly) {
 }
 
 TEST(Checksum, EverySingleBitFlipChangesTheDigest) {
-  const auto v = payload(19);
+  const auto v = payload(kTwoBlocksAndAPart);
   const std::uint64_t clean = one_shot(v);
   for (std::size_t i = 0; i < v.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -75,6 +78,30 @@ TEST(Checksum, EverySingleBitFlipChangesTheDigest) {
       EXPECT_NE(one_shot(flipped), clean) << "byte " << i << " bit " << bit;
     }
   }
+}
+
+TEST(Checksum, DigestDependsOnWordOrder) {
+  // Digest of `v` with the 8-byte words at byte offsets a and b swapped.
+  auto swapped = [](std::vector<unsigned char> v, std::size_t a,
+                    std::size_t b) {
+    std::swap_ranges(v.begin() + static_cast<std::ptrdiff_t>(a),
+                     v.begin() + static_cast<std::ptrdiff_t>(a + 8),
+                     v.begin() + static_cast<std::ptrdiff_t>(b));
+    return one_shot(v);
+  };
+  // Words 1 and 5 of a single block feed different lanes from the same
+  // start, so only the order in which digest() folds the lanes tells
+  // the two inputs apart.
+  const auto block = payload(Checksummer::kBlockBytes);
+  EXPECT_NE(swapped(block, 8, 40), one_shot(block));
+  // Word 3 of the first and of the second block feed the same lane.
+  const auto v = payload(kTwoBlocksAndAPart);
+  EXPECT_NE(swapped(v, 24, Checksummer::kBlockBytes + 24), one_shot(v));
+
+  const std::vector<unsigned char> zeros(2 * Checksummer::kBlockBytes, 0);
+  EXPECT_NE(checksum_bytes(ChecksumKind::kMix64, zeros.data(),
+                           Checksummer::kBlockBytes),
+            checksum_bytes(ChecksumKind::kMix64, zeros.data(), zeros.size()));
 }
 
 }  // namespace

@@ -116,14 +116,44 @@ TEST(DeviceMapping, DirectionsGateTransfers) {
     EXPECT_GT(m.bytes_out(), 0.0);
     m.copy_in();  // no-op
     auto v = m.view<double>();
-    EXPECT_EQ(v(0), 0.0);  // storage zero-initialized, not copied from host
+    // Storage is zero-initialized, not copied from host.
+    for (long long i = 0; i < 4; ++i) EXPECT_EQ(v(i), 0.0) << "element " << i;
   }
   {
     auto s = spec_1d(a, MapDirection::kAlloc);
     DeviceMapping m(s, whole, whole, false, true);
     EXPECT_EQ(m.bytes_in(), 0.0);
     EXPECT_EQ(m.bytes_out(), 0.0);
+    auto v = m.view<double>();
+    for (long long i = 0; i < 4; ++i) EXPECT_EQ(v(i), 0.0) << "element " << i;
   }
+}
+
+TEST(DeviceMapping, DeviceAndHostChecksumsAgreeUntilCorrupted) {
+  // Rows [3:6) owned plus one halo row each side, columns [1:6) of a 10x7
+  // matrix: five 40-byte runs, strided on the host and packed on the
+  // device, so 64-byte checksum blocks straddle the runs on both sides.
+  auto a = HostArray<double>::matrix(10, 7);
+  a.fill_with_indices([](long long i, long long j) {
+    return static_cast<double>(i * 10 + j) + 0.5;
+  });
+  MapSpec s;
+  s.name = "m";
+  s.dir = MapDirection::kToFrom;
+  s.binding = bind_array(a);
+  s.region = a.region();
+  s.partition = {dist::DimPolicy::align("loop"), dist::DimPolicy::full()};
+  s.halo_before = 1;
+  s.halo_after = 1;
+  const dist::Region owned({dist::Range(3, 6), dist::Range(1, 6)});
+  const dist::Region fp({dist::Range(2, 7), dist::Range(1, 6)});
+  DeviceMapping m(s, owned, fp, false, true);
+  m.copy_in();
+  EXPECT_EQ(m.checksum_device(fp), m.checksum_host(fp));
+  EXPECT_EQ(m.checksum_device(owned), m.checksum_host(owned));
+
+  m.corrupt_device(fp, /*seed=*/7);
+  EXPECT_NE(m.checksum_device(fp), m.checksum_host(fp));
 }
 
 // Message of the ExecutionError raised by `access`, or "" if none.
