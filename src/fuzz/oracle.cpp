@@ -55,9 +55,9 @@ struct Checker {
   }
 
   void check_run(const rt::OffloadResult& res, const rt::LoopKernel& kernel,
-                 kern::KernelCase& c) {
+                 kern::KernelCase& c, const std::vector<double>& expect) {
     check_conservation(res, kernel);
-    check_reference(res, c);
+    check_reference(res, c, expect);
     check_recovery_legality(res);
     check_audit(res, kernel);
     check_metrics(res);
@@ -74,12 +74,13 @@ struct Checker {
     }
   }
 
-  void check_reference(const rt::OffloadResult& res, kern::KernelCase& c) {
+  void check_reference(const rt::OffloadResult& res, kern::KernelCase& c,
+                       const std::vector<double>& expect) {
     if (auto* sum = dynamic_cast<kern::SumCase*>(&c)) {
       sum->set_result(res.reduction);
     }
     std::string why;
-    if (!c.verify(&why)) fail("reference", why);
+    if (!c.matches(expect, &why)) fail("reference", why);
   }
 
   void check_recovery_legality(const rt::OffloadResult& res) {
@@ -294,13 +295,16 @@ std::uint64_t OracleReport::digest() const noexcept {
 OracleReport run_oracle(const ScenarioSpec& s) {
   OracleReport report;
   const sched::AlgorithmKind* kinds = sched::every_algorithm();
+  // One case serves every family: init() restores it to a fresh case's
+  // state, and every family is checked against one sequential reference.
+  auto c = kern::make_case(s.kernel, s.n, true);
+  const auto maps = c->maps();
+  const auto kernel = c->kernel();
+  const auto expect = c->expected();
 
   for (int i = 0; i < sched::kNumEveryAlgorithm; ++i) {
     const sched::AlgorithmKind kind = kinds[i];
     rt::Runtime runtime(s.machine);
-    auto c = kern::make_case(s.kernel, s.n, true);
-    const auto maps = c->maps();
-    const auto kernel = c->kernel();
 
     if (kind == sched::AlgorithmKind::kHistoryAuto) {
       // HISTORY_AUTO partitions by throughput observed in *previous*
@@ -334,7 +338,7 @@ OracleReport run_oracle(const ScenarioSpec& s) {
       run.reduction = res.reduction;
       run.total_time = res.total_time;
       run.degraded = res.degraded;
-      checker.check_run(res, kernel, *c);
+      checker.check_run(res, kernel, *c, expect);
     } catch (const std::exception& e) {
       checker.fail("progress", e.what());
     }

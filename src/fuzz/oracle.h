@@ -9,7 +9,9 @@
 /// the paper's seven plus the three extensions, in every_algorithm()
 /// order — each on a fresh Runtime so ThroughputHistory cannot leak
 /// between families (HISTORY_AUTO gets its own deliberate priming
-/// offload). After each offload the oracle checks the per-run invariants;
+/// offload). The families share one kernel case, re-initialized before
+/// every offload, and one sequential reference computed once per
+/// scenario. After each offload the oracle checks the per-run invariants;
 /// after the sweep it checks the cross-algorithm (differential) ones.
 ///
 /// Invariant catalog (names appear in reports, repro files and

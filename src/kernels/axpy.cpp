@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/error.h"
+
 namespace homp::kern {
 
 namespace {
@@ -71,14 +73,27 @@ std::vector<mem::MapSpec> AxpyCase::maps_v1_block() const {
   return ms;
 }
 
-bool AxpyCase::verify(std::string* why) const {
-  if (!materialize_) return true;
+std::vector<double> AxpyCase::expected() const {
+  std::vector<double> expect;
+  if (!materialize_) return expect;
+  expect.reserve(static_cast<std::size_t>(n_));
   for (long long i = 0; i < n_; ++i) {
-    const double expect = y_init(i) + a_ * x_init(i);
-    if (std::abs(y_(i) - expect) > 1e-9 * std::max(1.0, std::abs(expect))) {
+    expect.push_back(y_init(i) + a_ * x_init(i));
+  }
+  return expect;
+}
+
+bool AxpyCase::matches(const std::vector<double>& expect,
+                       std::string* why) const {
+  if (!materialize_) return true;
+  HOMP_REQUIRE(static_cast<long long>(expect.size()) == n_,
+               "axpy: expected table of another size");
+  for (long long i = 0; i < n_; ++i) {
+    const double e = expect[static_cast<std::size_t>(i)];
+    if (std::abs(y_(i) - e) > 1e-9 * std::max(1.0, std::abs(e))) {
       if (why) {
         *why = "axpy: y[" + std::to_string(i) + "] = " +
-               std::to_string(y_(i)) + ", expected " + std::to_string(expect);
+               std::to_string(y_(i)) + ", expected " + std::to_string(e);
       }
       return false;
     }

@@ -18,7 +18,9 @@ class AxpyCase final : public KernelCase {
   rt::LoopKernel kernel() const override;
   std::vector<mem::MapSpec> maps() const override;
   void init() override;
-  bool verify(std::string* why) const override;
+  std::vector<double> expected() const override;
+  bool matches(const std::vector<double>& expect,
+               std::string* why) const override;
   model::KernelCostProfile paper_profile() const override;
   long long problem_size() const override { return n_; }
   bool materialized() const override { return materialize_; }

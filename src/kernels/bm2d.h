@@ -30,7 +30,9 @@ class Bm2dCase final : public KernelCase {
   rt::LoopKernel kernel() const override;
   std::vector<mem::MapSpec> maps() const override;
   void init() override;
-  bool verify(std::string* why) const override;
+  std::vector<double> expected() const override;
+  bool matches(const std::vector<double>& expect,
+               std::string* why) const override;
   model::KernelCostProfile paper_profile() const override;
   long long problem_size() const override { return n_; }
   bool materialized() const override { return materialize_; }
@@ -54,8 +56,12 @@ class Bm2dCase final : public KernelCase {
   long long blocks_per_side() const { return blocks_; }
 
  private:
-  /// Sequential best-SAD search for one block.
-  double reference(long long bi, long long bj) const;
+  /// Sequential best-SAD search for one block over the frames' initial
+  /// values: (SAD, encoded motion vector), as the kernel writes them to
+  /// `best`.
+  std::pair<double, double> reference(const mem::HostArray<double>& cur,
+                                      const mem::HostArray<double>& ref,
+                                      long long bi, long long bj) const;
 
   std::string name_ = "bm2d";
   long long n_;        ///< frame edge, multiple of kBlock

@@ -11,6 +11,14 @@
 /// sequential reference. Cases can be built without materializing storage
 /// (`materialize = false`) for paper-scale pure-simulation benchmarks
 /// where only the cost accounting matters (DESIGN.md §2).
+///
+/// The reference is split from the check: expected() computes the table
+/// of outputs a correct offload leaves, and matches() compares the case's
+/// outputs against such a table. A caller that checks many offloads of one
+/// kernel and size (the fuzz oracle runs ten algorithm families per
+/// scenario) computes expected() once, re-init()s one case between runs
+/// and calls matches() after each; verify() does both steps for a single
+/// check.
 
 #include <memory>
 #include <string>
@@ -39,12 +47,26 @@ class KernelCase {
   virtual std::vector<mem::MapSpec> maps() const = 0;
 
   /// (Re-)initialize input arrays and clear outputs. No-op when not
-  /// materialized.
+  /// materialized. Afterwards every bound array holds, byte for byte, what
+  /// a freshly built case of the same kernel and size holds, so one case
+  /// can serve any number of offloads.
   virtual void init() = 0;
 
-  /// Check outputs against a sequential reference computation; on failure
-  /// returns false and describes the first mismatch in *why.
-  virtual bool verify(std::string* why) const = 0;
+  /// The outputs a correct offload leaves, computed sequentially from the
+  /// initial inputs (never from the case's own arrays, which an offload
+  /// may have damaged), in the order matches() walks them. Depends only on
+  /// the kernel and its size, so a table from one case checks every case
+  /// of the same kernel and size. Empty when not materialized.
+  virtual std::vector<double> expected() const = 0;
+
+  /// Compare the case's outputs against `expect`, a table from expected(),
+  /// within the kernel's tolerance; on failure returns false and describes
+  /// the first mismatch in *why. True when not materialized.
+  virtual bool matches(const std::vector<double>& expect,
+                       std::string* why) const = 0;
+
+  /// Check outputs against the sequential reference: matches(expected()).
+  bool verify(std::string* why) const { return matches(expected(), why); }
 
   /// The per-iteration cost characteristics as the paper states them
   /// (Table IV), for comparison against the measured profile.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/error.h"
+
 namespace homp::kern {
 
 namespace {
@@ -85,18 +87,33 @@ std::vector<mem::MapSpec> MatMulCase::maps() const {
   return {a, b, c};
 }
 
-bool MatMulCase::verify(std::string* why) const {
-  if (!materialize_) return true;
+std::vector<double> MatMulCase::expected() const {
+  std::vector<double> expect;
+  if (!materialize_) return expect;
+  expect.reserve(static_cast<std::size_t>(n_ * n_));
   for (long long i = 0; i < n_; ++i) {
     for (long long j = 0; j < n_; ++j) {
-      double expect = 0.0;
-      for (long long l = 0; l < n_; ++l) expect += a_init(i, l) * b_init(l, j);
-      if (std::abs(c_(i, j) - expect) >
-          1e-9 * std::max(1.0, std::abs(expect))) {
+      double acc = 0.0;
+      for (long long l = 0; l < n_; ++l) acc += a_init(i, l) * b_init(l, j);
+      expect.push_back(acc);
+    }
+  }
+  return expect;
+}
+
+bool MatMulCase::matches(const std::vector<double>& expect,
+                         std::string* why) const {
+  if (!materialize_) return true;
+  HOMP_REQUIRE(static_cast<long long>(expect.size()) == n_ * n_,
+               "matmul: expected table of another size");
+  for (long long i = 0; i < n_; ++i) {
+    for (long long j = 0; j < n_; ++j) {
+      const double e = expect[static_cast<std::size_t>(i * n_ + j)];
+      if (std::abs(c_(i, j) - e) > 1e-9 * std::max(1.0, std::abs(e))) {
         if (why) {
           *why = "matmul: C[" + std::to_string(i) + "][" + std::to_string(j) +
                  "] = " + std::to_string(c_(i, j)) + ", expected " +
-                 std::to_string(expect);
+                 std::to_string(e);
         }
         return false;
       }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/error.h"
+
 namespace homp::kern {
 
 namespace {
@@ -83,15 +85,29 @@ std::vector<mem::MapSpec> MatVecCase::maps() const {
   return {a, x, y};
 }
 
-bool MatVecCase::verify(std::string* why) const {
-  if (!materialize_) return true;
+std::vector<double> MatVecCase::expected() const {
+  std::vector<double> expect;
+  if (!materialize_) return expect;
+  expect.reserve(static_cast<std::size_t>(n_));
   for (long long i = 0; i < n_; ++i) {
-    double expect = 0.0;
-    for (long long j = 0; j < n_; ++j) expect += a_init(i, j) * x_init(j);
-    if (std::abs(y_(i) - expect) > 1e-9 * std::max(1.0, std::abs(expect))) {
+    double acc = 0.0;
+    for (long long j = 0; j < n_; ++j) acc += a_init(i, j) * x_init(j);
+    expect.push_back(acc);
+  }
+  return expect;
+}
+
+bool MatVecCase::matches(const std::vector<double>& expect,
+                         std::string* why) const {
+  if (!materialize_) return true;
+  HOMP_REQUIRE(static_cast<long long>(expect.size()) == n_,
+               "matvec: expected table of another size");
+  for (long long i = 0; i < n_; ++i) {
+    const double e = expect[static_cast<std::size_t>(i)];
+    if (std::abs(y_(i) - e) > 1e-9 * std::max(1.0, std::abs(e))) {
       if (why) {
         *why = "matvec: y[" + std::to_string(i) + "] = " +
-               std::to_string(y_(i)) + ", expected " + std::to_string(expect);
+               std::to_string(y_(i)) + ", expected " + std::to_string(e);
       }
       return false;
     }

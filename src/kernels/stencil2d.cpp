@@ -99,17 +99,29 @@ double Stencil2DCase::reference(long long i, long long j) const {
   return acc;
 }
 
-bool Stencil2DCase::verify(std::string* why) const {
+std::vector<double> Stencil2DCase::expected() const {
+  std::vector<double> expect;
+  if (!materialize_) return expect;
+  expect.reserve(static_cast<std::size_t>(n_ * n_));
+  for (long long i = 0; i < n_; ++i) {
+    for (long long j = 0; j < n_; ++j) expect.push_back(reference(i, j));
+  }
+  return expect;
+}
+
+bool Stencil2DCase::matches(const std::vector<double>& expect,
+                            std::string* why) const {
   if (!materialize_) return true;
+  HOMP_REQUIRE(static_cast<long long>(expect.size()) == n_ * n_,
+               "stencil2d: expected table of another size");
   for (long long i = 0; i < n_; ++i) {
     for (long long j = 0; j < n_; ++j) {
-      const double expect = reference(i, j);
-      if (std::abs(out_(i, j) - expect) >
-          1e-12 * std::max(1.0, std::abs(expect))) {
+      const double e = expect[static_cast<std::size_t>(i * n_ + j)];
+      if (std::abs(out_(i, j) - e) > 1e-12 * std::max(1.0, std::abs(e))) {
         if (why) {
           *why = "stencil2d: out[" + std::to_string(i) + "][" +
                  std::to_string(j) + "] = " + std::to_string(out_(i, j)) +
-                 ", expected " + std::to_string(expect);
+                 ", expected " + std::to_string(e);
         }
         return false;
       }

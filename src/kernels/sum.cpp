@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/error.h"
+
 namespace homp::kern {
 
 namespace {
@@ -53,20 +55,22 @@ std::vector<mem::MapSpec> SumCase::maps() const {
   return {x};
 }
 
-double SumCase::expected_sum() const {
+std::vector<double> SumCase::expected() const {
+  if (!materialize_) return {};
   double s = 0.0;
   for (long long i = 0; i < n_; ++i) s += x_init(i);
-  return s;
+  return {s};
 }
 
-bool SumCase::verify(std::string* why) const {
+bool SumCase::matches(const std::vector<double>& expect,
+                      std::string* why) const {
   if (!materialize_) return true;
-  const double expect = expected_sum();
-  if (std::abs(result_ - expect) >
-      1e-9 * std::max(1.0, std::abs(expect))) {
+  HOMP_REQUIRE(expect.size() == 1, "sum: expected table of another kernel");
+  const double e = expect[0];
+  if (std::abs(result_ - e) > 1e-9 * std::max(1.0, std::abs(e))) {
     if (why) {
       *why = "sum: got " + std::to_string(result_) + ", expected " +
-             std::to_string(expect);
+             std::to_string(e);
     }
     return false;
   }

@@ -18,15 +18,15 @@ class SumCase final : public KernelCase {
   rt::LoopKernel kernel() const override;
   std::vector<mem::MapSpec> maps() const override;
   void init() override;
-  bool verify(std::string* why) const override;
+  std::vector<double> expected() const override;
+  bool matches(const std::vector<double>& expect,
+               std::string* why) const override;
   model::KernelCostProfile paper_profile() const override;
   long long problem_size() const override { return n_; }
   bool materialized() const override { return materialize_; }
 
-  /// The reduction value an offload should produce (sequential reference).
-  double expected_sum() const;
-
-  /// Record the offload's reduction result for verify().
+  /// Record the offload's reduction result for matches(); expected()
+  /// holds the one value it should equal.
   void set_result(double s) { result_ = s; }
 
  private:

@@ -190,18 +190,13 @@ std::optional<dist::Range> Resilience::next_chunk(
     chunk_opt = take_requeue();
     r.from_requeue = true;
   } else {
-    // Speculative duplicates of tardy chunks come next. Not for the tardy
-    // device itself (it is still running the original) and not for
-    // probation devices (probes must be cheap scheduler work).
+    // Speculative duplicates of tardy chunks come next.
     while (!spec_queue_.empty() && spec_queue_.front()->committed) {
       spec_queue_.pop_front();
     }
-    auto t = spec_queue_.end();
-    if (!probation) {
-      t = std::find_if(spec_queue_.begin(), t, [slot](const auto& c) {
-        return !c->committed && c->origin_slot != slot;
-      });
-    }
+    const auto t = std::find_if(
+        spec_queue_.begin(), spec_queue_.end(),
+        [this, slot](const auto& c) { return may_speculate(*c, slot); });
     if (t != spec_queue_.end()) {
       r.token = *t;
       spec_queue_.erase(t);
@@ -1068,13 +1063,17 @@ void Resilience::readmit(int slot) {
   x_.sched_after(0.0, [this, slot] { x_.try_fetch(slot); });
 }
 
+bool Resilience::may_speculate(const SpecToken& t, int slot) const {
+  return !t.committed && t.origin_slot != slot && !dev(slot).probation;
+}
+
 bool Resilience::has_work_for(int slot) const {
   if (!requeue_.empty()) return true;
   for (const auto& st : integrity_queue_) {
     if (!st->resolved && integrity_slot_allowed(*st, slot)) return true;
   }
   for (const auto& t : spec_queue_) {
-    if (!t->committed && t->origin_slot != slot) return true;
+    if (may_speculate(*t, slot)) return true;
   }
   return false;
 }

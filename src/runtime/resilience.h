@@ -121,8 +121,9 @@ class Resilience {
   /// Mandatory work no proxy holds: requeued iterations or unsettled
   /// integrity re-executions.
   bool owed_work() const;
-  /// Anything (mandatory requeue or a speculative duplicate another
-  /// device originated) this slot could usefully fetch right now?
+  /// Anything next_chunk() would hand this slot right now: requeued
+  /// iterations, an integrity re-execution it may serve, or a speculative
+  /// copy may_speculate() allows?
   bool has_work_for(int slot) const;
 
   std::vector<FaultEvent> fault_events;
@@ -166,6 +167,11 @@ class Resilience {
   void kick_survivors();
 
   // Watchdog, speculation, probation.
+  /// May `slot` run a copy of this tardy chunk? Not once a copy
+  /// committed, not on the tardy device itself (it still runs the
+  /// original) and not in probation (probes must be cheap scheduler
+  /// work). The one rule behind both next_chunk() and has_work_for().
+  bool may_speculate(const SpecToken& t, int slot) const;
   double predicted_chunk_seconds(const Proxy& p,
                                  const dist::Range& chunk) const;
   void watchdog_soft(int slot, std::uint64_t serial);

@@ -245,6 +245,40 @@ TEST(Watchdog, ProbationReadmitsAfterTransientBurst) {
   EXPECT_TRUE(res.degraded);
 }
 
+TEST(Watchdog, SpeculationOfferDoesNotRouseAProbationDevice) {
+  // A probation device never runs speculative copies, so a tardy chunk
+  // offered for speculation is no work for it. Counting the offer as work
+  // made SCHED_DYNAMIC loop at one virtual timestamp (rouse, fetch
+  // nothing, finalize, rouse) and never reach the tardy chunk's own
+  // completion: this plan hit the step budget.
+  for (auto alg : kWatchdogAlgorithms) {
+    rt::Runtime rt{mach::testing_machine(3)};
+    kern::AxpyCase c(5000, /*materialize=*/true);
+    rt::OffloadOptions o;
+    o.device_ids = {1, 2, 3};
+    o.sched.kind = alg;
+    o.fault.seed = 21;
+    o.fault.extra.hang_rate = 0.05;
+    o.fault.extra.degrade_rate = 0.01;
+    o.fault.extra.degrade_factor = 16.0;
+    o.fault.extra.transfer_fault_rate = 0.05;
+    o.harness.step_budget = 200000;
+
+    rt::OffloadResult res;
+    std::string why;
+    bool ok = false;
+    try {
+      // 1e5 times heavier: chunks outlast the probation cooldown, so a
+      // re-admitted device meets a speculation offer.
+      ok = run_and_verify(rt, c, o, &res, &why, 1e5);
+    } catch (const std::exception& e) {
+      why = e.what();  // the step budget's livelock error
+    }
+    EXPECT_TRUE(ok) << sched::to_string(alg) << ": " << why;
+    EXPECT_EQ(res.total_iterations(), 5000) << sched::to_string(alg);
+  }
+}
+
 TEST(Watchdog, WatchdogDisabledKeepsQuarantinePermanent) {
   // Without the watchdog there is no probation: the same burst and the
   // same long offload leave device 2 quarantined for good.

@@ -70,6 +70,7 @@ Exit codes: 0 = clean, 1 = diagnostics emitted, 2 = usage/config error.
 
 import argparse
 import bisect
+import collections
 import json
 import multiprocessing
 import os
@@ -507,6 +508,7 @@ ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*(?:=[^,}]*)?,?", re.M)
 # in any file with an `obs` path component, and advisor report keys
 # (src/advise/report_keys.h) in any file with an `advise` component.
 METRIC_CONST_RE = re.compile(r"\binline\s+constexpr\s+char\s+(k\w+)\s*\[\s*\]")
+WORD_RE = re.compile(r"\w+")
 
 
 def _find_block(clean, decl_re):
@@ -562,18 +564,15 @@ def check_hl005(files, diags, struct_name, enum_name):
                 decls.append((mm.group(1), "%s enumerator" % enum_name, sf,
                               (op + 1 + mm.start(), op + 1 + mm.end()),
                               sf.line_of(op + 1 + mm.start(1))))
+    # One identifier index for the whole tree: a name is referenced when it
+    # occurs more often than inside its own declaration span (spans start
+    # and end between words, so they hold whole tokens).
+    uses = collections.Counter()
+    for sf in files:
+        uses.update(WORD_RE.findall(sf.clean))
     for name, kind, decl_sf, (b0, b1), line in decls:
-        rx = re.compile(r"\b%s\b" % re.escape(name))
-        referenced = False
-        for sf in files:
-            for m in rx.finditer(sf.clean):
-                if sf is decl_sf and b0 <= m.start() < b1:
-                    continue
-                referenced = True
-                break
-            if referenced:
-                break
-        if not referenced and not decl_sf.suppressed(line, "HL005"):
+        own = WORD_RE.findall(decl_sf.clean, b0, b1).count(name)
+        if uses[name] <= own and not decl_sf.suppressed(line, "HL005"):
             diags.append(Diagnostic(
                 "HL005", decl_sf.path, line,
                 "%s '%s' is never referenced outside its declaration — "
