@@ -1,6 +1,5 @@
 #include "memory/data_env.h"
 
-#include "common/checksum.h"
 #include "common/error.h"
 
 namespace homp::mem {
@@ -36,24 +35,6 @@ void DeviceDataEnv::copy_in_all() const {
 
 void DeviceDataEnv::copy_out_all() const {
   for (const auto& [_, m] : maps_) m->copy_out();
-}
-
-std::uint64_t DeviceDataEnv::checksum_out_device() const {
-  std::uint64_t h = 0;
-  for (const auto& [_, m] : maps_) {
-    if (m->shared() || !copies_out(m->spec().dir)) continue;
-    h = mix64(h ^ m->checksum_device(m->owned()));
-  }
-  return h;
-}
-
-std::uint64_t DeviceDataEnv::checksum_out_host() const {
-  std::uint64_t h = 0;
-  for (const auto& [_, m] : maps_) {
-    if (m->shared() || !copies_out(m->spec().dir)) continue;
-    h = mix64(h ^ m->checksum_host(m->owned()));
-  }
-  return h;
 }
 
 std::vector<std::string> DeviceDataEnv::names() const {

@@ -31,8 +31,6 @@ class MappingStore {
     return store_.emplace_back(std::forward<Args>(args)...);
   }
 
-  std::size_t size() const noexcept { return store_.size(); }
-
  private:
   std::deque<DeviceMapping> store_;
 };
@@ -66,14 +64,6 @@ class DeviceDataEnv {
 
   void copy_in_all() const;
   void copy_out_all() const;
-
-  /// Combined checksum over the owned regions of every mapping that
-  /// copies out, on the device / host side. Shared mappings are skipped
-  /// on *both* sides (they cross no wire, so there is nothing to
-  /// verify), keeping the two sums comparable. Iterates in name order,
-  /// so the combination is deterministic.
-  std::uint64_t checksum_out_device() const;
-  std::uint64_t checksum_out_host() const;
 
   std::vector<std::string> names() const;
   std::size_t size() const noexcept { return maps_.size(); }

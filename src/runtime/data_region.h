@@ -7,8 +7,10 @@
 /// Jacobi example (Fig. 3).
 ///
 /// At entry the region fixes the distribution of its label ("loop1"),
-/// decomposes every partitioned array accordingly, allocates device
-/// storage and performs the copy-in. Offloads executed *inside* the region
+/// decomposes every partitioned array with the offload planner
+/// (array_plan.h), allocates device storage and performs the copy-in: an
+/// ALIGN chain roots at the label or at a BLOCK array, as in a plain
+/// offload. Offloads executed *inside* the region
 /// reuse the resident data and the fixed loop distribution (the paper's
 /// runtime re-links AUTO/ALIGN(loop1) loops to the root alignee's
 /// distribution, §V-D). halo_exchange() implements the
@@ -16,7 +18,6 @@
 /// out. Virtual time for entry/halo/exit transfers is accounted with the
 /// same Hockney + fair-share-contention model the offload engine uses.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,8 +103,6 @@ class DataRegion {
   /// Per-device environment (tests peek at mapped footprints).
   const mem::DeviceDataEnv& env(std::size_t slot) const;
 
-  ~DataRegion();
-
  private:
   /// Fair-share Hockney time for a set of per-device transfer byte counts
   /// happening concurrently (devices sharing a link divide its bandwidth).
@@ -113,8 +112,9 @@ class DataRegion {
   std::vector<mem::MapSpec> maps_;
   RegionOptions opts_;
   dist::Distribution loop_dist_;
-  std::vector<std::unique_ptr<mem::MappingStore>> stores_;  // per slot
-  std::vector<mem::DeviceDataEnv> envs_;                    // per slot
+  mem::MappingStore store_;
+  std::vector<mem::DeviceDataEnv> envs_;                     // per slot
+  std::vector<std::vector<mem::DeviceMapping*>> slot_maps_;  // per slot
   double entry_time_ = 0.0;
   double total_time_ = 0.0;
   bool closed_ = false;

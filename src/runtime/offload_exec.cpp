@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
 
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/log.h"
-#include "dist/align.h"
 #include "model/cost.h"
 #include "model/loop_model.h"
 #include "runtime/resilience.h"
@@ -23,15 +21,6 @@ namespace {
 /// the proxy thread).
 constexpr double kChunkSchedOverheadS = 1e-6;
 }  // namespace
-
-/// How one mapped array participates in the distribution.
-struct OffloadExecution::SpecPlan {
-  const mem::MapSpec* spec = nullptr;
-  int pdim = -1;            ///< partitioned dimension, -1 = FULL
-  bool follows_loop = false;  ///< owned region derived from loop chunks
-  double ratio = 1.0;       ///< composite ALIGN ratio to the loop / root
-  dist::Distribution static_dist;  ///< for partitioned non-following arrays
-};
 
 OffloadExecution::~OffloadExecution() {
   // Shared mode: revoke anything still pending (normally finish_now()
@@ -91,7 +80,9 @@ OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
   // Resolve the loop scheduler.
   if (forced_loop_dist != nullptr) {
     HOMP_REQUIRE(forced_loop_dist->domain() == kernel_.iterations,
-                 "data-region loop distribution does not cover this loop");
+                 "kernel loop " + kernel_.iterations.to_string() +
+                     " does not match region domain " +
+                     forced_loop_dist->domain().to_string());
     HOMP_REQUIRE(forced_loop_dist->num_parts() == opts_.device_ids.size(),
                  "data-region device count mismatch");
     scheduler_ = sched::PartitionScheduler::from_distribution(
@@ -99,7 +90,7 @@ OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
     algorithm_used_ = opts_.sched.kind;
   } else if (opts_.loop_policy.kind == dist::PolicyKind::kAlign) {
     // Align computation with data: copy the target array's distribution.
-    const SpecPlan* root = nullptr;
+    const ArrayPlan* root = nullptr;
     for (const auto& p : plans_) {
       if (p.spec->name == opts_.loop_policy.align_target) root = &p;
     }
@@ -165,59 +156,7 @@ void OffloadExecution::validate_and_plan() {
                      "' has no body");
   }
 
-  // ALIGN chains resolve through one graph (§V-D): BLOCK arrays and the
-  // loop label are its roots.
-  const std::size_t m = opts_.device_ids.size();
-  std::set<std::string> names;
-  dist::AlignmentGraph align;
-  for (const auto& s : maps_) {
-    s.validate();
-    HOMP_REQUIRE(names.insert(s.name).second,
-                 "variable '" + s.name + "' mapped twice");
-    const int pdim = s.partitioned_dim();
-    if (pdim < 0) continue;
-    const auto d = static_cast<std::size_t>(pdim);
-    const dist::DimPolicy pol = s.partitioned_policy();
-    if (pol.kind == dist::PolicyKind::kBlock) {
-      align.set_concrete(s.name, dist::Distribution::block(s.region.dim(d), m));
-    } else {
-      HOMP_ASSERT(pol.kind == dist::PolicyKind::kAlign);
-      align.set_aligned(s.name, pol.align_target, pol.align_ratio);
-    }
-  }
-  align.set_concrete(opts_.loop_label, dist::Distribution());
-
-  plans_.clear();
-  plans_.reserve(maps_.size());
-  for (const auto& s : maps_) {
-    SpecPlan plan;
-    plan.spec = &s;
-    plan.pdim = s.partitioned_dim();
-    if (plan.pdim < 0) {
-      // FULL replication: multi-device copy-out of a replicated array is
-      // ill-defined (every device would write the whole array).
-      HOMP_REQUIRE(!mem::copies_out(s.dir) || m == 1,
-                   "array '" + s.name +
-                       "' is replicated (FULL) but mapped '" +
-                       to_string(s.dir) +
-                       "' on multiple devices; partition it or use a "
-                       "reduction");
-      plans_.push_back(std::move(plan));
-      continue;
-    }
-    // An array whose chain roots at the loop label follows the loop's
-    // chunks; the rest take their root's BLOCK distribution.
-    plan.follows_loop = align.root_of(s.name) == opts_.loop_label;
-    plan.ratio = align.ratio_to_root(s.name);
-    if (!plan.follows_loop) {
-      plan.static_dist = align.resolve(s.name);
-      HOMP_REQUIRE(
-          plan.static_dist.domain() ==
-              s.region.dim(static_cast<std::size_t>(plan.pdim)),
-          "aligned distribution domain mismatch for '" + s.name + "'");
-    }
-    plans_.push_back(std::move(plan));
-  }
+  plans_ = plan_arrays(maps_, opts_.device_ids.size(), opts_.loop_label);
 
   // Chunk schedulers re-slice data per chunk, which requires every
   // partitioned array to follow the loop; pinned (BLOCK) arrays force an
@@ -308,22 +247,11 @@ void OffloadExecution::make_static_mappings(Proxy& p) {
       p.desc->memory == mach::MemorySpace::kShared || opts_.use_unified_memory;
   for (const auto& plan : plans_) {
     if (plan.follows_loop) continue;
-    const auto& s = *plan.spec;
-    dist::Region owned = s.region;
-    dist::Region footprint = s.region;
-    if (plan.pdim >= 0) {
-      const auto d = static_cast<std::size_t>(plan.pdim);
-      const dist::Range part =
-          plan.static_dist.part(static_cast<std::size_t>(p.slot));
-      owned = s.region.with_dim(d, part.clamped_to(s.region.dim(d)));
-      footprint = s.region.with_dim(
-          d, part.widened(s.halo_before, s.halo_after)
-                 .clamped_to(s.region.dim(d)));
-      if (part.empty()) footprint = owned;  // no data for this device
-    }
-    auto& m = p.store.create(s, owned, footprint, shared_with_host,
+    ArraySlice slice = pinned_slice(plan, static_cast<std::size_t>(p.slot));
+    auto& m = p.store.create(*plan.spec, std::move(slice.owned),
+                             std::move(slice.footprint), shared_with_host,
                              opts_.execute_bodies);
-    p.static_env.add(s.name, &m);
+    p.static_env.add(plan.spec->name, &m);
   }
 }
 
@@ -334,14 +262,9 @@ void OffloadExecution::make_chunk_mappings(
       p.desc->memory == mach::MemorySpace::kShared || opts_.use_unified_memory;
   for (const auto& plan : plans_) {
     if (!plan.follows_loop) continue;
-    const auto& s = *plan.spec;
-    const auto d = static_cast<std::size_t>(plan.pdim);
-    const dist::Range owned_dim =
-        chunk.scaled(plan.ratio).clamped_to(s.region.dim(d));
-    const dist::Range fp_dim = owned_dim.widened(s.halo_before, s.halo_after)
-                                   .clamped_to(s.region.dim(d));
-    auto& m = p.store.create(s, s.region.with_dim(d, owned_dim),
-                             s.region.with_dim(d, fp_dim), shared_with_host,
+    ArraySlice slice = loop_slice(plan, chunk, /*halo_if_empty=*/true);
+    auto& m = p.store.create(*plan.spec, std::move(slice.owned),
+                             std::move(slice.footprint), shared_with_host,
                              opts_.execute_bodies);
     out->push_back(&m);
   }

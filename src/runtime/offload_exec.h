@@ -43,6 +43,7 @@
 #include "machine/device.h"
 #include "memory/data_env.h"
 #include "memory/map_spec.h"
+#include "runtime/array_plan.h"
 #include "runtime/exec_context.h"
 #include "runtime/kernel.h"
 #include "runtime/options.h"
@@ -77,7 +78,7 @@ class OffloadExecution {
                        nullptr,
                    const ExecContext* ctx = nullptr);
 
-  ~OffloadExecution();  // out-of-line: Proxy/SpecPlan are private types
+  ~OffloadExecution();  // out-of-line: Proxy is a private type
 
   /// Run the offload to completion on the *owned* engine; single use.
   /// Standalone mode only (no ExecContext).
@@ -112,7 +113,6 @@ class OffloadExecution {
 
  private:
   friend class Resilience;
-  struct SpecPlan;
   struct PendingChunk;
   struct OutRecord;
   struct Proxy;
@@ -252,7 +252,7 @@ class OffloadExecution {
   std::string fail_error_;
   std::size_t events_used_ = 0;
 
-  std::vector<SpecPlan> plans_;
+  std::vector<ArrayPlan> plans_;
   model::KernelCostProfile effective_profile_;
   sched::LoopContext loop_context_;
   std::unique_ptr<sched::LoopScheduler> scheduler_;

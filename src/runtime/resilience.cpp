@@ -55,25 +55,6 @@ ChunkRecovery& touch(std::shared_ptr<ChunkRecovery>& r) {
   return *r;
 }
 
-/// Device-side (or host-side) combined checksum over the chunk's mappings
-/// in the given direction. 0 in pure-simulation mode.
-std::uint64_t payload_checksum(const std::vector<mem::DeviceMapping*>& maps,
-                               bool input_side, bool host_side = false) {
-  std::uint64_t h = 0;
-  for (auto* m : maps) {
-    if (m->shared()) continue;  // no wire crossed, nothing to verify
-    if (input_side ? !mem::copies_in(m->spec().dir)
-                   : !mem::copies_out(m->spec().dir)) {
-      continue;
-    }
-    const dist::Region& r = input_side ? m->footprint() : m->owned();
-    const std::uint64_t s =
-        host_side ? m->checksum_host(r) : m->checksum_device(r);
-    h = mix64(h ^ s);
-  }
-  return h;
-}
-
 /// Flip seeded bytes in one of the chunk's mappings (device storage).
 void apply_corruption(const std::vector<mem::DeviceMapping*>& maps,
                       bool input_side, std::uint64_t seed) {
@@ -105,6 +86,23 @@ double integrity_delay(double bytes, const mach::DeviceDescriptor& d) {
   return bw > 0.0 && bytes > 0.0 ? bytes / bw : 0.0;
 }
 }  // namespace
+
+std::uint64_t payload_checksum(const std::vector<mem::DeviceMapping*>& maps,
+                               bool input_side, bool host_side) {
+  std::uint64_t h = 0;
+  for (auto* m : maps) {
+    if (m->shared()) continue;  // no wire crossed, nothing to verify
+    if (input_side ? !mem::copies_in(m->spec().dir)
+                   : !mem::copies_out(m->spec().dir)) {
+      continue;
+    }
+    const dist::Region& r = input_side ? m->footprint() : m->owned();
+    const std::uint64_t s =
+        host_side ? m->checksum_host(r) : m->checksum_device(r);
+    h = mix64(h ^ s);
+  }
+  return h;
+}
 
 std::unique_ptr<Resilience> Resilience::build(OffloadExecution& x) {
   // Option values were already validated (OffloadOptions::validate_or_throw

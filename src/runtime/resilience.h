@@ -54,6 +54,14 @@ inline constexpr int kVoteQuorum = 2;         ///< agreeing ballots commit
 inline constexpr int kMaxAttempts = 8;  ///< executions of one chunk, at most
 inline constexpr int kIntegrityQuarantineThreshold = 3;
 
+/// Combined checksum over the payload of `maps` in one direction: the
+/// footprint of each mapping that copies in (`input_side`), else the owned
+/// region of each mapping that copies out, read from device storage or,
+/// with `host_side`, from the host copy. Shared mappings cross no wire and
+/// are skipped. 0 in pure-simulation mode.
+std::uint64_t payload_checksum(const std::vector<mem::DeviceMapping*>& maps,
+                               bool input_side, bool host_side = false);
+
 /// Whether the wire loses a transfer attempt and, if it lands, the seed
 /// of its silent payload corruption (0 = clean).
 struct WireFault {

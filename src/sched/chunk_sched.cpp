@@ -29,79 +29,54 @@ bool SlotLiveness::reactivate(int slot) {
   return true;
 }
 
-DynamicScheduler::DynamicScheduler(const LoopContext& ctx,
-                                   double chunk_fraction, long long min_chunk)
+CursorScheduler::CursorScheduler(const LoopContext& ctx,
+                                 double chunk_fraction, long long min_chunk)
     : domain_(ctx.loop), cursor_(ctx.loop.lo), live_(ctx.num_devices()) {
   HOMP_REQUIRE(chunk_fraction > 0.0 && chunk_fraction <= 1.0,
-               "dynamic chunk fraction must be in (0, 1]");
+               "chunk fraction must be in (0, 1]");
   HOMP_REQUIRE(min_chunk >= 1, "min_chunk must be at least 1");
-  chunk_ = std::max(
-      min_chunk,
-      static_cast<long long>(std::llround(
-          chunk_fraction * static_cast<double>(domain_.size()))));
 }
 
-std::optional<dist::Range> DynamicScheduler::next_chunk(int slot) {
+std::optional<dist::Range> CursorScheduler::next_chunk(int slot) {
   if (!live_.active(slot)) return std::nullopt;
   if (cursor_ >= domain_.hi) return std::nullopt;
-  const long long hi = std::min(cursor_ + chunk_, domain_.hi);
-  dist::Range r(cursor_, hi);
-  cursor_ = hi;
+  dist::Range r(cursor_, cursor_ + chunk_for(domain_.hi - cursor_));
+  cursor_ = r.hi;
   ++issued_;
   return r;
 }
 
-bool DynamicScheduler::finished(int slot) const {
+bool CursorScheduler::finished(int slot) const {
   if (!live_.active(slot)) return true;
   return cursor_ >= domain_.hi;
 }
 
-std::vector<dist::Range> DynamicScheduler::deactivate(int slot) {
-  // Shared cursor: nothing is reserved per slot, so nothing is orphaned;
-  // the survivors keep draining the cursor.
+std::vector<dist::Range> CursorScheduler::deactivate(int slot) {
   live_.deactivate(slot, domain_.hi - cursor_);
   return {};
 }
 
-void DynamicScheduler::reactivate(int slot) { live_.reactivate(slot); }
+void CursorScheduler::reactivate(int slot) { live_.reactivate(slot); }
+
+DynamicScheduler::DynamicScheduler(const LoopContext& ctx,
+                                   double chunk_fraction, long long min_chunk)
+    : CursorScheduler(ctx, chunk_fraction, min_chunk),
+      chunk_(std::max(min_chunk,
+                      static_cast<long long>(std::llround(
+                          chunk_fraction *
+                          static_cast<double>(ctx.loop.size()))))) {}
 
 GuidedScheduler::GuidedScheduler(const LoopContext& ctx,
                                  double chunk_fraction, long long min_chunk)
-    : domain_(ctx.loop),
-      cursor_(ctx.loop.lo),
+    : CursorScheduler(ctx, chunk_fraction, min_chunk),
       fraction_(chunk_fraction),
-      min_chunk_(min_chunk),
-      live_(ctx.num_devices()) {
-  HOMP_REQUIRE(chunk_fraction > 0.0 && chunk_fraction <= 1.0,
-               "guided chunk fraction must be in (0, 1]");
-  HOMP_REQUIRE(min_chunk >= 1, "min_chunk must be at least 1");
-}
+      min_chunk_(min_chunk) {}
 
-std::optional<dist::Range> GuidedScheduler::next_chunk(int slot) {
-  if (!live_.active(slot)) return std::nullopt;
-  if (cursor_ >= domain_.hi) return std::nullopt;
-  const long long remaining = domain_.hi - cursor_;
-  const long long size = std::min(
-      remaining,
-      std::max(min_chunk_,
-               static_cast<long long>(std::ceil(
-                   fraction_ * static_cast<double>(remaining)))));
-  dist::Range r(cursor_, cursor_ + size);
-  cursor_ += size;
-  ++issued_;
-  return r;
+long long GuidedScheduler::chunk_for(long long remaining) const {
+  return std::min(remaining,
+                  std::max(min_chunk_,
+                           static_cast<long long>(std::ceil(
+                               fraction_ * static_cast<double>(remaining)))));
 }
-
-bool GuidedScheduler::finished(int slot) const {
-  if (!live_.active(slot)) return true;
-  return cursor_ >= domain_.hi;
-}
-
-std::vector<dist::Range> GuidedScheduler::deactivate(int slot) {
-  live_.deactivate(slot, domain_.hi - cursor_);
-  return {};
-}
-
-void GuidedScheduler::reactivate(int slot) { live_.reactivate(slot); }
 
 }  // namespace homp::sched

@@ -8,6 +8,8 @@
 /// the single-threaded DES engine a plain cursor gives identical
 /// semantics, with FIFO event order standing in for CAS arbitration.
 
+#include <algorithm>
+
 #include "sched/scheduler.h"
 
 namespace homp::sched {
@@ -38,12 +40,12 @@ class SlotLiveness {
   std::size_t alive_;
 };
 
-/// SCHED_DYNAMIC: every chunk has the same size (a fraction of the loop).
-class DynamicScheduler : public LoopScheduler {
+/// The shared cursor of SCHED_DYNAMIC and SCHED_GUIDED, which differ only
+/// in the size of the next chunk. Nothing is reserved per slot, so a
+/// deactivated slot orphans nothing: the survivors keep draining the
+/// cursor.
+class CursorScheduler : public LoopScheduler {
  public:
-  DynamicScheduler(const LoopContext& ctx, double chunk_fraction,
-                   long long min_chunk);
-
   std::optional<dist::Range> next_chunk(int slot) override;
   bool finished(int slot) const override;
   int num_stages() const override { return 0; }  // "Multiple" in Table II
@@ -51,38 +53,49 @@ class DynamicScheduler : public LoopScheduler {
   std::vector<dist::Range> deactivate(int slot) override;
   void reactivate(int slot) override;
 
-  long long chunk_size() const noexcept { return chunk_; }
+ protected:
+  CursorScheduler(const LoopContext& ctx, double chunk_fraction,
+                  long long min_chunk);
+
+  /// Size of the next chunk when `remaining` (> 0) iterations are left.
+  virtual long long chunk_for(long long remaining) const = 0;
 
  private:
   dist::Range domain_;
   long long cursor_;
-  long long chunk_;
   std::size_t issued_ = 0;
   SlotLiveness live_;
+};
+
+/// SCHED_DYNAMIC: every chunk has the same size (a fraction of the loop).
+class DynamicScheduler : public CursorScheduler {
+ public:
+  DynamicScheduler(const LoopContext& ctx, double chunk_fraction,
+                   long long min_chunk);
+
+  long long chunk_size() const noexcept { return chunk_; }
+
+ private:
+  long long chunk_for(long long remaining) const override {
+    return std::min(chunk_, remaining);
+  }
+
+  long long chunk_;
 };
 
 /// SCHED_GUIDED: each chunk is a fraction of the *remaining* iterations,
 /// so sizes shrink as the loop drains (large chunks first, small chunks
 /// near the end to polish the balance).
-class GuidedScheduler : public LoopScheduler {
+class GuidedScheduler : public CursorScheduler {
  public:
   GuidedScheduler(const LoopContext& ctx, double chunk_fraction,
                   long long min_chunk);
 
-  std::optional<dist::Range> next_chunk(int slot) override;
-  bool finished(int slot) const override;
-  int num_stages() const override { return 0; }
-  std::size_t chunks_issued() const override { return issued_; }
-  std::vector<dist::Range> deactivate(int slot) override;
-  void reactivate(int slot) override;
-
  private:
-  dist::Range domain_;
-  long long cursor_;
+  long long chunk_for(long long remaining) const override;
+
   double fraction_;
   long long min_chunk_;
-  std::size_t issued_ = 0;
-  SlotLiveness live_;
 };
 
 }  // namespace homp::sched

@@ -242,67 +242,4 @@ void ThroughputHistory::load_file(const std::string& path) {
   merge_text(buf.str());
 }
 
-HistoryScheduler::HistoryScheduler(const LoopContext& ctx,
-                                   const ThroughputHistory& history,
-                                   std::string kernel_name,
-                                   std::vector<int> device_ids,
-                                   double cutoff_ratio) {
-  HOMP_REQUIRE(ctx.num_devices() > 0, "no devices to schedule onto");
-  HOMP_REQUIRE(device_ids.size() == ctx.num_devices(),
-               "device id list does not match context");
-
-  // Rates from history; model-predicted rates fill the gaps so a fresh
-  // device is not starved (and can therefore earn history).
-  std::vector<double> rates(ctx.num_devices(), 0.0);
-  for (std::size_t s = 0; s < rates.size(); ++s) {
-    if (history.has(kernel_name, device_ids[s])) {
-      rates[s] = history.rate(kernel_name, device_ids[s]);
-    } else {
-      fully_informed_ = false;
-      rates[s] = 1.0 / model::model2_iter_time(ctx.kernel, ctx.devices[s]);
-    }
-  }
-  if (!fully_informed_) {
-    HOMP_DEBUG << "history incomplete for '" << kernel_name
-               << "'; MODEL_2 fills " << ctx.num_devices() << " slots";
-  }
-  std::vector<double> w = model::weights_from_rates(rates);
-  if (cutoff_ratio > 0.0) {
-    cutoff_ = model::apply_cutoff(w, cutoff_ratio);
-    has_cutoff_ = true;
-    w = cutoff_.weights;
-  }
-  weights_ = w;
-  dist_ = dist::Distribution::by_weights(ctx.loop, w);
-  consumed_.assign(ctx.num_devices(), false);
-}
-
-std::optional<dist::Range> HistoryScheduler::next_chunk(int slot) {
-  HOMP_ASSERT(slot >= 0 &&
-              static_cast<std::size_t>(slot) < consumed_.size());
-  const auto s = static_cast<std::size_t>(slot);
-  if (consumed_[s]) return std::nullopt;
-  consumed_[s] = true;
-  const dist::Range part = dist_.part(s);
-  if (part.empty()) return std::nullopt;
-  ++issued_;
-  return part;
-}
-
-bool HistoryScheduler::finished(int slot) const {
-  const auto s = static_cast<std::size_t>(slot);
-  return consumed_[s] || dist_.part(s).empty();
-}
-
-std::vector<dist::Range> HistoryScheduler::deactivate(int slot) {
-  HOMP_ASSERT(slot >= 0 &&
-              static_cast<std::size_t>(slot) < consumed_.size());
-  const auto s = static_cast<std::size_t>(slot);
-  if (consumed_[s]) return {};
-  consumed_[s] = true;
-  const dist::Range part = dist_.part(s);
-  if (part.empty()) return {};
-  return {part};
-}
-
 }  // namespace homp::sched

@@ -15,12 +15,10 @@
 ///    an idle device steals the *back half* of the largest remaining
 ///    victim deque. Deterministic on the DES engine.
 ///
-///  * HistoryScheduler — Qilin-like ([21]; the paper's "improving
-///    prediction models" future work): partition proportionally to the
-///    throughput each device *demonstrated on this kernel in previous
-///    offloads* (EWMA), falling back to MODEL_2 weights for devices with
-///    no history. The runtime records observed rates into a
-///    ThroughputHistory after every offload that ran with history enabled.
+///  * ThroughputHistory — the per-(kernel, device) observed-throughput
+///    store behind HISTORY_AUTO (PartitionScheduler::from_history). The
+///    runtime records observed rates (EWMA) into it after every offload
+///    that ran with history enabled.
 
 #include <map>
 #include <optional>
@@ -128,37 +126,6 @@ class ThroughputHistory {
   std::map<std::pair<std::string, int>, double> rates_;
   std::vector<std::pair<std::string, int>> order_;  // insertion order
   std::size_t capacity_ = kDefaultCapacity;
-};
-
-class HistoryScheduler : public LoopScheduler {
- public:
-  /// \param kernel_name history key
-  /// \param device_ids  global device ids per slot (history is keyed by
-  ///        device id, not slot, so it survives device-list changes)
-  HistoryScheduler(const LoopContext& ctx, const ThroughputHistory& history,
-                   std::string kernel_name, std::vector<int> device_ids,
-                   double cutoff_ratio);
-
-  std::optional<dist::Range> next_chunk(int slot) override;
-  bool finished(int slot) const override;
-  std::vector<double> planned_weights() const override { return weights_; }
-  const model::CutoffResult* cutoff() const override {
-    return has_cutoff_ ? &cutoff_ : nullptr;
-  }
-  std::size_t chunks_issued() const override { return issued_; }
-  std::vector<dist::Range> deactivate(int slot) override;
-
-  /// True if every device had history (no model fallback needed).
-  bool fully_informed() const noexcept { return fully_informed_; }
-
- private:
-  dist::Distribution dist_;
-  std::vector<double> weights_;
-  std::vector<bool> consumed_;
-  model::CutoffResult cutoff_;
-  bool has_cutoff_ = false;
-  bool fully_informed_ = true;
-  std::size_t issued_ = 0;
 };
 
 }  // namespace homp::sched

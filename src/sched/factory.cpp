@@ -43,7 +43,7 @@ std::unique_ptr<LoopScheduler> make_scheduler(const SchedulerConfig& config,
       HOMP_REQUIRE(config.history != nullptr,
                    "HISTORY_AUTO needs a ThroughputHistory (use the "
                    "Runtime facade, which provides one)");
-      return std::make_unique<HistoryScheduler>(
+      return PartitionScheduler::from_history(
           context, *config.history, config.history_kernel,
           config.history_device_ids, config.cutoff_ratio);
   }

@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "sched/extended_sched.h"  // ThroughputHistory
 
 namespace homp::sched {
 
@@ -27,26 +28,55 @@ std::unique_ptr<PartitionScheduler> PartitionScheduler::from_model(
   HOMP_REQUIRE(kind == AlgorithmKind::kModel1Auto ||
                    kind == AlgorithmKind::kModel2Auto,
                "from_model expects an analytical-model algorithm");
-  std::vector<double> w =
-      kind == AlgorithmKind::kModel1Auto
-          ? model::model1_weights(ctx.kernel, ctx.devices)
-          : model::model2_weights(ctx.kernel, ctx.devices);
+  return from_weights(ctx.loop,
+                      kind == AlgorithmKind::kModel1Auto
+                          ? model::model1_weights(ctx.kernel, ctx.devices)
+                          : model::model2_weights(ctx.kernel, ctx.devices),
+                      cutoff_ratio);
+}
 
-  std::unique_ptr<PartitionScheduler> sched;
-  if (cutoff_ratio > 0.0) {
-    model::CutoffResult cut = model::apply_cutoff(w, cutoff_ratio);
-    if (cut.num_selected < static_cast<int>(w.size())) {
-      HOMP_INFO << "CUTOFF(" << cutoff_ratio << ") kept "
-                << cut.num_selected << "/" << w.size() << " devices";
+std::unique_ptr<PartitionScheduler> PartitionScheduler::from_history(
+    const LoopContext& ctx, const ThroughputHistory& history,
+    const std::string& kernel_name, const std::vector<int>& device_ids,
+    double cutoff_ratio) {
+  HOMP_REQUIRE(ctx.num_devices() > 0, "no devices to schedule onto");
+  HOMP_REQUIRE(device_ids.size() == ctx.num_devices(),
+               "device id list does not match context");
+  std::vector<double> rates(ctx.num_devices(), 0.0);
+  std::size_t unseen = 0;
+  for (std::size_t s = 0; s < rates.size(); ++s) {
+    if (history.has(kernel_name, device_ids[s])) {
+      rates[s] = history.rate(kernel_name, device_ids[s]);
+    } else {
+      ++unseen;
+      rates[s] = 1.0 / model::model2_iter_time(ctx.kernel, ctx.devices[s]);
     }
-    auto d = dist::Distribution::by_weights(ctx.loop, cut.weights);
-    sched.reset(new PartitionScheduler(std::move(d), cut.weights));
-    sched->cutoff_ = std::move(cut);
-    sched->has_cutoff_ = true;
-  } else {
-    auto d = dist::Distribution::by_weights(ctx.loop, w);
-    sched.reset(new PartitionScheduler(std::move(d), std::move(w)));
   }
+  if (unseen > 0) {
+    HOMP_DEBUG << "history incomplete for '" << kernel_name << "'; MODEL_2 "
+               << "fills " << unseen << " of " << rates.size() << " slots";
+  }
+  return from_weights(ctx.loop, model::weights_from_rates(rates),
+                      cutoff_ratio);
+}
+
+std::unique_ptr<PartitionScheduler> PartitionScheduler::from_weights(
+    const dist::Range& loop, std::vector<double> weights,
+    double cutoff_ratio) {
+  model::CutoffResult cut;
+  if (cutoff_ratio > 0.0) {
+    cut = model::apply_cutoff(weights, cutoff_ratio);
+    if (cut.num_selected < static_cast<int>(weights.size())) {
+      HOMP_INFO << "CUTOFF(" << cutoff_ratio << ") kept "
+                << cut.num_selected << "/" << weights.size() << " devices";
+    }
+    weights = cut.weights;
+  }
+  auto d = dist::Distribution::by_weights(loop, weights);
+  std::unique_ptr<PartitionScheduler> sched(
+      new PartitionScheduler(std::move(d), std::move(weights)));
+  sched->cutoff_ = std::move(cut);
+  sched->has_cutoff_ = cutoff_ratio > 0.0;
   return sched;
 }
 

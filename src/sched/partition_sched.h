@@ -3,11 +3,12 @@
 
 /// \file partition_sched.h
 /// Single-stage schedulers that compute the whole partition up front:
-/// BLOCK (even chunks) and the two analytical models (weight-proportional
-/// chunks, optionally CUTOFF-filtered). One chunk per device, handed out
-/// on first request.
+/// BLOCK (even chunks), the two analytical models and HISTORY_AUTO
+/// (weight-proportional chunks, optionally CUTOFF-filtered). One chunk per
+/// device, handed out on first request.
 
 #include <optional>
+#include <string>
 
 #include "dist/distribution.h"
 #include "sched/scheduler.h"
@@ -23,6 +24,24 @@ class PartitionScheduler : public LoopScheduler {
   static std::unique_ptr<PartitionScheduler> from_model(
       const LoopContext& ctx, AlgorithmKind kind, double cutoff_ratio);
 
+  /// HISTORY_AUTO, Qilin-like ([21]; the paper's "improving prediction
+  /// models" future work): weights proportional to the throughput each
+  /// device demonstrated on `kernel_name` in earlier offloads, with
+  /// MODEL_2 rates for devices the history has not seen, so a fresh device
+  /// is not starved and can earn history. `device_ids` are the global ids
+  /// per slot: history is keyed by device, not slot.
+  static std::unique_ptr<PartitionScheduler> from_history(
+      const LoopContext& ctx, const ThroughputHistory& history,
+      const std::string& kernel_name, const std::vector<int>& device_ids,
+      double cutoff_ratio);
+
+  /// Partition `loop` in proportion to `weights`, after CUTOFF when
+  /// `cutoff_ratio` > 0 — the one weighted step of every algorithm above
+  /// and of the profiling schedulers' second stage.
+  static std::unique_ptr<PartitionScheduler> from_weights(
+      const dist::Range& loop, std::vector<double> weights,
+      double cutoff_ratio);
+
   /// Loop distribution dictated externally — dist_schedule(target:
   /// [ALIGN(x)]) copies the array's distribution onto the loop (§III-3
   /// "align computation with data").
@@ -37,6 +56,9 @@ class PartitionScheduler : public LoopScheduler {
   }
   std::size_t chunks_issued() const override { return issued_; }
   std::vector<dist::Range> deactivate(int slot) override;
+
+  /// The partition, one part per slot.
+  const dist::Distribution& distribution() const noexcept { return dist_; }
 
  private:
   PartitionScheduler(dist::Distribution d, std::vector<double> weights);

@@ -9,10 +9,12 @@
 /// Devices rendezvous at a stage barrier; the measured per-chunk times
 /// ("broadcast" between the proxies in the real runtime) yield observed
 /// throughputs, which (after optional CUTOFF) weight the distribution of
-/// the remaining iterations in stage 2.
+/// the remaining iterations in stage 2. Each stage is a PartitionScheduler.
 
+#include <memory>
 #include <optional>
 
+#include "sched/partition_sched.h"
 #include "sched/scheduler.h"
 
 namespace homp::sched {
@@ -30,13 +32,17 @@ class ProfileScheduler : public LoopScheduler {
   bool finished(int slot) const override;
   void report(int slot, const dist::Range& chunk, double seconds) override;
   int num_stages() const override { return 2; }
-  bool stage_barrier_pending() const override { return stage_ == 1; }
+  bool stage_barrier_pending() const override { return !stage2_; }
   void advance_stage() override;
-  std::vector<double> planned_weights() const override;
-  const model::CutoffResult* cutoff() const override {
-    return has_cutoff_ ? &cutoff_ : nullptr;
+  std::vector<double> planned_weights() const override {
+    return stage2_ ? stage2_->planned_weights() : std::vector<double>{};
   }
-  std::size_t chunks_issued() const override { return issued_; }
+  const model::CutoffResult* cutoff() const override {
+    return stage2_ ? stage2_->cutoff() : nullptr;
+  }
+  std::size_t chunks_issued() const override {
+    return stage1_->chunks_issued() + (stage2_ ? stage2_->chunks_issued() : 0);
+  }
   std::vector<dist::Range> deactivate(int slot) override;
 
   /// Observed stage-1 throughputs (iterations/second), for diagnostics.
@@ -45,19 +51,13 @@ class ProfileScheduler : public LoopScheduler {
   }
 
  private:
-  int stage_ = 1;
   dist::Range remaining_;  // iterations not consumed by stage 1
-  std::vector<dist::Range> sample_;   // stage-1 chunk per slot
-  std::vector<dist::Range> final_;    // stage-2 chunk per slot
-  std::vector<bool> handed_out_[2];   // per stage, per slot
   std::vector<double> rates_;         // observed iters/sec per slot
   std::vector<bool> reported_;
   std::vector<bool> deactivated_;     // per slot, withdrawn by deactivate()
-  std::vector<double> stage2_weights_;
-  model::CutoffResult cutoff_;
-  bool has_cutoff_ = false;
   double cutoff_ratio_;
-  std::size_t issued_ = 0;
+  std::unique_ptr<PartitionScheduler> stage1_;  // one sample per slot
+  std::unique_ptr<PartitionScheduler> stage2_;  // set by advance_stage()
 };
 
 }  // namespace homp::sched

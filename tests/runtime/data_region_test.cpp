@@ -262,6 +262,43 @@ TEST(DataRegion, OverlappingHaloFootprintsCommitOwnedRegionsOnly) {
   }
 }
 
+TEST(DataRegion, ArrayAlignedToABlockArrayTakesItsParts) {
+  // b's ALIGN chain roots at the BLOCK array a, not at the region's label,
+  // so b takes a's parts, as a pinned array of a plain offload does. The
+  // label's loop covers only half the rows, so its parts differ from a's.
+  rt::Runtime rt{mach::testing_machine(3)};
+  constexpr long long kN = 50;
+  auto a = mem::HostArray<double>::vector(kN, 0.0);
+  auto b = mem::HostArray<double>::vector(kN, 0.0);
+  a.fill_with_index([](long long i) { return static_cast<double>(i); });
+  b.fill_with_index([](long long i) { return 1000.0 + i; });
+  std::vector<mem::MapSpec> maps;
+  maps.push_back(aligned_spec("a", a, mem::MapDirection::kToFrom));
+  maps.back().partition[0] = dist::DimPolicy::block();
+  maps.push_back(aligned_spec("b", b, mem::MapDirection::kToFrom));
+  maps.back().partition[0] = dist::DimPolicy::align("a");
+  auto ro = region_opts(rt, kN / 2);
+  ro.verify_exit = true;
+  auto region = rt.map_data(std::move(maps), ro);
+
+  const auto parts =
+      dist::Distribution::block(dist::Range::of_size(kN), 4).parts();
+  for (std::size_t slot = 0; slot < parts.size(); ++slot) {
+    const auto& env = region->env(slot);
+    EXPECT_EQ(env.mapping("a").owned().dim(0), parts[slot]);
+    EXPECT_EQ(env.mapping("b").owned().dim(0), parts[slot]);
+    // Each device bumps the rows of b it owns.
+    auto v = env.view<double>("b");
+    for (long long i = parts[slot].lo; i < parts[slot].hi; ++i) v(i) += 1.0;
+  }
+  region->close();
+  EXPECT_EQ(region->exit_retries(), 0);
+  for (long long i = 0; i < kN; ++i) {
+    ASSERT_EQ(a(i), static_cast<double>(i)) << "a[" << i << "]";
+    ASSERT_EQ(b(i), 1001.0 + i) << "b[" << i << "]";
+  }
+}
+
 TEST(DataRegion, UseAfterCloseThrows) {
   rt::Runtime rt{mach::testing_machine(2)};
   constexpr long long kN = 16;

@@ -155,16 +155,17 @@ TEST(Deactivate, PartitionReturnsTheUnconsumedPartOnce) {
   EXPECT_TRUE(s->deactivate(1).empty());
 }
 
-TEST(Deactivate, HistorySchedulerMatchesThePartitionContract) {
+TEST(Deactivate, FromHistoryMatchesThePartitionContract) {
   ThroughputHistory h;
   h.record("k", 1, 1e9);
   h.record("k", 2, 1e9);
-  HistoryScheduler s(ctx(100, 2), h, "k", {1, 2}, /*cutoff_ratio=*/0.0);
-  auto orphaned = s.deactivate(0);
+  auto s = PartitionScheduler::from_history(ctx(100, 2), h, "k", {1, 2},
+                                            /*cutoff_ratio=*/0.0);
+  auto orphaned = s->deactivate(0);
   EXPECT_EQ(total_size(orphaned), 50);
-  EXPECT_TRUE(s.deactivate(0).empty());
-  ASSERT_TRUE(s.next_chunk(1).has_value());
-  EXPECT_TRUE(s.deactivate(1).empty());
+  EXPECT_TRUE(s->deactivate(0).empty());
+  ASSERT_TRUE(s->next_chunk(1).has_value());
+  EXPECT_TRUE(s->deactivate(1).empty());
 }
 
 TEST(Deactivate, ProfileSlotLostWithTheWholeSampleGetsNoStage2Work) {

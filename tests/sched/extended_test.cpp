@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "kernels/axpy.h"
 #include "machine/profiles.h"
 #include "runtime/runtime.h"
+#include "sched/partition_sched.h"
 
 namespace homp::sched {
 namespace {
@@ -210,36 +213,44 @@ TEST(ThroughputHistory, FileRoundTrip) {
   EXPECT_THROW(h2.load_file("/nonexistent/h.tsv"), homp::ConfigError);
 }
 
-TEST(HistoryScheduler, SplitsByRecordedRates) {
+TEST(FromHistory, SplitsByRecordedRates) {
   ThroughputHistory h;
   h.record("k", 10, 300.0);
   h.record("k", 11, 100.0);
-  HistoryScheduler s(ctx(100, 2), h, "k", {10, 11}, 0.0);
-  EXPECT_TRUE(s.fully_informed());
-  EXPECT_EQ(s.next_chunk(0)->size(), 75);
-  EXPECT_EQ(s.next_chunk(1)->size(), 25);
-  EXPECT_TRUE(s.finished(0));
+  auto s = PartitionScheduler::from_history(ctx(100, 2), h, "k", {10, 11},
+                                            0.0);
+  // Every device has history, so the recorded rates alone set the weights.
+  EXPECT_EQ(s->planned_weights(), (std::vector<double>{0.75, 0.25}));
+  EXPECT_EQ(s->next_chunk(0)->size(), 75);
+  EXPECT_EQ(s->next_chunk(1)->size(), 25);
+  EXPECT_TRUE(s->finished(0));
 }
 
-TEST(HistoryScheduler, FallsBackToModelForUnseenDevices) {
+TEST(FromHistory, FallsBackToModelForUnseenDevices) {
   ThroughputHistory h;
   h.record("k", 10, 300.0);
-  HistoryScheduler s(ctx(100, 2), h, "k", {10, 99}, 0.0);
-  EXPECT_FALSE(s.fully_informed());
+  const LoopContext c = ctx(100, 2);
+  auto s = PartitionScheduler::from_history(c, h, "k", {10, 99}, 0.0);
+  // Device 99 has no history: its MODEL_2 rate stands in for one.
+  const double model_rate =
+      1.0 / model::model2_iter_time(c.kernel, c.devices[1]);
+  EXPECT_DOUBLE_EQ(s->planned_weights()[1],
+                   model_rate / (300.0 + model_rate));
   // The unseen device still gets a share (model fallback), so it can earn
   // history.
-  EXPECT_GT(s.next_chunk(1)->size(), 0);
+  EXPECT_GT(s->next_chunk(1)->size(), 0);
 }
 
-TEST(HistoryScheduler, CutoffApplies) {
+TEST(FromHistory, CutoffApplies) {
   ThroughputHistory h;
   h.record("k", 1, 100.0);
   h.record("k", 2, 100.0);
   h.record("k", 3, 1.0);
-  HistoryScheduler s(ctx(100, 3), h, "k", {1, 2, 3}, 0.15);
-  ASSERT_NE(s.cutoff(), nullptr);
-  EXPECT_EQ(s.cutoff()->num_selected, 2);
-  EXPECT_FALSE(s.next_chunk(2).has_value());
+  auto s = PartitionScheduler::from_history(ctx(100, 3), h, "k", {1, 2, 3},
+                                            0.15);
+  ASSERT_NE(s->cutoff(), nullptr);
+  EXPECT_EQ(s->cutoff()->num_selected, 2);
+  EXPECT_FALSE(s->next_chunk(2).has_value());
 }
 
 TEST(HistoryIntegration, SecondOffloadUsesObservedRates) {
