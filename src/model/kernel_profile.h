@@ -64,12 +64,6 @@ struct KernelCostProfile {
                ? flops_per_iter / transfer_bytes_per_iter
                : 1e30;
   }
-
-  /// FLOPs per byte of device-memory traffic.
-  double flops_per_mem_byte() const {
-    return mem_bytes_per_iter > 0.0 ? flops_per_iter / mem_bytes_per_iter
-                                    : 1e30;
-  }
 };
 
 }  // namespace homp::model

@@ -35,11 +35,6 @@ class SharedLink {
   /// transfer completes. Zero-byte transfers still pay the latency.
   void transfer(double bytes, std::function<void()> done);
 
-  /// Analytic time for a contention-free transfer (used by MODEL_2).
-  Time uncontended_time(double bytes) const noexcept {
-    return latency_ + bytes / bandwidth_;
-  }
-
   const std::string& name() const noexcept { return name_; }
   double bandwidth() const noexcept { return bandwidth_; }
   double latency() const noexcept { return latency_; }

@@ -5,23 +5,15 @@ struct Engine {
   template <class F> unsigned long schedule_at(double, F) { return 0; }
   template <class F> unsigned long schedule_after(double, F) { return 0; }
 };
-struct Latch {
-  template <class F> void wait(F) {}
-};
-struct Barrier {
-  template <class F> void arrive(F) {}
-};
 struct Link {
   template <class F> void transfer(double, F) {}
 };
 
-void all_bad(Engine& e, Latch& l, Barrier& b, Link& lk) {
+void all_bad(Engine& e, Link& lk) {
   int local = 0;
   double when = 1.0;
   e.schedule_at(when, [&] { local += 1; });        // default ref capture
   e.schedule_after(0.5, [&local] { local += 1; }); // named ref capture
-  l.wait([&] { local += 2; });
-  b.arrive([&local, when] { local += static_cast<int>(when); });
   lk.transfer(1e6, [&local] { local += 3; });
   // multi-line capture lists must be seen too
   e.schedule_after(0.25, [&local,

@@ -1,15 +1,15 @@
 // homp-lint fixture: no HL001 finding — captures are by value, moved-in,
-// or `this` held by an object that owns the engine.
+// or `this` held by an object that owns the engine, and a by-reference
+// predicate that runs before its call returns is not deferred.
 
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <utility>
 
 struct Engine {
   template <class F> unsigned long schedule_at(double, F) { return 0; }
   template <class F> unsigned long schedule_after(double, F) { return 0; }
-};
-struct Latch {
-  template <class F> void wait(F) {}
 };
 
 struct Actor {
@@ -22,10 +22,15 @@ struct Actor {
   }
 };
 
-void move_ownership(Engine& e, Latch& l, std::function<void()> cont) {
+void move_ownership(Engine& e, std::function<void()> cont) {
   int copied = 7;
   e.schedule_at(2.0, [copied, cont = std::move(cont)]() mutable {
     if (copied > 0) cont();
   });
-  l.wait([] {});
+}
+
+void wait_until_ready(std::condition_variable& cv, std::mutex& m,
+                      const bool& ready) {
+  std::unique_lock<std::mutex> lock(m);
+  cv.wait(lock, [&] { return ready; });
 }

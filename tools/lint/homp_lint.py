@@ -10,8 +10,7 @@ Checks
 ------
 HL001  deferred-ref-capture   Reference-capturing lambda ([&], [&x]) passed
                               to a deferred-execution site (Engine::schedule_at
-                              / schedule_after, Latch::wait, Barrier::arrive,
-                              Link::transfer).
+                              / schedule_after, Link::transfer).
                               The callback outlives the enclosing frame; a
                               by-reference capture of a stack local is a
                               use-after-return that ASan only catches when the
@@ -287,8 +286,7 @@ def _require_acyclic(layers, path):
 # ---------------------------------------------------------------------------
 
 DEFERRED_SITE_RE = re.compile(
-    r"(?:\bschedule_at|\bschedule_after|[.>]\s*wait|[.>]\s*arrive"
-    r"|[.>]\s*transfer)\s*\(")
+    r"(?:\bschedule_at|\bschedule_after|[.>]\s*transfer)\s*\(")
 LAMBDA_INTRO_RE = re.compile(r"\[([^\[\]]*)\]\s*(?=[({]|mutable\b|->)")
 
 
