@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/error.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "serve/report.h"
@@ -88,6 +89,7 @@ const std::vector<std::string>& serve_invariant_names() {
       "serve-progress",   "serve-conservation", "serve-fifo",
       "serve-audit",      "serve-accounting",   "serve-shed-legality",
       "serve-metrics",    "serve-memory-flat",  "serve-determinism",
+      "serve-results",
   };
   return names;
 }
@@ -135,6 +137,18 @@ ServeOracleReport run_oracle(const ServeScenarioSpec& s) {
               "job " + std::to_string(j.job_id) + " (" + j.tenant +
                   ") has no " + std::string(serve::to_string(want)) +
                   " audit event");
+    }
+  }
+
+  // serve-results: scenarios always arm the watchdog and integrity
+  // checks, so a job that completed with a wrong answer is a runtime bug,
+  // not a contained fault.
+  const std::string wrong = fail_class_name(FailClass::kValidation);
+  for (const auto& j : rep.jobs) {
+    if (j.error_class == wrong) {
+      violate(out, "serve-results",
+              "job " + std::to_string(j.job_id) + " (" + j.tenant +
+                  "): " + j.error);
     }
   }
 

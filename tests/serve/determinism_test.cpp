@@ -111,6 +111,29 @@ TEST(Determinism, ConcurrentMaterializedJobsComputeCorrectResults) {
   EXPECT_TRUE(rep.validate().empty());
 }
 
+TEST(Determinism, MaterializedSumJobCompletesWithItsReduction) {
+  // A sum job's answer is the offload's reduction, not an output array:
+  // the server must hand it to the kernel case before checking it.
+  ServeOptions opts;
+  opts.materialize = true;
+  OffloadServer server(mach::builtin("gpu4"),
+                       {tenant("a", PriorityClass::kSilver)}, opts);
+  JobSpec j;
+  j.kernel = "sum";
+  j.n = 1 << 12;
+  j.devices = 2;
+  ASSERT_TRUE(server.submit("a", j).accepted());
+  server.run();
+
+  const auto& rep = server.report();
+  ASSERT_EQ(rep.jobs.size(), 1u);
+  const JobRecord& job = rep.jobs.front();
+  EXPECT_EQ(job.outcome, JobOutcome::kCompleted) << job.error;
+  EXPECT_TRUE(job.ok) << job.error_class << ": " << job.error;
+  EXPECT_EQ(job.iterations_done, j.n);
+  EXPECT_TRUE(rep.validate().empty());
+}
+
 TEST(Determinism, MetricsExportCarriesTenantLabels) {
   std::vector<JobRecord> jobs;
   (void)traffic_run_summary(&jobs);
