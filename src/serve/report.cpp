@@ -72,7 +72,7 @@ double ServeReport::latency_percentile(double q,
                                        const PriorityClass* cls) const {
   std::vector<double> lat;
   for (const auto& j : jobs) {
-    if (!j.ok) continue;
+    if (!j.ok()) continue;
     if (cls != nullptr && j.priority != *cls) continue;
     lat.push_back(j.latency());
   }
@@ -80,23 +80,17 @@ double ServeReport::latency_percentile(double q,
 }
 
 std::vector<std::string> ServeReport::validate() const {
-  std::vector<std::string> out = violations;
+  std::vector<std::string> out;
 
   // Iteration conservation: a completed job committed exactly the
   // iterations it asked for — shedding degrades latency and admission,
   // never answers. Failed/cancelled jobs surrender coverage but must be
-  // honest about it: a terminal record always names its error class, and
-  // `ok` is exactly "completed".
+  // honest about it: a terminal record always names its error class.
   for (const auto& j : jobs) {
     if (j.outcome == JobOutcome::kCompleted && j.iterations_done != j.n) {
       out.push_back("job " + std::to_string(j.job_id) + " (" + j.tenant +
                     "): committed " + std::to_string(j.iterations_done) +
                     " of " + std::to_string(j.n) + " iterations");
-    }
-    if (j.ok != (j.outcome == JobOutcome::kCompleted)) {
-      out.push_back("job " + std::to_string(j.job_id) + " (" + j.tenant +
-                    "): ok flag disagrees with outcome " +
-                    std::string(to_string(j.outcome)));
     }
     if (j.outcome != JobOutcome::kCompleted && j.error_class.empty()) {
       out.push_back("job " + std::to_string(j.job_id) + " (" + j.tenant +
@@ -179,7 +173,7 @@ void ServeReport::export_metrics(obs::MetricsRegistry& reg) const {
             static_cast<double>(c.rejected_breaker));
   }
   for (const auto& j : jobs) {
-    if (!j.ok) continue;
+    if (!j.ok()) continue;
     reg.observe(kServeLatency,
                 std::string("class=\"") + to_string(j.priority) + "\"",
                 j.latency());
@@ -189,7 +183,7 @@ void ServeReport::export_metrics(obs::MetricsRegistry& reg) const {
   reg.add(kServeSpecShed, {}, static_cast<double>(speculation_shed_jobs));
   reg.set(kServeShedLevel, {}, static_cast<double>(final_shed_level));
   reg.add(kServeShedTransitions, {}, static_cast<double>(shed_transitions));
-  reg.add(kServeViolations, {}, static_cast<double>(violations.size()));
+  reg.add(kServeViolations, {}, static_cast<double>(validate().size()));
 }
 
 void ServeReport::write_summary_json(std::ostream& os) const {

@@ -57,7 +57,6 @@ struct JobRecord {
   long long iterations_done = 0;
   /// Dispatched at shed level >= 1: speculation was stripped.
   bool speculation_shed = false;
-  bool ok = false;  ///< outcome == kCompleted (kept for convenience)
 
   JobOutcome outcome = JobOutcome::kCompleted;
   /// fail_class_name() of the contained error / cancellation reason
@@ -68,6 +67,7 @@ struct JobRecord {
   /// Per-activity spans of the offload (ServeOptions::collect_trace).
   std::vector<rt::TraceSpan> trace;
 
+  bool ok() const noexcept { return outcome == JobOutcome::kCompleted; }
   double latency() const noexcept { return finish_time - submit_time; }
   double queue_wait() const noexcept { return dispatch_time - submit_time; }
 };
@@ -114,16 +114,12 @@ struct ServeReport {
   std::size_t shed_transitions = 0;
   std::size_t speculation_shed_jobs = 0;
 
-  /// Invariant violations observed by the server while running
-  /// (conservation breaches etc.). validate() appends to a copy.
-  std::vector<std::string> violations;
-
   /// Exact percentile (nearest-rank) over completed-job latencies,
   /// optionally restricted to one priority class (pass nullptr for all).
   double latency_percentile(double q, const PriorityClass* cls) const;
 
   /// Re-derive the run invariants from the records and return every
-  /// breach found, appended to the server-observed `violations`:
+  /// breach found:
   ///  - iteration conservation: every completed job ran exactly its n
   ///  - per-tenant FIFO: dispatch order matches queue-entry order
   ///  - audit monotonicity: event times never go backwards
@@ -132,7 +128,8 @@ struct ServeReport {
   std::vector<std::string> validate() const;
 
   /// Export tenant-labelled serving metrics into `reg`
-  /// (docs/OBSERVABILITY.md naming; see obs/metric_names.h).
+  /// (docs/OBSERVABILITY.md naming; see obs/metric_names.h);
+  /// homp_serve_violations_total counts validate()'s breaches.
   void export_metrics(obs::MetricsRegistry& reg) const;
 
   /// Deterministic summary JSON (schema "homp-serve-report-v2"):

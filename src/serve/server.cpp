@@ -43,7 +43,6 @@ struct OffloadServer::PendingJob {
   double total_bytes = 0.0;
   int min_devices = 1;
   double submit_time = 0.0;
-  double enqueue_time = 0.0;
   double vestibule_since = 0.0;
   double blocked_s = 0.0;
   /// Engine event id of the armed deadline timer; 0 = none.
@@ -83,7 +82,6 @@ struct OffloadServer::TenantState {
 
   // Circuit breaker (ServeOptions::breaker_threshold).
   int consecutive_failures = 0;
-  int breaker_trips = 0;
   bool breaker_open = false;
   double breaker_open_until = 0.0;  ///< absolute time; half-open after
   bool probe_outstanding = false;
@@ -136,6 +134,12 @@ OffloadServer::OffloadServer(mach::MachineDescriptor machine,
   for (std::size_t i = 0; i < machine_.devices.size(); ++i) {
     if (!machine_.devices[i].is_host()) pool_.push_back(static_cast<int>(i));
   }
+  // Fastest accelerators first, deterministic tie-break on id: grants and
+  // predictions both take a prefix of this order.
+  std::stable_sort(pool_.begin(), pool_.end(), [this](int a, int b) {
+    return machine_.devices[a].sustained_flops() >
+           machine_.devices[b].sustained_flops();
+  });
   if (pool_.empty()) {
     throw ConfigError("OffloadServer: machine '" + machine_.name +
                       "' has no accelerators to serve on");
@@ -239,20 +243,16 @@ void OffloadServer::recompute_shed() {
 double OffloadServer::predicted_job_seconds(const std::string& kernel,
                                             long long n, int devices) const {
   const auto kcase = kern::make_case(kernel, n, /*materialize=*/false);
-  const auto profile = kcase->paper_profile();
-  const long long iters = kcase->kernel().iterations.size();
+  return predicted_seconds(kcase->paper_profile(),
+                           kcase->kernel().iterations.size(), devices);
+}
 
-  // Fastest accelerators first, deterministic tie-break on id.
-  std::vector<int> ids = pool_;
-  std::sort(ids.begin(), ids.end(), [this](int a, int b) {
-    const double fa = machine_.devices[a].sustained_flops();
-    const double fb = machine_.devices[b].sustained_flops();
-    if (fa != fb) return fa > fb;
-    return a < b;
-  });
-  const auto k = static_cast<std::size_t>(
-      std::max(1, std::min<int>(devices, static_cast<int>(ids.size()))));
-  ids.resize(k);
+double OffloadServer::predicted_seconds(
+    const model::KernelCostProfile& profile, long long iters,
+    int devices) const {
+  const auto k =
+      std::max(1, std::min<int>(devices, static_cast<int>(pool_.size())));
+  const std::vector<int> ids(pool_.begin(), pool_.begin() + k);
 
   const auto inputs = model::prediction_inputs(machine_, ids);
   std::vector<double> iter_times;
@@ -333,7 +333,7 @@ SubmitResult OffloadServer::submit(
 
   const int want = std::max(
       min_devices, std::min(job.devices, static_cast<int>(pool_.size())));
-  const double predicted = predicted_job_seconds(job.kernel, job.n, want);
+  const double predicted = predicted_seconds(profile, iters, want);
 
   // Deadline admission: queue-wait estimate + MODEL_2-predicted run.
   if (job.deadline_s > 0.0) {
@@ -348,7 +348,21 @@ SubmitResult OffloadServer::submit(
     }
   }
 
+  // Bounded-queue backpressure.
+  const bool park = ts.queue.size() >= ts.spec.max_queue_depth;
+  if (park && ts.spec.backpressure == BackpressureMode::kReject) {
+    ++c.rejected_queue_full;
+    r.outcome = AdmitOutcome::kRejectedQueueFull;
+    r.retry_after_s = std::max(
+        predicted, ts.backlog_s / static_cast<double>(pool_.size()));
+    r.detail = "queue full (" + std::to_string(ts.queue.size()) +
+               "); retry after " + format_seconds(r.retry_after_s);
+    note_event(ServeEventKind::kReject, t, 0, r.detail);
+    return r;
+  }
+
   PendingJob pj;
+  pj.job_id = next_job_id_++;
   pj.spec = job;
   pj.kcase = std::move(kcase);
   pj.predicted_s = predicted;
@@ -356,50 +370,38 @@ SubmitResult OffloadServer::submit(
   pj.min_devices = min_devices;
   pj.submit_time = now;
   pj.on_done = std::move(on_done);
-
-  // Bounded-queue backpressure.
-  if (ts.queue.size() >= ts.spec.max_queue_depth) {
-    if (ts.spec.backpressure == BackpressureMode::kReject) {
-      ++c.rejected_queue_full;
-      r.outcome = AdmitOutcome::kRejectedQueueFull;
-      r.retry_after_s = std::max(
-          predicted, ts.backlog_s / static_cast<double>(pool_.size()));
-      r.detail = "queue full (" + std::to_string(ts.queue.size()) +
-                 "); retry after " + format_seconds(r.retry_after_s);
-      note_event(ServeEventKind::kReject, t, 0, r.detail);
-      return r;
-    }
+  r.job_id = pj.job_id;
+  if (park) {
     // kBlock: park in the vestibule; it enters the queue when a
     // dispatch opens room.
-    pj.job_id = next_job_id_++;
     pj.vestibule_since = now;
     ++c.blocked;
     r.outcome = AdmitOutcome::kBlocked;
-    r.job_id = pj.job_id;
     note_event(ServeEventKind::kBlock, t, pj.job_id,
                "queue full; parked in vestibule");
-    if (probe) mark_probe(t, pj.job_id);
-    arm_deadline(t, pj);
-    ts.backlog_s += pj.predicted_s;
-    ts.vestibule.push_back(std::move(pj));
-    recompute_shed();
-    return r;
+  } else {
+    admit(t, pj);
   }
-
-  pj.job_id = next_job_id_++;
-  pj.enqueue_time = now;
-  r.outcome = AdmitOutcome::kAdmitted;
-  r.job_id = pj.job_id;
-  ++c.admitted;
-  note_event(ServeEventKind::kAdmit, t, pj.job_id,
-             "predicted " + format_seconds(predicted));
   if (probe) mark_probe(t, pj.job_id);
   arm_deadline(t, pj);
   ts.backlog_s += pj.predicted_s;
-  ts.queue.push_back(std::move(pj));
+  (park ? ts.vestibule : ts.queue).push_back(std::move(pj));
   recompute_shed();
-  schedule_dispatch();
+  if (!park) schedule_dispatch();
   return r;
+}
+
+void OffloadServer::admit(int tenant, const PendingJob& pj) {
+  ++report_.counts[tenant].admitted;
+  note_event(ServeEventKind::kAdmit, tenant, pj.job_id,
+             "predicted " + format_seconds(pj.predicted_s));
+}
+
+void OffloadServer::unblock(int tenant, PendingJob& pj) {
+  pj.blocked_s = engine_.now() - pj.vestibule_since;
+  note_event(ServeEventKind::kUnblock, tenant, pj.job_id,
+             "waited " + format_seconds(pj.blocked_s));
+  admit(tenant, pj);
 }
 
 void OffloadServer::mark_probe(int tenant, std::uint64_t job_id) {
@@ -462,17 +464,11 @@ int OffloadServer::pick_tenant(int cls) const {
 std::vector<int> OffloadServer::grant_devices(int want) const {
   std::vector<int> free;
   for (int id : pool_) {
+    if (static_cast<int>(free.size()) == want) break;
     if (devices_[static_cast<std::size_t>(id)].holder == 0) {
       free.push_back(id);
     }
   }
-  std::sort(free.begin(), free.end(), [this](int a, int b) {
-    const double fa = machine_.devices[a].sustained_flops();
-    const double fb = machine_.devices[b].sustained_flops();
-    if (fa != fb) return fa > fb;
-    return a < b;
-  });
-  if (static_cast<int>(free.size()) > want) free.resize(want);
   return free;
 }
 
@@ -590,27 +586,16 @@ void OffloadServer::place(int tenant, PendingJob&& pj,
 
 void OffloadServer::promote_vestibule(int tenant) {
   auto& ts = tenants_[tenant];
-  auto& c = report_.counts[tenant];
-  const double now = engine_.now();
   while (!ts.vestibule.empty() &&
          ts.queue.size() < ts.spec.max_queue_depth) {
     PendingJob pj = std::move(ts.vestibule.front());
     ts.vestibule.pop_front();
-    pj.blocked_s = now - pj.vestibule_since;
-    pj.enqueue_time = now;
-    ++c.admitted;
-    note_event(ServeEventKind::kUnblock, tenant, pj.job_id,
-               "waited " + format_seconds(pj.blocked_s));
-    note_event(ServeEventKind::kAdmit, tenant, pj.job_id,
-               "predicted " + format_seconds(pj.predicted_s));
+    unblock(tenant, pj);
     ts.queue.push_back(std::move(pj));
   }
 }
 
 void OffloadServer::on_job_done(ActiveJob* job, rt::OffloadResult&& res) {
-  const double now = engine_.now();
-  auto& c = report_.counts[job->tenant];
-
   // Resources come back whatever the outcome — fault containment means
   // a failed job's grants and memory never leak.
   if (job->deadline_event != 0) engine_.cancel(job->deadline_event);
@@ -621,44 +606,19 @@ void OffloadServer::on_job_done(ActiveJob* job, rt::OffloadResult&& res) {
   }
   active_pred_s_ = std::max(0.0, active_pred_s_ - job->record.predicted_s);
 
-  JobRecord& rec = job->record;
-  rec.finish_time = now;
+  JobRecord rec = std::move(job->record);
+  rec.finish_time = engine_.now();
   rec.iterations_done = res.total_iterations();
   if (opts_.collect_trace) rec.trace = std::move(res.trace);
 
+  JobOutcome outcome = JobOutcome::kCompleted;
+  FailClass cls = res.fail_class;
+  std::string error = std::move(res.error);
   if (res.failed) {
-    rec.ok = false;
-    rec.outcome = JobOutcome::kFail;
-    rec.error_class = fail_class_name(res.fail_class);
-    rec.error = res.error;
-    ++c.failed;
-    note_event(ServeEventKind::kFail, job->tenant, rec.job_id,
-               rec.error_class + ": " + rec.error);
-    note_job_failure(job->tenant, rec.job_id);
+    outcome = JobOutcome::kFail;
   } else if (res.cancelled) {
-    rec.ok = false;
-    rec.outcome = JobOutcome::kCancelled;
-    rec.error_class = fail_class_name(res.fail_class);
-    rec.error = res.error;
-    ++c.cancelled;
-    note_event(ServeEventKind::kCancel, job->tenant, rec.job_id,
-               rec.error_class + ": " + rec.error);
-    // Cancellation is the server revoking its own admission, not the
-    // tenant misbehaving — it neither feeds nor resets the breaker.
-    auto& ts = tenants_[job->tenant];
-    if (ts.probe_outstanding && ts.probe_job_id == rec.job_id) {
-      ts.probe_outstanding = false;
-    }
+    outcome = JobOutcome::kCancelled;
   } else {
-    rec.ok = true;
-    // Conservation is the serving layer's prime invariant: shedding and
-    // backpressure may delay or refuse a job, never shrink its answer.
-    if (rec.iterations_done != rec.n) {
-      report_.violations.push_back(
-          "job " + std::to_string(rec.job_id) + " (" + rec.tenant +
-          "): committed " + std::to_string(rec.iterations_done) + " of " +
-          std::to_string(rec.n) + " iterations");
-    }
     // A sum job's answer is the offload's reduction, which the case
     // checks only once it is handed over, as the fuzz oracle does.
     if (auto* sum = dynamic_cast<kern::SumCase*>(job->kcase.get())) {
@@ -668,69 +628,44 @@ void OffloadServer::on_job_done(ActiveJob* job, rt::OffloadResult&& res) {
     if (opts_.materialize && !job->kcase->verify(&why)) {
       // Wrong answer at materialization is an unrecoverable job error,
       // contained like any other: terminal kFail, class "validation".
-      rec.ok = false;
-      rec.outcome = JobOutcome::kFail;
-      rec.error_class = fail_class_name(FailClass::kValidation);
-      rec.error = "wrong result: " + why;
-      ++c.failed;
-      note_event(ServeEventKind::kFail, job->tenant, rec.job_id,
-                 rec.error_class + ": " + rec.error);
-      note_job_failure(job->tenant, rec.job_id);
-    } else {
-      ++c.completed;
-      c.iterations += rec.iterations_done;
-      note_event(ServeEventKind::kComplete, job->tenant, rec.job_id,
-                 "latency " + format_seconds(rec.latency()));
-      note_job_success(job->tenant, rec.job_id);
+      outcome = JobOutcome::kFail;
+      cls = FailClass::kValidation;
+      error = "wrong result: " + why;
     }
   }
-  report_.jobs.push_back(rec);
 
   // Destroy the job in place: the execution's finished generation holds
   // no timers (cancelled wholesale at completion), so nothing dangles.
+  const int tenant = job->tenant;
   auto done = std::move(job->on_done);
   auto it = std::find_if(
       active_.begin(), active_.end(),
       [job](const std::unique_ptr<ActiveJob>& p) { return p.get() == job; });
   if (it != active_.end()) active_.erase(it);
 
-  if (done) done(report_.jobs.back());
+  finish(tenant, std::move(rec), outcome, cls, std::move(error),
+         std::move(done));
   schedule_dispatch();
 }
 
 void OffloadServer::on_deadline(int tenant, std::uint64_t job_id) {
   auto& ts = tenants_[tenant];
-  const double now = engine_.now();
-
-  for (auto it = ts.queue.begin(); it != ts.queue.end(); ++it) {
-    if (it->job_id != job_id) continue;
+  for (auto* q : {&ts.queue, &ts.vestibule}) {
+    auto it = std::find_if(q->begin(), q->end(), [job_id](const auto& p) {
+      return p.job_id == job_id;
+    });
+    if (it == q->end()) continue;
     PendingJob pj = std::move(*it);
-    ts.queue.erase(it);
+    q->erase(it);
     ts.backlog_s = std::max(0.0, ts.backlog_s - pj.predicted_s);
-    cancel_pending(tenant, std::move(pj),
-                   "admitted deadline expired while queued");
-    recompute_shed();
-    schedule_dispatch();
-    return;
-  }
-
-  for (auto it = ts.vestibule.begin(); it != ts.vestibule.end(); ++it) {
-    if (it->job_id != job_id) continue;
-    PendingJob pj = std::move(*it);
-    ts.vestibule.erase(it);
-    ts.backlog_s = std::max(0.0, ts.backlog_s - pj.predicted_s);
+    const bool parked = q == &ts.vestibule;
     // Promote-then-terminate: the job formally enters the queue (admit
     // accounting, FIFO position) before its terminal record, so the
     // per-tenant FIFO and accounting invariants hold unchanged.
-    pj.blocked_s = now - pj.vestibule_since;
-    pj.enqueue_time = now;
-    ++report_.counts[tenant].admitted;
-    note_event(ServeEventKind::kUnblock, tenant, pj.job_id,
-               "waited " + format_seconds(pj.blocked_s));
-    note_event(ServeEventKind::kAdmit, tenant, pj.job_id,
-               "predicted " + format_seconds(pj.predicted_s));
+    if (parked) unblock(tenant, pj);
     cancel_pending(tenant, std::move(pj),
-                   "admitted deadline expired in the vestibule");
+                   parked ? "admitted deadline expired in the vestibule"
+                          : "admitted deadline expired while queued");
     recompute_shed();
     schedule_dispatch();
     return;
@@ -748,8 +683,7 @@ void OffloadServer::on_deadline(int tenant, std::uint64_t job_id) {
 
 void OffloadServer::cancel_pending(int tenant, PendingJob&& pj,
                                    const std::string& why) {
-  auto& ts = tenants_[tenant];
-  auto& c = report_.counts[tenant];
+  const auto& ts = tenants_[tenant];
   const double now = engine_.now();
 
   JobRecord rec;
@@ -763,27 +697,52 @@ void OffloadServer::cancel_pending(int tenant, PendingJob&& pj,
   rec.finish_time = now;
   rec.blocked_s = pj.blocked_s;
   rec.predicted_s = pj.predicted_s;
-  rec.ok = false;
-  rec.outcome = JobOutcome::kCancelled;
-  rec.error_class = fail_class_name(FailClass::kDeadlineMiss);
-  rec.error = why;
-  ++c.cancelled;
-  note_event(ServeEventKind::kCancel, tenant, pj.job_id,
-             rec.error_class + ": " + why);
-  report_.jobs.push_back(std::move(rec));
-
-  if (ts.probe_outstanding && ts.probe_job_id == pj.job_id) {
-    ts.probe_outstanding = false;
-  }
-  auto done = std::move(pj.on_done);
-  if (done) done(report_.jobs.back());
+  finish(tenant, std::move(rec), JobOutcome::kCancelled,
+         FailClass::kDeadlineMiss, why, std::move(pj.on_done));
 }
 
-void OffloadServer::note_job_failure(int tenant, std::uint64_t job_id) {
-  if (opts_.breaker_threshold <= 0) return;
+void OffloadServer::finish(int tenant, JobRecord&& rec, JobOutcome outcome,
+                           FailClass cls, std::string error,
+                           std::function<void(const JobRecord&)> on_done) {
+  auto& c = report_.counts[tenant];
+  rec.outcome = outcome;
+  if (outcome == JobOutcome::kCompleted) {
+    ++c.completed;
+    c.iterations += rec.iterations_done;
+    note_event(ServeEventKind::kComplete, tenant, rec.job_id,
+               "latency " + format_seconds(rec.latency()));
+  } else {
+    const bool failed = outcome == JobOutcome::kFail;
+    rec.error_class = fail_class_name(cls);
+    rec.error = std::move(error);
+    ++(failed ? c.failed : c.cancelled);
+    note_event(failed ? ServeEventKind::kFail : ServeEventKind::kCancel,
+               tenant, rec.job_id, rec.error_class + ": " + rec.error);
+  }
+  settle_breaker(tenant, rec.job_id, outcome);
+  report_.jobs.push_back(std::move(rec));
+  if (on_done) on_done(report_.jobs.back());
+}
+
+void OffloadServer::settle_breaker(int tenant, std::uint64_t job_id,
+                                   JobOutcome outcome) {
   auto& ts = tenants_[tenant];
   const bool was_probe = ts.probe_outstanding && ts.probe_job_id == job_id;
   if (was_probe) ts.probe_outstanding = false;
+  // Cancellation is the server revoking its own admission, not the
+  // tenant misbehaving — it neither feeds nor resets the breaker.
+  if (opts_.breaker_threshold <= 0 || outcome == JobOutcome::kCancelled) {
+    return;
+  }
+  if (outcome == JobOutcome::kCompleted) {
+    ts.consecutive_failures = 0;
+    if (ts.breaker_open) {
+      ts.breaker_open = false;
+      note_event(ServeEventKind::kBreakerClose, tenant, job_id,
+                 was_probe ? "probe succeeded" : "job succeeded");
+    }
+    return;
+  }
   if (ts.breaker_open) {
     // Only the probe's verdict moves an open breaker; a straggler from
     // before the trip changes nothing.
@@ -796,33 +755,19 @@ void OffloadServer::note_job_failure(int tenant, std::uint64_t job_id) {
   }
 }
 
-void OffloadServer::note_job_success(int tenant, std::uint64_t job_id) {
-  if (opts_.breaker_threshold <= 0) return;
-  auto& ts = tenants_[tenant];
-  const bool was_probe = ts.probe_outstanding && ts.probe_job_id == job_id;
-  if (was_probe) ts.probe_outstanding = false;
-  ts.consecutive_failures = 0;
-  if (ts.breaker_open) {
-    ts.breaker_open = false;
-    note_event(ServeEventKind::kBreakerClose, tenant, job_id,
-               was_probe ? "probe succeeded" : "job succeeded");
-  }
-}
-
 void OffloadServer::trip_breaker(int tenant) {
   auto& ts = tenants_[tenant];
-  ++ts.breaker_trips;
-  ++report_.counts[tenant].breaker_trips;
+  const std::size_t trips = ++report_.counts[tenant].breaker_trips;
   const double cooldown = std::min(
       opts_.breaker_cooldown_cap_s,
       opts_.breaker_cooldown_base_s *
           std::pow(opts_.breaker_cooldown_growth,
-                   static_cast<double>(ts.breaker_trips - 1)));
+                   static_cast<double>(trips - 1)));
   ts.breaker_open = true;
   ts.breaker_open_until = engine_.now() + cooldown;
   ts.probe_outstanding = false;
   note_event(ServeEventKind::kBreakerOpen, tenant, 0,
-             "trip " + std::to_string(ts.breaker_trips) + "; cooldown " +
+             "trip " + std::to_string(trips) + "; cooldown " +
                  format_seconds(cooldown));
 }
 
@@ -830,7 +775,6 @@ void OffloadServer::run() {
   schedule_dispatch();
   engine_.run();
   report_.makespan_s = engine_.now();
-  report_.final_shed_level = shed_level_;
 }
 
 }  // namespace homp::serve

@@ -53,8 +53,8 @@
 #include "sim/engine.h"
 #include "sim/link.h"
 
-namespace homp::kern {
-class KernelCase;
+namespace homp::model {
+struct KernelCostProfile;
 }
 
 namespace homp::rt {
@@ -148,7 +148,8 @@ class OffloadServer {
 
   const mach::MachineDescriptor& machine() const noexcept { return machine_; }
 
-  /// Accelerator ids (the grantable pool; the host stays out of it).
+  /// Accelerator ids (the grantable pool; the host stays out of it),
+  /// fastest sustained FLOPs first, ties by id.
   const std::vector<int>& pool() const noexcept { return pool_; }
 
   int shed_level() const noexcept { return shed_level_; }
@@ -189,9 +190,16 @@ class OffloadServer {
   int pick_class() const;
   /// WFQ pick among the class's tenants with queued work.
   int pick_tenant(int cls) const;
-  /// Fastest free accelerators, up to `want`; deterministic order.
+  /// predicted_job_seconds for a case submit() already built.
+  double predicted_seconds(const model::KernelCostProfile& profile,
+                           long long iters, int devices) const;
+  /// Fastest free accelerators, up to `want`, in pool() order.
   std::vector<int> grant_devices(int want) const;
   void place(int tenant, PendingJob&& pj, const std::vector<int>& devices);
+  /// Admission into the queue: count and audit (the caller pushes).
+  void admit(int tenant, const PendingJob& pj);
+  /// Vestibule -> queue: record the blocked wait, then admit().
+  void unblock(int tenant, PendingJob& pj);
   void promote_vestibule(int tenant);
   void on_job_done(ActiveJob* job, rt::OffloadResult&& res);
   /// Mark an admitted job as the tenant's half-open breaker probe.
@@ -203,10 +211,13 @@ class OffloadServer {
   void on_deadline(int tenant, std::uint64_t job_id);
   /// Terminal kCancelled record for a job that never dispatched.
   void cancel_pending(int tenant, PendingJob&& pj, const std::string& why);
-  /// Breaker bookkeeping on a terminal record (kFail feeds the trip
-  /// counter; any completion closes an open breaker).
-  void note_job_failure(int tenant, std::uint64_t job_id);
-  void note_job_success(int tenant, std::uint64_t job_id);
+  /// The one terminal path: outcome (error class and cause unless
+  /// completed), count, audit, breaker, then the record to `on_done`.
+  void finish(int tenant, JobRecord&& rec, JobOutcome outcome, FailClass cls,
+              std::string error, std::function<void(const JobRecord&)> on_done);
+  /// Breaker bookkeeping on a terminal record: releases the probe; kFail
+  /// feeds the trip counter, completion closes an open breaker.
+  void settle_breaker(int tenant, std::uint64_t job_id, JobOutcome outcome);
   void trip_breaker(int tenant);
 
   mach::MachineDescriptor machine_;

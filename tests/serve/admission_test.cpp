@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "kernels/case.h"
 #include "machine/profiles.h"
+#include "model/loop_model.h"
 #include "serve/server.h"
 
 namespace homp::serve {
@@ -143,6 +145,52 @@ TEST(Admission, ConfigurationIsValidated) {
   JobSpec bad_job = small_job();
   bad_job.n = 0;
   EXPECT_THROW(server.submit("t", bad_job), ConfigError);
+}
+
+// One pool order for grants and prices: fastest sustained FLOPs first,
+// ties by id. `full` with two devices swapped lists a Phi before the
+// K40s, so file order and speed order differ.
+TEST(Placement, FastestFreeDevicesFirstTiesById) {
+  auto machine = mach::builtin("full");
+  std::swap(machine.devices[1], machine.devices[5]);
+  ASSERT_EQ(machine.devices[1].name, "Phi7120-0");
+  ASSERT_EQ(machine.devices[5].name, "K40-0");
+  OffloadServer server(machine, {tenant("t", BackpressureMode::kReject, 4)});
+  EXPECT_EQ(server.pool(), (std::vector<int>{2, 3, 4, 5, 1, 6}));
+
+  // The second job finds K40-0 and the two Phis free: the K40 first, then
+  // the Phi with the lower id.
+  JobSpec three = small_job();
+  three.devices = 3;
+  const auto a = server.submit("t", three);
+  const auto b = server.submit("t", small_job());
+  server.run();
+
+  std::vector<std::string> placed;
+  for (const auto& e : server.report().events) {
+    if (e.kind == ServeEventKind::kDispatch) placed.push_back(e.detail);
+  }
+  EXPECT_EQ(placed, (std::vector<std::string>{"devices K40-1 K40-2 K40-3",
+                                              "devices K40-0 Phi7120-0"}));
+
+  // The admission price of a 3-device job is MODEL_2 on that same set.
+  const auto kcase = kern::make_case("axpy", three.n, false);
+  const auto profile = kcase->paper_profile();
+  const auto inputs = model::prediction_inputs(machine, {2, 3, 4});
+  std::vector<double> iter_times;
+  for (const auto& in : inputs) {
+    iter_times.push_back(model::model2_iter_time(profile, in));
+  }
+  const double want = model::predicted_completion_time(
+      three.n, model::model2_weights(profile, inputs), iter_times);
+  EXPECT_EQ(server.predicted_job_seconds("axpy", three.n, 3), want);
+  for (const auto& j : server.report().jobs) {
+    if (j.job_id == a.job_id) {
+      EXPECT_EQ(j.predicted_s, want);
+    } else if (j.job_id == b.job_id) {
+      EXPECT_EQ(j.predicted_s, server.predicted_job_seconds("axpy", j.n, 2));
+    }
+  }
 }
 
 }  // namespace

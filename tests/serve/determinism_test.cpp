@@ -93,7 +93,7 @@ TEST(Determinism, ConcurrentMaterializedJobsComputeCorrectResults) {
   const auto& rep = server.report();
   ASSERT_EQ(rep.jobs.size(), 4u);
   for (const auto& job : rep.jobs) {
-    EXPECT_TRUE(job.ok) << job.tenant << " job " << job.job_id;
+    EXPECT_TRUE(job.ok()) << job.tenant << " job " << job.job_id;
     EXPECT_EQ(job.iterations_done, j.n);
   }
   // Concurrency actually happened: some job dispatched before the
@@ -129,7 +129,7 @@ TEST(Determinism, MaterializedSumJobCompletesWithItsReduction) {
   ASSERT_EQ(rep.jobs.size(), 1u);
   const JobRecord& job = rep.jobs.front();
   EXPECT_EQ(job.outcome, JobOutcome::kCompleted) << job.error;
-  EXPECT_TRUE(job.ok) << job.error_class << ": " << job.error;
+  EXPECT_TRUE(job.ok()) << job.error_class << ": " << job.error;
   EXPECT_EQ(job.iterations_done, j.n);
   EXPECT_TRUE(rep.validate().empty());
 }

@@ -91,12 +91,12 @@ TEST(FailureDomain, PoisonTenantContainedOthersCompleteVerified) {
   for (const auto& j : rep.jobs) {
     if (j.tenant == "poison") {
       EXPECT_EQ(j.outcome, JobOutcome::kFail);
-      EXPECT_FALSE(j.ok);
+      EXPECT_FALSE(j.ok());
       EXPECT_EQ(j.error_class, "all_devices_lost");
       EXPECT_FALSE(j.error.empty());
     } else {
       EXPECT_EQ(j.outcome, JobOutcome::kCompleted);
-      EXPECT_TRUE(j.ok);
+      EXPECT_TRUE(j.ok());
       EXPECT_EQ(j.iterations_done, j.n);
     }
   }
