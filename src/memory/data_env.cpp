@@ -37,11 +37,4 @@ void DeviceDataEnv::copy_out_all() const {
   for (const auto& [_, m] : maps_) m->copy_out();
 }
 
-std::vector<std::string> DeviceDataEnv::names() const {
-  std::vector<std::string> out;
-  out.reserve(maps_.size());
-  for (const auto& [k, _] : maps_) out.push_back(k);
-  return out;
-}
-
 }  // namespace homp::mem

@@ -17,7 +17,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "memory/device_mapping.h"
 
@@ -65,7 +64,10 @@ class DeviceDataEnv {
   void copy_in_all() const;
   void copy_out_all() const;
 
-  std::vector<std::string> names() const;
+  /// Every mapping, by name in name order.
+  const std::map<std::string, DeviceMapping*>& mappings() const noexcept {
+    return maps_;
+  }
   std::size_t size() const noexcept { return maps_.size(); }
 
  private:

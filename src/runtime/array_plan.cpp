@@ -7,6 +7,23 @@
 
 namespace homp::rt {
 
+void check_device_ids(const mach::MachineDescriptor& machine,
+                      const std::vector<int>& device_ids) {
+  HOMP_REQUIRE(!device_ids.empty(), "no target devices");
+  for (int id : device_ids) {
+    HOMP_REQUIRE(id >= 0 &&
+                     static_cast<std::size_t>(id) < machine.devices.size(),
+                 "device id " + std::to_string(id) + " out of range");
+  }
+  for (std::size_t i = 0; i < device_ids.size(); ++i) {
+    for (std::size_t j = i + 1; j < device_ids.size(); ++j) {
+      HOMP_REQUIRE(device_ids[i] != device_ids[j],
+                   "device " + std::to_string(device_ids[i]) +
+                       " listed twice");
+    }
+  }
+}
+
 std::vector<ArrayPlan> plan_arrays(const std::vector<mem::MapSpec>& maps,
                                    std::size_t num_devices,
                                    const std::string& loop_label) {

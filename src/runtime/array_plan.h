@@ -3,16 +3,22 @@
 
 /// \file array_plan.h
 /// The data half of the offload planner, shared by OffloadExecution and
-/// DataRegion: map-clause validation, ALIGN resolution (§V-D) and the
-/// carve of one device's slice of an array.
+/// DataRegion: device-list and map-clause validation, ALIGN resolution
+/// (§V-D) and the carve of one device's slice of an array.
 
 #include <string>
 #include <vector>
 
 #include "dist/distribution.h"
+#include "machine/device.h"
 #include "memory/map_spec.h"
 
 namespace homp::rt {
+
+/// Throw ConfigError unless `device_ids` is non-empty, names devices of
+/// `machine` only and lists none twice.
+void check_device_ids(const mach::MachineDescriptor& machine,
+                      const std::vector<int>& device_ids);
 
 /// How one mapped array participates in the distribution.
 struct ArrayPlan {

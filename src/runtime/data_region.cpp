@@ -14,7 +14,7 @@ namespace homp::rt {
 DataRegion::DataRegion(const mach::MachineDescriptor& machine,
                        std::vector<mem::MapSpec> maps, RegionOptions opts)
     : machine_(machine), maps_(std::move(maps)), opts_(std::move(opts)) {
-  HOMP_REQUIRE(!opts_.device_ids.empty(), "data region has no devices");
+  check_device_ids(machine_, opts_.device_ids);
   HOMP_REQUIRE(!opts_.loop_domain.empty(),
                "data region needs a non-empty loop domain for its label");
   const std::size_t m = opts_.device_ids.size();

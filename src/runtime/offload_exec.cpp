@@ -133,19 +133,7 @@ OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
 }
 
 void OffloadExecution::validate_and_plan() {
-  HOMP_REQUIRE(!opts_.device_ids.empty(), "offload has no target devices");
-  for (int id : opts_.device_ids) {
-    HOMP_REQUIRE(id >= 0 &&
-                     static_cast<std::size_t>(id) < machine_.devices.size(),
-                 "device id " + std::to_string(id) + " out of range");
-  }
-  for (std::size_t i = 0; i < opts_.device_ids.size(); ++i) {
-    for (std::size_t j = i + 1; j < opts_.device_ids.size(); ++j) {
-      HOMP_REQUIRE(opts_.device_ids[i] != opts_.device_ids[j],
-                   "device " + std::to_string(opts_.device_ids[i]) +
-                       " listed twice");
-    }
-  }
+  check_device_ids(machine_, opts_.device_ids);
   HOMP_REQUIRE(!kernel_.iterations.empty(), "offloaded loop is empty");
   HOMP_REQUIRE(kernel_.cost.flops_per_iter >= 0.0 &&
                    kernel_.cost.mem_bytes_per_iter >= 0.0,
@@ -438,10 +426,9 @@ void OffloadExecution::try_fetch(int slot) {
     // writes (tofrom) are staged once — restaging would clobber earlier
     // chunk results. Persistent residency across offloads is what data
     // regions are for.
-    for (const auto& name : p.static_env.names()) {
-      const auto& m = p.static_env.mapping(name);
-      const bool writes_back = mem::copies_out(m.spec().dir);
-      if (!p.statics_loaded || !writes_back) chunk.bytes_in += m.bytes_in();
+    for (const auto& [_, m] : p.static_env.mappings()) {
+      const bool writes_back = mem::copies_out(m->spec().dir);
+      if (!p.statics_loaded || !writes_back) chunk.bytes_in += m->bytes_in();
     }
   }
 
@@ -521,10 +508,9 @@ void OffloadExecution::on_input_done(int slot, int attempt,
   // the byte accounting — idempotent copies); writable statics only once.
   if (region_envs_ == nullptr) {
     if (opts_.execute_bodies) {
-      for (const auto& name : p.static_env.names()) {
-        auto& m = p.static_env.mapping(name);
-        if (!p.statics_loaded || !mem::copies_out(m.spec().dir)) {
-          m.copy_in();
+      for (const auto& [_, m] : p.static_env.mappings()) {
+        if (!p.statics_loaded || !mem::copies_out(m->spec().dir)) {
+          m->copy_in();
         }
       }
     }

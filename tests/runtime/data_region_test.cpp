@@ -165,6 +165,29 @@ TEST(DataRegion, RejectsChunkSchedulerEntryDistribution) {
   EXPECT_THROW(rt.map_data(std::move(maps), ro), ConfigError);
 }
 
+TEST(DataRegion, RejectsARepeatedDeviceBeforeEntry) {
+  // Checked like an offload's device list, before any device storage is
+  // allocated or copied in.
+  rt::Runtime rt{mach::testing_machine(2)};
+  auto a = mem::HostArray<double>::vector(16, 0.0);
+  std::vector<mem::MapSpec> maps;
+  maps.push_back(aligned_spec("a", a, mem::MapDirection::kTo));
+  auto ro = region_opts(rt, 16);
+  ro.device_ids = {1, 1};
+  try {
+    rt.map_data(maps, ro);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("device 1 listed twice"),
+              std::string::npos)
+        << e.what();
+  }
+  ro.device_ids = {1, 7};
+  EXPECT_THROW(rt.map_data(maps, ro), ConfigError);
+  ro.device_ids.clear();
+  EXPECT_THROW(rt.map_data(std::move(maps), ro), ConfigError);
+}
+
 TEST(DataRegion, VerifiedExitRepairsCorruptedHostCopy) {
   rt::Runtime rt{mach::testing_machine(2)};
   constexpr long long kN = 64;
