@@ -1,12 +1,31 @@
 #include "fuzz/toml.h"
 
 #include <cstdio>
+#include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "common/strings.h"
 
 namespace homp::fuzz {
+
+namespace {
+
+/// `parse(text, &pos)` over the whole of `l.value`: a failed parse or
+/// characters after the number ("2x") fail the line with `need`.
+template <class Parse>
+auto whole_number(const TomlLine& l, const char* need, Parse parse) {
+  std::size_t pos = 0;
+  try {
+    const auto v = parse(l.value, &pos);
+    if (pos == l.value.size()) return v;
+  } catch (...) {
+  }
+  l.fail("'" + l.key + "' needs " + need + ", got '" + l.value + "'");
+}
+
+}  // namespace
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -20,27 +39,21 @@ void TomlLine::fail(const std::string& why) const {
 }
 
 long long TomlLine::as_ll() const {
-  try {
-    return std::stoll(value);
-  } catch (...) {
-    fail("'" + key + "' needs an integer, got '" + value + "'");
-  }
+  return whole_number(*this, "an integer",
+                      [](auto& s, auto* p) { return std::stoll(s, p); });
 }
 
 std::uint64_t TomlLine::as_u64() const {
-  try {
-    return std::stoull(value);
-  } catch (...) {
-    fail("'" + key + "' needs an unsigned integer, got '" + value + "'");
-  }
+  // stoull wraps a minus sign ("-1" reads as 2^64 - 1); leaving `pos` at
+  // 0 fails the line instead.
+  return whole_number(*this, "an unsigned integer", [](auto& s, auto* p) {
+    return s.front() == '-' ? 0ull : std::stoull(s, p);
+  });
 }
 
 double TomlLine::as_double() const {
-  try {
-    return std::stod(value);
-  } catch (...) {
-    fail("'" + key + "' needs a number, got '" + value + "'");
-  }
+  return whole_number(*this, "a number",
+                      [](auto& s, auto* p) { return std::stod(s, p); });
 }
 
 bool TomlLine::as_bool() const {
@@ -53,6 +66,7 @@ void read_toml(const std::string& text, const char* what,
                const std::function<void(TomlLine&)>& visit) {
   TomlLine l;
   l.what = what;
+  std::map<std::pair<std::string, std::string>, int> seen;  // -> first line
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -74,6 +88,13 @@ void read_toml(const std::string& text, const char* what,
       if (l.key.empty() || l.value.empty()) l.fail("empty key or value");
       if (l.section.empty()) {
         l.fail("key '" + l.key + "' outside any section");
+      }
+      // A repeated key would replay with whichever copy came last.
+      const auto [at, fresh] = seen.emplace(std::pair(l.section, l.key),
+                                            l.number);
+      if (!fresh) {
+        l.fail("duplicate key '" + l.key + "' (first at line " +
+               std::to_string(at->second) + ")");
       }
     }
     l.consumed = false;

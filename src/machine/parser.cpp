@@ -13,12 +13,17 @@ namespace homp::mach {
 
 namespace {
 
+struct Value {
+  std::string text;
+  int line = 0;
+  mutable bool read = false;  // a getter took it; unread keys are unknown
+};
+
 struct Section {
   std::string kind;  // "machine" | "link" | "device"
   std::string name;
   int line = 0;
-  std::map<std::string, std::string> kv;
-  std::map<std::string, int> kline;  // per-key line, for error messages
+  std::map<std::string, Value> kv;
 };
 
 [[noreturn]] void fail(int line, const std::string& msg) {
@@ -26,24 +31,31 @@ struct Section {
                     ": " + msg);
 }
 
-double get_double(const Section& s, const std::string& key) {
+/// The key's value, marked read; a missing key fails at the header line.
+const Value& get(const Section& s, const std::string& key) {
   auto it = s.kv.find(key);
   if (it == s.kv.end()) {
     fail(s.line, "section [" + s.kind + " " + s.name + "] missing key '" +
                      key + "'");
   }
+  it->second.read = true;
+  return it->second;
+}
+
+double get_double(const Section& s, const std::string& key) {
+  const Value& v = get(s, key);
   std::size_t pos = 0;
-  double v = 0.0;
+  double d = 0.0;
   try {
-    v = std::stod(it->second, &pos);
+    d = std::stod(v.text, &pos);
   } catch (const std::exception&) {
-    fail(s.line, "key '" + key + "' is not a number: '" + it->second + "'");
+    fail(v.line, "key '" + key + "' is not a number: '" + v.text + "'");
   }
-  if (pos != it->second.size()) {
-    fail(s.line, "key '" + key + "' has trailing characters after the "
-                     "number: '" + it->second + "'");
+  if (pos != v.text.size()) {
+    fail(v.line, "key '" + key + "' has trailing characters after the "
+                     "number: '" + v.text + "'");
   }
-  return v;
+  return d;
 }
 
 double get_double_or(const Section& s, const std::string& key, double dflt) {
@@ -51,8 +63,8 @@ double get_double_or(const Section& s, const std::string& key, double dflt) {
 }
 
 int key_line(const Section& s, const std::string& key) {
-  auto it = s.kline.find(key);
-  return it == s.kline.end() ? s.line : it->second;
+  auto it = s.kv.find(key);
+  return it == s.kv.end() ? s.line : it->second.line;
 }
 
 /// `fault_*_rate` keys are probabilities: [0, 1). Rejecting bad values at
@@ -93,12 +105,23 @@ double get_fail_time(const Section& s, const std::string& key) {
 }
 
 std::string get_string(const Section& s, const std::string& key) {
-  auto it = s.kv.find(key);
-  if (it == s.kv.end()) {
-    fail(s.line, "section [" + s.kind + " " + s.name + "] missing key '" +
-                     key + "'");
+  return get(s, key).text;
+}
+
+/// A misspelled optional key would otherwise drop its setting silently:
+/// name the first key no getter read, in file order.
+void reject_unread_keys(const std::vector<Section>& sections) {
+  for (const auto& s : sections) {
+    std::map<int, std::string> unread;  // by line
+    for (const auto& [key, v] : s.kv) {
+      if (!v.read) unread.emplace(v.line, key);
+    }
+    if (!unread.empty()) {
+      const auto& [line, key] = *unread.begin();
+      fail(line, "unknown key '" + key + "' in section [" + s.kind +
+                     (s.name.empty() ? "" : " " + s.name) + "]");
+    }
   }
-  return it->second;
 }
 
 std::vector<Section> tokenize(const std::string& text) {
@@ -153,10 +176,9 @@ std::vector<Section> tokenize(const std::string& text) {
     auto key = std::string(trim(line.substr(0, eq)));
     auto value = std::string(trim(line.substr(eq + 1)));
     if (key.empty()) fail(lineno, "empty key");
-    if (!sections.back().kv.emplace(key, value).second) {
+    if (!sections.back().kv.emplace(key, Value{value, lineno}).second) {
       fail(lineno, "duplicate key '" + key + "'");
     }
-    sections.back().kline.emplace(key, lineno);
   }
   return sections;
 }
@@ -186,7 +208,7 @@ MachineDescriptor parse_machine(const std::string& text) {
 
   for (const auto& s : sections) {
     if (s.kind == "machine") {
-      if (auto it = s.kv.find("name"); it != s.kv.end()) m.name = it->second;
+      if (s.kv.count("name")) m.name = get_string(s, "name");
       continue;
     }
     if (s.kind != "device") continue;
@@ -233,6 +255,7 @@ MachineDescriptor parse_machine(const std::string& text) {
     }
   }
 
+  reject_unread_keys(sections);
   HOMP_REQUIRE(have_host, "machine description declares no host device");
   m.devices.push_back(std::move(host));
   for (auto& d : accelerators) m.devices.push_back(std::move(d));

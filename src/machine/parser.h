@@ -28,7 +28,10 @@
 ///
 /// '#' starts a comment. Section and key order is free, except that exactly
 /// one host device must be declared; the host is placed first (device id 0)
-/// regardless of file order, and accelerators keep their file order.
+/// regardless of file order, and accelerators keep their file order. A key
+/// the format does not know (a misspelled `nosie`, say) is rejected, naming
+/// the first such key in file order and its line; a bad value is reported
+/// at its key's line.
 
 #include <string>
 

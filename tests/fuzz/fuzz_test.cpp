@@ -96,6 +96,20 @@ TEST(FuzzScenario, ParserRejectsGarbageWithLineNumbers) {
   EXPECT_THROW(fuzz::parse_scenario("[scenario]\nseed = frog\n"),
                ConfigError);
   EXPECT_THROW(fuzz::parse_scenario("no section header\n"), ConfigError);
+
+  // A repeated key used to replay with its last copy, and "2x" as 2.
+  const auto fails_at = [](const std::string& text, const std::string& why) {
+    try {
+      fuzz::parse_scenario(text);
+    } catch (const ConfigError& e) {
+      return std::string(e.what()).find(why) != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(fails_at("[scenario]\nkernel = axpy\nn = 8\nn = 16\n",
+                       "line 4: duplicate key 'n' (first at line 3)"));
+  EXPECT_TRUE(fails_at("[scenario]\nkernel = axpy\n[sched]\nmin_chunk = 2x\n",
+                       "line 4: 'min_chunk' needs an integer, got '2x'"));
 }
 
 TEST(FuzzScenario, ParserRejectsAReproWithoutItsFaultSeed) {

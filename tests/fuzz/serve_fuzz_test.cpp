@@ -94,6 +94,23 @@ TEST(ServeScenario, ParserRejectsGarbageWithLineNumbers) {
           "[serve]\nseed = 1\n[tenant.0]\nname = \"t\"\n"
           "[job.0]\ntenant = 7\n"),
       ConfigError);  // job references a missing tenant
+
+  // A repeated key used to replay with its last copy, and "4x" as 4.
+  const auto fails_at = [](const std::string& text, const std::string& why) {
+    try {
+      fuzz::parse_serve_scenario(text);
+    } catch (const ConfigError& e) {
+      return std::string(e.what()).find(why) != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(fails_at("[serve]\nseed = 1\nseed = 2\n",
+                       "line 3: duplicate key 'seed' (first at line 2)"));
+  EXPECT_TRUE(fails_at("[serve]\nseed = -1\n",
+                       "line 2: 'seed' needs an unsigned integer"));
+  EXPECT_TRUE(
+      fails_at("[serve]\nseed = 1\n[tenant.0]\nmax_queue_depth = 4x\n",
+               "line 4: 'max_queue_depth' needs an integer, got '4x'"));
 }
 
 TEST(ServeScenario, MolassesTenantsDrawValidSlowdownRates) {

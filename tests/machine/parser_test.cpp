@@ -135,8 +135,31 @@ TEST(MachineParser, RejectsTrailingGarbageAfterNumber) {
   } catch (const ConfigError& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("bandwidth_GBps"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
     EXPECT_NE(msg.find("trailing"), std::string::npos) << msg;
+  }
+}
+
+TEST(MachineParser, RejectsUnknownKeyAtItsLine) {
+  // A misspelled optional key used to load and drop its setting. The
+  // first unknown key in file order is named, not the first by name.
+  try {
+    parse_machine(R"([device g]
+type = host
+memory = shared
+link = none
+peak_gflops = 10
+sustained_gflops = 5
+peak_membw_GBps = 10
+sustained_membw_GBps = 5
+nosie = 0.05
+fault_hang_rat = 0.5
+)");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("line 9"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unknown key 'nosie'"), std::string::npos) << msg;
   }
 }
 
