@@ -26,9 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/json.h"
 #include "machine/profiles.h"
 #include "obs/metrics.h"
+#include "runtime/metrics_export.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
 
@@ -382,17 +384,11 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty()) {
     obs::MetricsRegistry reg;
     loaded.report.export_metrics(reg);
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "bench_traffic: cannot write %s\n",
-                   metrics_out.c_str());
+    try {
+      rt::write_registry_file(reg, metrics_out);
+    } catch (const ConfigError& e) {
+      std::fprintf(stderr, "bench_traffic: %s\n", e.what());
       return 2;
-    }
-    if (metrics_out.size() > 5 &&
-        metrics_out.compare(metrics_out.size() - 5, 5, ".prom") == 0) {
-      reg.write_prometheus(out);
-    } else {
-      reg.write_json(out);
     }
   }
 
