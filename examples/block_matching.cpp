@@ -8,6 +8,7 @@
 // Build & run:   ./examples/block_matching [frame_edge]
 
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <string>
 
@@ -16,7 +17,9 @@
 #include "kernels/bm2d.h"
 #include "runtime/runtime.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace homp;
   const long long edge = argc > 1 ? parse_scaled_int(argv[1]) : 128;
   auto rt = rt::Runtime::from_builtin("full");
@@ -101,4 +104,15 @@ int main(int argc, char** argv) {
                           ? "motion field verified against sequential search"
                           : why.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "block_matching: %s\n", e.what());
+    return 2;
+  }
 }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "common/strings.h"
@@ -20,9 +21,8 @@ using namespace homp;
 
 constexpr double kTol = 1e-8;
 constexpr int kMaxIters = 200;
-}  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const long long n = argc > 1 ? parse_scaled_int(argv[1]) : 128;
   const long long m = argc > 2 ? parse_scaled_int(argv[2]) : 128;
   const std::string machine = argc > 3 ? argv[3] : "full";
@@ -146,4 +146,15 @@ int main(int argc, char** argv) {
   }
   std::printf("checksum(u) = %.6f\n", checksum);
   return std::isfinite(checksum) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "jacobi: %s\n", e.what());
+    return 2;
+  }
 }

@@ -6,6 +6,7 @@
 // Build & run:   ./examples/machine_explorer [machine.ini]
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 
@@ -17,7 +18,9 @@
 #include "model/loop_model.h"
 #include "sched/selector.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace homp;
 
   mach::MachineDescriptor machine;
@@ -85,4 +88,15 @@ int main(int argc, char** argv) {
     std::puts(t.to_string().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "machine_explorer: %s\n", e.what());
+    return 2;
+  }
 }

@@ -39,44 +39,57 @@ bool exactly_covers(const Range& domain, const std::vector<Range>& parts) {
   return cursor == domain.hi || (domain.empty() && sorted.empty());
 }
 
+namespace {
+void require_rank(std::size_t rank) {
+  HOMP_REQUIRE(rank <= Region::kMaxRank,
+               "region rank " + std::to_string(rank) +
+                   " exceeds the supported maximum of " +
+                   std::to_string(Region::kMaxRank));
+}
+}  // namespace
+
+Region::Region(std::span<const Range> dims) : rank_(dims.size()) {
+  require_rank(dims.size());
+  std::copy(dims.begin(), dims.end(), dims_.begin());
+}
+
 Region Region::of_shape(const std::vector<long long>& extents) {
-  std::vector<Range> dims;
-  dims.reserve(extents.size());
-  for (long long e : extents) {
-    HOMP_REQUIRE(e >= 0, "negative region extent");
-    dims.push_back(Range::of_size(e));
+  require_rank(extents.size());
+  std::array<Range, kMaxRank> dims;
+  for (std::size_t d = 0; d < extents.size(); ++d) {
+    HOMP_REQUIRE(extents[d] >= 0, "negative region extent");
+    dims[d] = Range::of_size(extents[d]);
   }
-  return Region(std::move(dims));
+  return Region(std::span<const Range>(dims.data(), extents.size()));
 }
 
 long long Region::volume() const noexcept {
-  if (dims_.empty()) return 0;
+  if (rank_ == 0) return 0;
   long long v = 1;
-  for (const Range& r : dims_) v *= r.size();
+  for (std::size_t i = 0; i < rank_; ++i) v *= dims_[i].size();
   return v;
 }
 
 Region Region::intersect(const Region& o) const {
   HOMP_REQUIRE(rank() == o.rank(), "region rank mismatch in intersect");
-  std::vector<Range> dims;
-  dims.reserve(rank());
-  for (std::size_t i = 0; i < rank(); ++i) {
-    dims.push_back(dims_[i].intersect(o.dims_[i]));
+  Region out = *this;
+  for (std::size_t i = 0; i < rank_; ++i) {
+    out.dims_[i] = dims_[i].intersect(o.dims_[i]);
   }
-  return Region(std::move(dims));
+  return out;
 }
 
 bool Region::contains(const Region& o) const {
   HOMP_REQUIRE(rank() == o.rank(), "region rank mismatch in contains");
   if (o.empty()) return true;
-  for (std::size_t i = 0; i < rank(); ++i) {
+  for (std::size_t i = 0; i < rank_; ++i) {
     if (!dims_[i].contains(o.dims_[i])) return false;
   }
   return true;
 }
 
 Region Region::with_dim(std::size_t i, const Range& r) const {
-  HOMP_ASSERT(i < dims_.size());
+  HOMP_ASSERT(i < rank_);
   Region out = *this;
   out.dims_[i] = r;
   return out;
@@ -84,7 +97,7 @@ Region Region::with_dim(std::size_t i, const Range& r) const {
 
 std::string Region::to_string() const {
   std::string s;
-  for (const Range& r : dims_) s += r.to_string();
+  for (std::size_t i = 0; i < rank_; ++i) s += dims_[i].to_string();
   return s;
 }
 

@@ -8,7 +8,11 @@
 /// and an array dimension are both just index ranges, so one set of
 /// distribution policies serves both. Range is that common currency.
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,25 +70,30 @@ bool exactly_covers(const Range& domain, const std::vector<Range>& parts);
 
 /// N-dimensional region: one Range per dimension (row-major semantics; the
 /// first dimension is the slowest varying, matching C arrays in the paper's
-/// examples like u[0:n][0:m]).
+/// examples like u[0:n][0:m]). Up to kMaxRank dimensions are held inline,
+/// so copying a region allocates nothing; HostArray and ArrayView stop at
+/// the same rank.
 class Region {
  public:
+  static constexpr std::size_t kMaxRank = 3;
+
   Region() = default;
-  explicit Region(std::vector<Range> dims) : dims_(std::move(dims)) {}
-  Region(std::initializer_list<Range> dims) : dims_(dims) {}
+  /// Throws ConfigError above kMaxRank dimensions.
+  explicit Region(std::span<const Range> dims);
+  Region(std::initializer_list<Range> dims)
+      : Region(std::span<const Range>(dims.begin(), dims.size())) {}
 
   static Region of_shape(const std::vector<long long>& extents);
 
-  std::size_t rank() const noexcept { return dims_.size(); }
+  std::size_t rank() const noexcept { return rank_; }
   const Range& dim(std::size_t i) const {
-    HOMP_ASSERT(i < dims_.size());
+    HOMP_ASSERT(i < rank_);
     return dims_[i];
   }
   Range& dim(std::size_t i) {
-    HOMP_ASSERT(i < dims_.size());
+    HOMP_ASSERT(i < rank_);
     return dims_[i];
   }
-  const std::vector<Range>& dims() const noexcept { return dims_; }
 
   /// Number of index tuples in the region.
   long long volume() const noexcept;
@@ -96,12 +105,17 @@ class Region {
   /// Replace dimension `i` with `r`, returning a new region.
   Region with_dim(std::size_t i, const Range& r) const;
 
-  bool operator==(const Region& o) const noexcept = default;
+  /// Equal rank and equal dimensions; unused inline slots do not count.
+  bool operator==(const Region& o) const noexcept {
+    return rank_ == o.rank_ &&
+           std::equal(dims_.begin(), dims_.begin() + rank_, o.dims_.begin());
+  }
 
   std::string to_string() const;
 
  private:
-  std::vector<Range> dims_;
+  std::array<Range, kMaxRank> dims_{};
+  std::size_t rank_ = 0;
 };
 
 }  // namespace homp::dist

@@ -15,8 +15,9 @@
 /// slice mappings.
 
 #include <deque>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "memory/device_mapping.h"
 
@@ -36,17 +37,24 @@ class MappingStore {
 
 class DeviceDataEnv {
  public:
+  using Entry = std::pair<std::string, DeviceMapping*>;
+
   DeviceDataEnv() = default;
 
   /// Register a mapping under `name`; names must be unique per env.
   void add(const std::string& name, DeviceMapping* mapping);
 
-  /// New env containing this env's mappings — the base for a per-chunk
-  /// overlay.
-  DeviceDataEnv fork() const { return *this; }
+  /// New env containing this env's mappings, with room for `extra` more
+  /// — the base for a per-chunk overlay.
+  DeviceDataEnv fork(std::size_t extra = 0) const {
+    DeviceDataEnv env;
+    env.maps_.reserve(maps_.size() + extra);
+    env.maps_.assign(maps_.begin(), maps_.end());
+    return env;
+  }
 
   bool contains(const std::string& name) const {
-    return maps_.count(name) != 0;
+    return find(name) != maps_.end();
   }
 
   DeviceMapping& mapping(const std::string& name) const;
@@ -65,13 +73,16 @@ class DeviceDataEnv {
   void copy_out_all() const;
 
   /// Every mapping, by name in name order.
-  const std::map<std::string, DeviceMapping*>& mappings() const noexcept {
-    return maps_;
-  }
+  const std::vector<Entry>& mappings() const noexcept { return maps_; }
   std::size_t size() const noexcept { return maps_.size(); }
 
  private:
-  std::map<std::string, DeviceMapping*> maps_;
+  /// First entry whose name is not less than `name`.
+  std::vector<Entry>::const_iterator find_slot(const std::string& name) const;
+  /// The entry named `name`, or end().
+  std::vector<Entry>::const_iterator find(const std::string& name) const;
+
+  std::vector<Entry> maps_;  ///< sorted by name, a handful of entries
 };
 
 }  // namespace homp::mem

@@ -26,7 +26,7 @@ DeviceMapping::DeviceMapping(const MapSpec& spec, dist::Region owned,
                "footprint " + footprint_.to_string() +
                    " escapes mapped region " + spec.region.to_string() +
                    " for '" + spec.name + "'");
-  local_strides_.assign(footprint_.rank(), 1);
+  local_strides_.fill(1);
   for (std::size_t d = footprint_.rank(); d-- > 1;) {
     local_strides_[d - 1] = local_strides_[d] * footprint_.dim(d).size();
   }

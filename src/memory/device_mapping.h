@@ -10,10 +10,10 @@
 /// (not just wrong timing). Shared-memory mappings alias host storage —
 /// the "share instead of copy" optimization of §V-C — and transfer nothing.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "dist/range.h"
 #include "memory/map_spec.h"
@@ -127,7 +127,8 @@ class DeviceMapping {
   /// for maps that do not copy in: copy_in() overwrites every byte of
   /// the rest before anything reads them.
   std::unique_ptr<std::byte[]> storage_;
-  std::vector<long long> local_strides_;  // packed strides of footprint
+  /// Packed strides of the footprint, one per dimension.
+  std::array<long long, dist::Region::kMaxRank> local_strides_{};
 };
 
 }  // namespace homp::mem

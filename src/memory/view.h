@@ -17,8 +17,8 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "common/error.h"
 #include "dist/range.h"
@@ -48,10 +48,9 @@ class ArrayView {
   /// The global region present in local storage, rebuilt from the cached
   /// bounds.
   dist::Region footprint() const {
-    std::vector<dist::Range> dims;
-    dims.reserve(rank_);
-    for (std::size_t d = 0; d < rank_; ++d) dims.emplace_back(lo_[d], hi_[d]);
-    return dist::Region(std::move(dims));
+    std::array<dist::Range, 3> dims;
+    for (std::size_t d = 0; d < rank_; ++d) dims[d] = dist::Range(lo_[d], hi_[d]);
+    return dist::Region(std::span<const dist::Range>(dims.data(), rank_));
   }
   T* local_data() noexcept { return base_; }
 

@@ -526,7 +526,7 @@ std::vector<mem::MapSpec> build_map_specs(const ParsedDirective& d,
                    "negative array section on '" + e.name + "'");
       dims.emplace_back(lo, lo + len);
     }
-    s.region = dist::Region(std::move(dims));
+    s.region = dist::Region(dims);
     s.partition = e.partition;
     s.halo_before = e.halo_before;
     s.halo_after = e.halo_after;

@@ -408,8 +408,9 @@ void OffloadExecution::try_fetch(int slot) {
   }
 
   if (region_envs_ == nullptr) {
+    chunk.chunk_maps.reserve(plans_.size());
     make_chunk_mappings(p, chunk.range, &chunk.chunk_maps);
-    chunk.env = p.static_env.fork();
+    chunk.env = p.static_env.fork(chunk.chunk_maps.size());
     for (auto* m : chunk.chunk_maps) chunk.env.add(m->spec().name, m);
 
     for (auto* m : chunk.chunk_maps) {
@@ -1023,7 +1024,7 @@ void OffloadExecution::finish_now() {
 sim::Engine::Callback OffloadExecution::guard(sim::Engine::Callback fn) {
   if (ctx_ == nullptr) return fn;  // standalone: exceptions leave run()
   std::weak_ptr<bool> alive = std::weak_ptr<bool>(alive_);
-  return [this, alive, fn = std::move(fn)] {
+  return [this, alive, fn = std::move(fn)]() mutable {
     if (alive.expired()) return;  // owner destroyed us; late completion
     if (failed_) return;          // the domain is sealed
     if (opts_.harness.step_budget > 0 &&
@@ -1165,6 +1166,7 @@ OffloadResult OffloadExecution::harvest() {
   end = std::max(end, start_time_);
   res.total_time = end - start_time_;
 
+  res.devices.reserve(proxies_.size());
   for (auto& p : proxies_) {
     if (!p->stats.quarantined) {
       p->stats.phase_time[static_cast<int>(Phase::kBarrier)] +=

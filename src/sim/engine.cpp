@@ -1,68 +1,108 @@
 #include "sim/engine.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace homp::sim {
 
 std::uint64_t Engine::schedule_at(Time t, Callback fn, GenTag tag) {
   HOMP_ASSERT(t >= now_);
-  HOMP_ASSERT(fn != nullptr);
-  const std::uint64_t id = next_seq_++;
-  queue_.push(Entry{t, id, std::move(fn)});
-  pending_.emplace(id, tag);
-  if (tag != 0) gens_[tag].insert(id);
-  return id;
+  HOMP_ASSERT(fn);
+  std::uint32_t s = free_head_;
+  if (s != kNone) {
+    free_head_ = slots_[s].next;
+  } else {
+    HOMP_ASSERT(slots_.size() < kNone);
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[s];
+  slot.fn = std::move(fn);
+  slot.seq = next_seq_++;
+  slot.tag = tag;
+  slot.prev = kNone;
+  slot.next = kNone;
+  if (tag != 0) {
+    GenList& gen = gens_[tag];
+    slot.next = gen.head;
+    if (gen.head != kNone) slots_[gen.head].prev = s;
+    gen.head = s;
+    ++gen.size;
+  }
+  heap_.push_back(Key{t, slot.seq, s});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  ++live_;
+  return (std::uint64_t{slot.stamp} << 32) | s;
 }
 
-void Engine::retire_from_generation(std::uint64_t id, GenTag tag) {
-  if (tag == 0) return;
-  auto git = gens_.find(tag);
-  if (git == gens_.end()) return;
-  git->second.erase(id);
-  if (git->second.empty()) gens_.erase(git);
+Callback Engine::release(std::uint32_t s) {
+  Slot& slot = slots_[s];
+  if (slot.tag != 0) {
+    const auto it = gens_.find(slot.tag);
+    GenList& gen = it->second;
+    if (slot.prev != kNone) {
+      slots_[slot.prev].next = slot.next;
+    } else {
+      gen.head = slot.next;
+    }
+    if (slot.next != kNone) slots_[slot.next].prev = slot.prev;
+    if (--gen.size == 0) gens_.erase(it);
+    slot.tag = 0;
+  }
+  Callback fn = std::move(slot.fn);
+  slot.prev = kNone;
+  slot.next = free_head_;
+  free_head_ = s;
+  if (++slot.stamp == 0) slot.stamp = 1;
+  --live_;
+  return fn;
 }
 
-bool Engine::cancel(std::uint64_t id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  retire_from_generation(id, it->second);
-  pending_.erase(it);
+bool Engine::cancel(std::uint64_t handle) {
+  const auto s = static_cast<std::uint32_t>(handle);
+  if (s >= slots_.size()) return false;
+  const Slot& slot = slots_[s];
+  if (!slot.fn || slot.stamp != handle >> 32) return false;
+  release(s);  // the callback dies here; its heap key is now stale
   return true;
 }
 
 std::size_t Engine::cancel_generation(GenTag tag) {
   if (tag == 0) return 0;
-  auto git = gens_.find(tag);
-  if (git == gens_.end()) return 0;
   std::size_t n = 0;
-  for (std::uint64_t id : git->second) n += pending_.erase(id);
-  gens_.erase(git);
+  // Look the generation up afresh each time: a destroyed callback's
+  // captures may schedule or cancel on this engine.
+  for (auto it = gens_.find(tag); it != gens_.end(); it = gens_.find(tag)) {
+    release(it->second.head);
+    ++n;
+  }
   return n;
 }
 
 std::size_t Engine::pending_in(GenTag tag) const {
-  auto git = gens_.find(tag);
-  return git == gens_.end() ? 0 : git->second.size();
+  const auto it = gens_.find(tag);
+  return it == gens_.end() ? 0 : it->second.size;
 }
 
 void Engine::purge_cancelled_top() {
-  while (!queue_.empty() && !pending_.contains(queue_.top().seq)) {
-    queue_.pop();
+  while (!heap_.empty() && stale(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
   }
 }
 
 bool Engine::pop_one() {
   purge_cancelled_top();
-  if (queue_.empty()) return false;
-  Entry e = std::move(const_cast<Entry&>(queue_.top()));
-  queue_.pop();
-  const auto it = pending_.find(e.seq);
-  retire_from_generation(e.seq, it->second);
-  pending_.erase(it);
-  HOMP_ASSERT(e.t >= now_);
-  now_ = e.t;
+  if (heap_.empty()) return false;
+  const Key k = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  heap_.pop_back();
+  Callback fn = release(k.slot);
+  HOMP_ASSERT(k.t >= now_);
+  now_ = k.t;
   ++processed_;
-  e.fn();
+  fn();
   return true;
 }
 
@@ -84,14 +124,14 @@ std::size_t Engine::run_until(Time deadline) {
   std::size_t n = 0;
   for (;;) {
     if (stopped_) break;
-    // The deadline check must see the next *live* event: a tombstone at
+    // The deadline check must see the next *live* event: a stale key at
     // the top would otherwise let pop_one() skip it and run an event past
     // the deadline.
     purge_cancelled_top();
-    if (queue_.empty() || queue_.top().t > deadline) break;
+    if (heap_.empty() || heap_.front().t > deadline) break;
     if (pop_one()) ++n;
   }
-  if (now_ < deadline && queue_.empty()) now_ = deadline;
+  if (now_ < deadline && heap_.empty()) now_ = deadline;
   return n;
 }
 

@@ -9,9 +9,6 @@
 /// makes multi-device scheduling experiments deterministic and independent
 /// of the host's actual core count (see DESIGN.md §2).
 ///
-/// The engine is deliberately minimal: an ordered queue of (time, seq,
-/// callback).
-///
 /// Tie-break contract: events pop in strict (time, seq) lexicographic
 /// order. Earlier virtual time runs first; at equal time, lower seq runs
 /// first, where seq is the global counter schedule_at/schedule_after
@@ -24,22 +21,35 @@
 /// on this order. tests/sim/engine_order_test.cpp pins it, and a change
 /// to it is a breaking change to the determinism model, not a tuning
 /// knob.
+///
+/// Event table. Each pending event owns a slot of a reused table: its
+/// Callback, its seq and its generation links. The queue is a binary heap
+/// of trivially copyable (time, seq, slot) keys. A slot freed by a run or
+/// a cancel goes on a free list and is reused by the next schedule, so a
+/// steady-state engine allocates nothing per event.
+///
+/// Handles. schedule_at returns a handle that names the slot and a stamp
+/// the slot bumps each time it is freed; no handle is 0, so callers may
+/// use 0 as "no event". A handle stops being live when its event runs or
+/// is cancelled, and a stale handle, even one whose slot now holds a
+/// newer event, cancels nothing. A cancel destroys the event's callback
+/// at once; only its 24-byte key stays in the heap until it surfaces.
+/// A running callback has already been moved out of its slot, so it may
+/// cancel its own generation or schedule into the slot it left.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/time.h"
 
 namespace homp::sim {
 
 class Engine {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
 
   /// Cancellation generation tag. Events scheduled with a tag belong to
   /// that generation and can all be cancelled in one cancel_generation()
@@ -60,8 +70,8 @@ class Engine {
   GenTag new_generation() noexcept { return ++next_gen_; }
 
   /// Schedule `fn` at absolute virtual time `t`. `t` must be >= now().
-  /// Returns an id usable with cancel(). A non-zero `tag` enrols the
-  /// event in that cancellation generation.
+  /// Returns a non-zero handle usable with cancel(). A non-zero `tag`
+  /// enrols the event in that cancellation generation.
   std::uint64_t schedule_at(Time t, Callback fn, GenTag tag = 0);
 
   /// Schedule `fn` after a non-negative delay.
@@ -69,16 +79,14 @@ class Engine {
     return schedule_at(now_ + dt, std::move(fn), tag);
   }
 
-  /// Cancel a pending event. Returns false if it already ran or was
-  /// cancelled. Cancellation is O(1): the event leaves the pending map,
-  /// and its queue entry, now a tombstone, is dropped when it surfaces,
-  /// so repeated cancellation cannot grow the engine without bound.
-  bool cancel(std::uint64_t id);
+  /// Cancel a pending event and destroy its callback. Returns false if
+  /// the handle is stale: its event already ran or was cancelled.
+  bool cancel(std::uint64_t handle);
 
-  /// Cancel every still-pending event in `tag`'s generation and retire
-  /// the generation's bookkeeping. Returns how many events were
-  /// cancelled. Safe to call for a generation with no pending events
-  /// (returns 0); the tag may be re-armed afterwards.
+  /// Cancel every still-pending event in `tag`'s generation, destroying
+  /// their callbacks, and retire the generation's bookkeeping. Returns
+  /// how many events were cancelled. Safe to call for a generation with
+  /// no pending events (returns 0); the tag may be re-armed afterwards.
   std::size_t cancel_generation(GenTag tag);
 
   /// Pending (scheduled, not yet run or cancelled) events in `tag`'s
@@ -111,41 +119,66 @@ class Engine {
   void stop() noexcept { stopped_ = true; }
 
   /// True when no pending (non-cancelled) events remain.
-  bool idle() const noexcept { return pending_.empty(); }
+  bool idle() const noexcept { return live_ == 0; }
 
   /// Pending (non-cancelled) events across all generations.
-  std::size_t live_events() const noexcept { return pending_.size(); }
+  std::size_t live_events() const noexcept { return live_; }
 
   std::size_t events_processed() const noexcept { return processed_; }
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  struct Key {
     Time t;
-    std::uint64_t seq;  // FIFO tie-break and cancellation id
-    Callback fn;
-    bool operator>(const Entry& o) const noexcept {
-      if (t != o.t) return t > o.t;
-      return seq > o.seq;
-    }
+    std::uint64_t seq;  // FIFO tie-break; a key whose slot moved on is stale
+    std::uint32_t slot;
   };
 
+  struct Slot {
+    Callback fn;  // empty while the slot is free
+    std::uint64_t seq = 0;
+    GenTag tag = 0;
+    std::uint32_t stamp = 1;  // bumped on every free; never 0
+    /// Neighbours in the generation's list; `next` links the free list
+    /// while the slot is free.
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
+  };
+
+  /// A generation's pending events, linked through their slots.
+  struct GenList {
+    std::uint32_t head = kNone;
+    std::size_t size = 0;
+  };
+
+  static bool later(const Key& a, const Key& b) noexcept {
+    if (a.t != b.t) return a.t > b.t;
+    return a.seq > b.seq;
+  }
+
   bool pop_one();  // runs the next event; false if queue exhausted
-  void purge_cancelled_top();  // drop tombstones sitting at the queue top
+  void purge_cancelled_top();  // drop stale keys sitting at the heap top
+  bool stale(const Key& k) const noexcept {
+    const Slot& s = slots_[k.slot];
+    return !s.fn || s.seq != k.seq;
+  }
 
-  /// Drop `id` from its generation's pending set (no-op when untagged).
-  void retire_from_generation(std::uint64_t id, GenTag tag);
+  /// Unlink slot `s` from its generation and put it on the free list,
+  /// returning its callback for the caller to run or drop.
+  Callback release(std::uint32_t s);
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  /// Scheduled, not yet run or cancelled: id -> generation tag (0 =
-  /// untagged). A queue entry whose id is absent here is a tombstone.
-  std::unordered_map<std::uint64_t, GenTag> pending_;
-  /// Generation membership, kept only for tagged *pending* events; a
-  /// generation's map entry disappears when its last pending event runs
-  /// or is cancelled, so long-lived engines stay flat.
-  std::unordered_map<GenTag, std::unordered_set<std::uint64_t>> gens_;
+  std::vector<Key> heap_;  // min-heap on (t, seq) via later()
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNone;
+  /// One entry per generation with a pending event; it disappears when
+  /// its last pending event runs or is cancelled, so long-lived engines
+  /// stay flat.
+  std::unordered_map<GenTag, GenList> gens_;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   GenTag next_gen_ = 0;
+  std::size_t live_ = 0;
   std::size_t processed_ = 0;
   bool stopped_ = false;
 };

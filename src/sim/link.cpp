@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "common/error.h"
 
@@ -32,18 +31,25 @@ SharedLink::SharedLink(Engine& engine, std::string name, double latency_s,
   HOMP_REQUIRE(bytes_per_s > 0.0, "link bandwidth must be positive");
 }
 
-void SharedLink::transfer(double bytes, std::function<void()> done) {
+void SharedLink::transfer(double bytes, Callback done) {
   HOMP_REQUIRE(bytes >= 0.0, "transfer size must be non-negative");
-  HOMP_ASSERT(done != nullptr);
+  HOMP_ASSERT(done);
+  // Drop the admitted prefix once it is at least half the queue: the
+  // queue then holds little beyond the transfers still paying latency,
+  // at amortized O(1) per transfer.
+  if (waiting_head_ * 2 >= waiting_.size()) {
+    waiting_.erase(waiting_.begin(),
+                   waiting_.begin() + static_cast<std::ptrdiff_t>(waiting_head_));
+    waiting_head_ = 0;
+  }
+  waiting_.push_back(Transfer{bytes, bytes, std::move(done)});
   // The fixed latency is paid before the transfer contends for bandwidth.
-  engine_.schedule_after(latency_, [this, bytes, cb = std::move(done)]() mutable {
-    admit(bytes, std::move(cb));
-  });
+  engine_.schedule_after(latency_, [this] { admit(); });
 }
 
-void SharedLink::admit(double bytes, std::function<void()> done) {
+void SharedLink::admit() {
   advance();
-  active_.push_back(Active{bytes, bytes, std::move(done)});
+  active_.push_back(std::move(waiting_[waiting_head_++]));
   reschedule();
 }
 
@@ -76,22 +82,31 @@ void SharedLink::reschedule() {
 void SharedLink::on_completion_event() {
   has_pending_event_ = false;
   advance();
-  // Collect finished transfers first: a done-callback may start a new
-  // transfer on this same link re-entrantly.
-  std::vector<std::function<void()>> finished;
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (is_done(it->remaining, it->total, bandwidth_, engine_.now())) {
-      bytes_delivered_ += it->total;
-      finished.push_back(std::move(it->done));
-      it = active_.erase(it);
+  // Collect finished transfers first, keeping the rest in admission
+  // order: a done-callback may start a new transfer on this same link
+  // re-entrantly. The local buffer takes the reused capacity, so a
+  // callback that throws cannot leave stale entries behind.
+  std::vector<Callback> finished;
+  finished.swap(finished_);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    Transfer& a = active_[i];
+    if (is_done(a.remaining, a.total, bandwidth_, engine_.now())) {
+      bytes_delivered_ += a.total;
+      finished.push_back(std::move(a.done));
       ++completed_;
     } else {
-      ++it;
+      if (kept != i) active_[kept] = std::move(a);
+      ++kept;
     }
   }
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept),
+                active_.end());
   HOMP_ASSERT(!finished.empty());
   reschedule();
   for (auto& cb : finished) cb();
+  finished.clear();
+  finished_.swap(finished);
 }
 
 }  // namespace homp::sim

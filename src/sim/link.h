@@ -10,12 +10,21 @@
 /// same link, each receives beta/k of the bandwidth (processor sharing),
 /// which captures PCIe contention between e.g. the two K40 dies sharing one
 /// K80 card slot.
+///
+/// Admission is FIFO. A transfer first waits out the link's one latency
+/// in a queue, and the event that ends the wait only says "admit the
+/// next". That event is scheduled at now + alpha; the clock never goes
+/// back and ties pop by seq, so these events fire in transfer() order
+/// and the queue front is always the transfer whose latency just ended.
+/// The link schedules and cancels exactly the events it would if each
+/// latency event carried its own transfer, in the same order, so every
+/// event keeps its seq and every output its bytes.
 
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <string>
+#include <vector>
 
+#include "sim/callback.h"
 #include "sim/engine.h"
 #include "sim/time.h"
 
@@ -32,8 +41,9 @@ class SharedLink {
   SharedLink& operator=(const SharedLink&) = delete;
 
   /// Start a transfer of `bytes`; `done` fires at the virtual time the
-  /// transfer completes. Zero-byte transfers still pay the latency.
-  void transfer(double bytes, std::function<void()> done);
+  /// transfer completes. Zero-byte transfers still pay the latency. The
+  /// link must outlive its transfers.
+  void transfer(double bytes, Callback done);
 
   const std::string& name() const noexcept { return name_; }
   double bandwidth() const noexcept { return bandwidth_; }
@@ -47,13 +57,13 @@ class SharedLink {
   std::size_t transfers_completed() const noexcept { return completed_; }
 
  private:
-  struct Active {
+  struct Transfer {
     double total;      // requested transfer size, bytes
     double remaining;  // bytes still to move
-    std::function<void()> done;
+    Callback done;
   };
 
-  void admit(double bytes, std::function<void()> done);
+  void admit();        // the oldest waiting transfer starts sharing
   void advance();      // charge elapsed time against active transfers
   void reschedule();   // (re)arm the next-completion event
   void on_completion_event();
@@ -62,7 +72,12 @@ class SharedLink {
   std::string name_;
   double latency_;
   double bandwidth_;
-  std::list<Active> active_;
+  /// Transfers paying their latency, oldest first from waiting_head_;
+  /// the admitted prefix is compacted away in transfer().
+  std::vector<Transfer> waiting_;
+  std::size_t waiting_head_ = 0;
+  std::vector<Transfer> active_;  // in admission order
+  std::vector<Callback> finished_;  // reused by on_completion_event()
   Time last_update_ = 0.0;
   std::uint64_t pending_event_ = 0;
   bool has_pending_event_ = false;

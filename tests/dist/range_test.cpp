@@ -83,5 +83,27 @@ TEST(Region, RankMismatchThrows) {
   EXPECT_THROW(a.contains(b), homp::ConfigError);
 }
 
+TEST(Region, RankAboveThreeThrows) {
+  // Regions hold their ranges inline; HostArray and ArrayView stop at
+  // rank 3 as well.
+  EXPECT_THROW(Region::of_shape({2, 2, 2, 2}), homp::ConfigError);
+  EXPECT_THROW(Region({Range(0, 1), Range(0, 1), Range(0, 1), Range(0, 1)}),
+               homp::ConfigError);
+  EXPECT_EQ(Region::of_shape({2, 2, 2}).volume(), 8);
+}
+
+TEST(Region, EqualityIgnoresUnusedInlineSlots) {
+  // A rank-1 region's unused slots read [0:0); a rank-2 region whose
+  // second dimension is [0:0) matches them slot for slot but still
+  // differs in rank.
+  const Region one({Range(0, 4)});
+  EXPECT_EQ(one, Region::of_shape({4}));
+  EXPECT_NE(one, Region({Range(0, 4), Range(0, 0)}));
+  EXPECT_NE(one, Region({Range(0, 5)}));
+  const Region wide = Region::of_shape({4, 7}).with_dim(1, Range(2, 3));
+  EXPECT_EQ(wide, Region({Range(0, 4), Range(2, 3)}));
+  EXPECT_EQ(Region(), Region::of_shape({}));
+}
+
 }  // namespace
 }  // namespace homp::dist

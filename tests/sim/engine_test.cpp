@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace homp::sim {
 namespace {
+
+/// A callable that counts its own destruction; moved-from copies do not
+/// count, so each scheduled callable adds exactly one when it dies.
+struct DtorCounter {
+  int* count;
+  explicit DtorCounter(int* c) : count(c) {}
+  DtorCounter(DtorCounter&& o) noexcept : count(std::exchange(o.count, nullptr)) {}
+  DtorCounter(const DtorCounter&) = delete;
+  DtorCounter& operator=(const DtorCounter&) = delete;
+  DtorCounter& operator=(DtorCounter&&) = delete;
+  ~DtorCounter() {
+    if (count != nullptr) ++*count;
+  }
+  void operator()() const {}
+};
 
 TEST(Engine, RunsEventsInTimeOrder) {
   Engine e;
@@ -227,6 +244,86 @@ TEST(Engine, RepeatedCancelCyclesReclaimTombstones) {
     EXPECT_TRUE(e.idle());
   }
   EXPECT_EQ(e.events_processed(), 0u);
+}
+
+TEST(Engine, NoHandleIsZero) {
+  // Callers keep 0 as "no event" (the server's deadline_event), so the
+  // very first event of a fresh engine must not get handle 0 either, nor
+  // an event scheduled into a reused slot.
+  Engine e;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 4; ++i) EXPECT_NE(e.schedule_at(1.0 + round, [] {}), 0u);
+    e.run();
+  }
+}
+
+TEST(Engine, StaleHandleOfAReusedSlotCancelsNothing) {
+  Engine e;
+  int fired = 0;
+  const auto first = e.schedule_at(1.0, [] {});
+  e.run();
+  // The freed slot takes the next event; the old handle must not reach it.
+  const auto second = e.schedule_at(2.0, [&] { ++fired; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(e.cancel(first));
+  EXPECT_EQ(e.live_events(), 1u);
+  e.run();
+  EXPECT_EQ(fired, 1);
+
+  const auto third = e.schedule_at(3.0, [] {});
+  EXPECT_TRUE(e.cancel(third));
+  const auto fourth = e.schedule_at(4.0, [&] { ++fired; });
+  EXPECT_FALSE(e.cancel(third));
+  EXPECT_NE(third, fourth);
+  e.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Engine, CancelDestroysTheCallbackAtOnce) {
+  Engine e;
+  int destroyed = 0;
+  const auto id = e.schedule_at(5.0, DtorCounter(&destroyed));
+  EXPECT_EQ(destroyed, 0);
+  EXPECT_TRUE(e.cancel(id));
+  EXPECT_EQ(destroyed, 1);  // not when its stale key surfaces at t = 5
+
+  const auto gen = e.new_generation();
+  e.schedule_at(6.0, DtorCounter(&destroyed), gen);
+  e.schedule_at(7.0, DtorCounter(&destroyed), gen);
+  EXPECT_EQ(e.cancel_generation(gen), 2u);
+  EXPECT_EQ(destroyed, 3);
+
+  e.schedule_at(8.0, DtorCounter(&destroyed));
+  e.run();
+  EXPECT_EQ(destroyed, 4);  // a callable that ran dies once too
+  EXPECT_EQ(e.events_processed(), 1u);
+}
+
+TEST(Engine, RunningCallbackHasLeftItsSlot) {
+  // The running callback was moved out of its slot before it was
+  // called: it can revoke its own generation, its own handle is already
+  // stale, and what it schedules may take the slot it left.
+  Engine e;
+  const auto gen = e.new_generation();
+  int fired = 0;
+  std::uint64_t self = 0;
+  std::uint64_t child = 0;
+  self = e.schedule_at(
+      1.0,
+      [&] {
+        EXPECT_EQ(e.pending_in(gen), 1u);  // only its sibling
+        EXPECT_FALSE(e.cancel(self));
+        EXPECT_EQ(e.cancel_generation(gen), 1u);
+        child = e.schedule_after(1.0, [&] { ++fired; }, gen);
+      },
+      gen);
+  e.schedule_at(2.0, [&] { fired += 100; }, gen);
+  e.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_NE(child, 0u);
+  EXPECT_NE(child, self);
+  EXPECT_TRUE(e.idle());
+  EXPECT_EQ(e.live_generations(), 0u);
 }
 
 }  // namespace

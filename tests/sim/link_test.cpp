@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 
 namespace homp::sim {
@@ -56,6 +58,35 @@ TEST(SharedLink, LateArrivalSharesRemainingBandwidth) {
   // 0.5 GB/s -> 2 more ms. Both finish at 3 ms.
   EXPECT_NEAR(t1, 3e-3, 1e-9);
   EXPECT_NEAR(t2, 3e-3, 1e-9);
+}
+
+TEST(SharedLink, TransfersInOneLatencyWindowAdmitInCallOrder) {
+  // Three transfers started 0.2 ms apart, all inside the first 1 ms
+  // latency window, are admitted at 1.0, 1.2 and 1.4 ms in call order.
+  // Processor sharing from there, by hand, at 1 GB/s:
+  //   1.0-1.2 ms  a alone moves 0.2 MB            a 2.8 MB left
+  //   1.2-1.4 ms  a, b at 0.5 GB/s, 0.1 MB each   a 2.7, b 0.9
+  //   1.4-4.1 ms  a, b, c at 1/3 GB/s, 0.9 MB     b done; a 1.8, c 1.1
+  //   4.1-6.3 ms  a, c at 0.5 GB/s, 1.1 MB        c done; a 0.7
+  //   6.3-7.0 ms  a alone                         a done
+  Engine e;
+  SharedLink link(e, "l", /*latency=*/1e-3, /*bw=*/1e9);
+  std::vector<char> order;
+  double ta = -1, tb = -1, tc = -1;
+  link.transfer(3e6, [&] { ta = e.now(); order.push_back('a'); });
+  e.schedule_at(0.2e-3, [&] {
+    link.transfer(1e6, [&] { tb = e.now(); order.push_back('b'); });
+  });
+  e.schedule_at(0.4e-3, [&] {
+    link.transfer(2e6, [&] { tc = e.now(); order.push_back('c'); });
+  });
+  e.run();
+  EXPECT_NEAR(tb, 4.1e-3, 1e-12);
+  EXPECT_NEAR(tc, 6.3e-3, 1e-12);
+  EXPECT_NEAR(ta, 7.0e-3, 1e-12);
+  EXPECT_EQ(order, (std::vector<char>{'b', 'c', 'a'}));
+  EXPECT_EQ(link.transfers_completed(), 3u);
+  EXPECT_NEAR(link.busy_time(), 6e-3, 1e-12);
 }
 
 TEST(SharedLink, ZeroByteTransferPaysOnlyLatency) {
