@@ -61,7 +61,7 @@ bool iequals(std::string_view a, std::string_view b) {
 
 long long parse_scaled_int(std::string_view raw) {
   std::string_view s = trim(raw);
-  HOMP_REQUIRE(!s.empty(), "empty integer literal");
+  if (s.empty()) throw ConfigError("empty integer literal");
   long long mult = 1;
   const char last = s.back();
   if (last == 'k' || last == 'K') {
@@ -74,12 +74,16 @@ long long parse_scaled_int(std::string_view raw) {
     mult = 1000000000;
     s.remove_suffix(1);
   }
-  HOMP_REQUIRE(!s.empty(), "integer literal is only a suffix: '" +
-                               std::string(raw) + "'");
+  if (s.empty()) {
+    throw ConfigError("integer literal is only a suffix: '" +
+                      std::string(raw) + "'");
+  }
   long long value = 0;
   for (char c : s) {
-    HOMP_REQUIRE(c >= '0' && c <= '9',
-                 "malformed integer literal: '" + std::string(raw) + "'");
+    if (c < '0' || c > '9') {
+      throw ConfigError("malformed integer literal: '" + std::string(raw) +
+                        "'");
+    }
     value = value * 10 + (c - '0');
   }
   return value * mult;

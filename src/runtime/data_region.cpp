@@ -103,7 +103,8 @@ OffloadResult DataRegion::offload(const LoopKernel& kernel, bool parallel) {
   o.parallel_offload = parallel;
   o.noise_seed = opts_.noise_seed;
   static const std::vector<mem::MapSpec> kNoMaps;
-  OffloadExecution exec(machine_, kernel, kNoMaps, o, &loop_dist_, &envs_);
+  ExecContext ctx(machine_);
+  OffloadExecution exec(ctx, machine_, kernel, kNoMaps, o, &loop_dist_, &envs_);
   OffloadResult res = exec.run();
   total_time_ += res.total_time;
   return res;

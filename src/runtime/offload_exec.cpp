@@ -23,38 +23,31 @@ constexpr double kChunkSchedOverheadS = 1e-6;
 }  // namespace
 
 OffloadExecution::~OffloadExecution() {
-  // Shared mode: revoke anything still pending (normally finish_now()
+  // Revoke anything still pending (normally finish_now()
   // already did — this covers owners tearing down mid-flight). The
   // context's engine outlives the execution by contract.
-  if (ctx_ != nullptr) engine_.cancel_generation(gen_);
+  engine_.cancel_generation(gen_);
 }
 
-OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
+OffloadExecution::OffloadExecution(ExecContext& ctx,
+                                   const mach::MachineDescriptor& machine,
                                    const LoopKernel& kernel,
                                    const std::vector<mem::MapSpec>& maps,
                                    const OffloadOptions& opts,
                                    const dist::Distribution* forced_loop_dist,
                                    const std::vector<mem::DeviceDataEnv>*
-                                       region_envs,
-                                   const ExecContext* ctx)
+                                       region_envs)
     : machine_(machine),
       kernel_(kernel),
       maps_(maps),
       opts_(opts),
-      ctx_(ctx),
-      owned_engine_(ctx == nullptr ? std::make_unique<sim::Engine>()
-                                   : nullptr),
-      engine_(ctx == nullptr ? *owned_engine_ : *ctx->engine),
+      engine_(ctx.engine),
       region_envs_(region_envs) {
-  if (ctx_ != nullptr) {
-    HOMP_REQUIRE(ctx_->engine != nullptr,
-                 "ExecContext has no engine");
-    HOMP_REQUIRE(ctx_->down_links.size() == machine_.links.size() &&
-                     ctx_->up_links.size() == machine_.links.size(),
-                 "ExecContext link lanes do not match the machine's links");
-    gen_ = engine_.new_generation();
-    alive_ = std::make_shared<bool>(true);
-  }
+  HOMP_REQUIRE(ctx.down_links.size() == machine_.links.size() &&
+                   ctx.up_links.size() == machine_.links.size(),
+               "ExecContext link lanes do not match the machine's links");
+  gen_ = engine_.new_generation();
+  alive_ = std::make_shared<bool>(true);
   // The one validation of every entry point (Runtime::offload,
   // DataRegion::offload, server jobs): bad knob combinations are rejected,
   // every violation in one message, before any planning work starts.
@@ -128,7 +121,7 @@ OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
     scheduler_ = sched::make_scheduler(cfg, loop_context_);
   }
 
-  build_proxies();
+  build_proxies(ctx);
   res_ = Resilience::build(*this);
 }
 
@@ -186,30 +179,10 @@ void OffloadExecution::validate_and_plan() {
   effective_profile_.transfer_bytes_per_iter = bytes_per_iter;
 }
 
-void OffloadExecution::build_proxies() {
-  if (ctx_ != nullptr) {
-    // Shared-engine mode: every concurrent execution's transfers ride
-    // the server's lanes, so cross-tenant link contention falls out of
-    // SharedLink's processor sharing with no further machinery.
-    down_links_ = ctx_->down_links;
-    up_links_ = ctx_->up_links;
-  } else {
-    // One pair of full-duplex lanes per machine link, owned.
-    owned_down_links_.resize(machine_.links.size());
-    owned_up_links_.resize(machine_.links.size());
-    down_links_.resize(machine_.links.size());
-    up_links_.resize(machine_.links.size());
-    for (std::size_t i = 0; i < machine_.links.size(); ++i) {
-      const auto& l = machine_.links[i];
-      owned_down_links_[i] = std::make_unique<sim::SharedLink>(
-          engine_, l.name + ".down", l.latency_s, l.bandwidth_Bps);
-      owned_up_links_[i] = std::make_unique<sim::SharedLink>(
-          engine_, l.name + ".up", l.latency_s, l.bandwidth_Bps);
-      down_links_[i] = owned_down_links_[i].get();
-      up_links_[i] = owned_up_links_[i].get();
-    }
-  }
-
+void OffloadExecution::build_proxies(const ExecContext& ctx) {
+  // Every concurrent execution's transfers ride the context's lanes, so
+  // cross-tenant link contention falls out of SharedLink's processor
+  // sharing with no further machinery.
   proxies_.clear();
   for (std::size_t slot = 0; slot < opts_.device_ids.size(); ++slot) {
     auto p = std::make_unique<Proxy>();
@@ -220,8 +193,8 @@ void OffloadExecution::build_proxies() {
                            !opts_.use_unified_memory &&
                            p->desc->link != mach::kNoLink;
     if (transfers) {
-      p->down = down_links_[static_cast<std::size_t>(p->desc->link)];
-      p->up = up_links_[static_cast<std::size_t>(p->desc->link)];
+      p->down = ctx.down_links[static_cast<std::size_t>(p->desc->link)].get();
+      p->up = ctx.up_links[static_cast<std::size_t>(p->desc->link)].get();
     }
     p->noise = Prng(opts_.noise_seed ^ (0x9e37u * (slot + 1)));
     p->stats.device_name = p->desc->name;
@@ -433,25 +406,17 @@ void OffloadExecution::try_fetch(int slot) {
     }
   }
 
+  // The chunk is the proxy's from here on, so a quarantine inside the
+  // alloc/scheduling-delay window requeues it with the rest.
   p.fetching = true;
+  p.inflight = std::move(chunk);
   if (!p.setup_signalled) {
     p.setup_signalled = true;
     pass_serial_token(slot);
   }
 
   sched_after(alloc_delay + kChunkSchedOverheadS,
-              [this, slot,
-               c = std::make_shared<PendingChunk>(std::move(chunk))] {
-    Proxy& pr = *proxies_[static_cast<std::size_t>(slot)];
-    if (pr.lost) {
-      // Quarantined inside the alloc/scheduling-delay window: hand the
-      // chunk straight back for redistribution.
-      res_->reclaim(slot, *c);
-      return;
-    }
-    pr.inflight = std::move(*c);
-    issue_input(slot, 1);
-  });
+              [this, slot] { issue_input(slot, 1); });
 }
 
 void OffloadExecution::issue_input(int slot, int attempt) {
@@ -476,8 +441,7 @@ void OffloadExecution::issue_input(int slot, int attempt) {
   const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   if (attempt == 1) sample_queue_depth(p);
   adjust_outstanding_bytes(p, bytes);
-  p.down->transfer(bytes, guard([this, slot, start, jitter, bytes, attempt,
-                                 wire] {
+  transfer(p.down, bytes, [this, slot, start, jitter, bytes, attempt, wire] {
     adjust_outstanding_bytes(*proxies_[static_cast<std::size_t>(slot)],
                              -bytes);
     sched_after(jitter, [this, slot, start, attempt, wire] {
@@ -496,7 +460,7 @@ void OffloadExecution::issue_input(int slot, int attempt) {
            [r = q.inflight->range] { return r.to_string(); });
       on_input_done(slot, attempt, wire.corrupt_seed);
     });
-  }));
+  });
 }
 
 void OffloadExecution::on_input_done(int slot, int attempt,
@@ -659,8 +623,7 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
   const double bytes = rec->bytes_out;
   const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   adjust_outstanding_bytes(p, bytes);
-  p.up->transfer(bytes, guard([this, slot, rec, start, bytes, attempt,
-                               wire] {
+  transfer(p.up, bytes, [this, slot, rec, start, bytes, attempt, wire] {
     Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
     adjust_outstanding_bytes(q, -bytes);
     if (q.lost || !q.holds(rec)) return;  // requeued at quarantine
@@ -689,7 +652,7 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
     // release) the stage barrier, or finish the offload.
     try_fetch(slot);
     check_completion(slot);
-  }));
+  });
 }
 
 void OffloadExecution::commit(int slot, const OutRecord& rec) {
@@ -902,7 +865,7 @@ void OffloadExecution::issue_finalize(int slot, double bytes, int attempt) {
   const double start = engine_.now();
   const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   adjust_outstanding_bytes(p, bytes);
-  p.up->transfer(bytes, guard([this, slot, start, bytes, attempt, wire] {
+  transfer(p.up, bytes, [this, slot, start, bytes, attempt, wire] {
     Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
     adjust_outstanding_bytes(q, -bytes);
     if (q.lost) return;  // quarantined mid-write-back
@@ -921,7 +884,7 @@ void OffloadExecution::issue_finalize(int slot, double bytes, int attempt) {
       return;
     }
     complete_finalize(slot);
-  }));
+  });
 }
 
 void OffloadExecution::complete_finalize(int slot) {
@@ -937,9 +900,12 @@ void OffloadExecution::complete_finalize(int slot) {
   maybe_finish();
 }
 
-void OffloadExecution::launch() {
+void OffloadExecution::start(std::function<void(OffloadResult&&)>
+                                 on_complete) {
   HOMP_REQUIRE(!ran_, "OffloadExecution launched twice");
+  HOMP_REQUIRE(on_complete != nullptr, "start() needs a completion callback");
   ran_ = true;
+  on_complete_ = std::move(on_complete);
   start_time_ = engine_.now();
   events_at_launch_ = engine_.events_processed();
 
@@ -976,18 +942,8 @@ void OffloadExecution::launch() {
   if (res_) res_->arm_losses();
 }
 
-void OffloadExecution::start(std::function<void(OffloadResult&&)>
-                                 on_complete) {
-  HOMP_REQUIRE(ctx_ != nullptr,
-               "OffloadExecution::start() needs a shared ExecContext; "
-               "standalone executions use run()");
-  HOMP_REQUIRE(on_complete != nullptr, "start() needs a completion callback");
-  on_complete_ = std::move(on_complete);
-  launch();
-}
-
 void OffloadExecution::maybe_finish() {
-  if (!on_complete_ || finished_) return;
+  if (finished_) return;
   for (const auto& p : proxies_) {
     if (!p->done && !p->lost) return;
   }
@@ -1003,6 +959,7 @@ void OffloadExecution::maybe_finish() {
 void OffloadExecution::finish_now() {
   if (finished_) return;
   finished_ = true;
+  engine_events_ = engine_.events_processed() - events_at_launch_;
   // Revoke every timer this job ever armed — watchdog deadlines, loss
   // schedules, retry backoffs, probation cooldowns. After delivery the
   // owner may destroy the execution: nothing tagged can fire, and the
@@ -1012,7 +969,10 @@ void OffloadExecution::finish_now() {
   // destroy queues, launch new executions — or destroy *this* — which
   // must not run inside whatever commit chain called us. Move the
   // callback to a local before invoking: its body may free the member.
+  // The one untagged arm: the generation was just revoked, and alive_
+  // makes the delivery inert once the owner destroys the execution.
   std::weak_ptr<bool> alive = std::weak_ptr<bool>(alive_);
+  // homp-lint: allow(HL006)
   engine_.schedule_after(0.0, [this, alive] {
     if (alive.expired()) return;
     auto cb = std::move(on_complete_);
@@ -1021,38 +981,22 @@ void OffloadExecution::finish_now() {
   });
 }
 
-sim::Engine::Callback OffloadExecution::guard(sim::Engine::Callback fn) {
-  if (ctx_ == nullptr) return fn;  // standalone: exceptions leave run()
-  std::weak_ptr<bool> alive = std::weak_ptr<bool>(alive_);
-  return [this, alive, fn = std::move(fn)]() mutable {
-    if (alive.expired()) return;  // owner destroyed us; late completion
-    if (failed_) return;          // the domain is sealed
-    if (opts_.harness.step_budget > 0 &&
-        ++events_used_ >
-            static_cast<std::size_t>(opts_.harness.step_budget)) {
-      fail(FailClass::kStepBudget,
-           "job step budget (" + std::to_string(opts_.harness.step_budget) +
-               " events) exhausted during offload of '" + kernel_.name +
-               "' — livelock or deadlock suspected");
-      return;
-    }
-    try {
-      fn();
-    } catch (const OffloadError& e) {
-      fail(e.fail_class(), e.what());
-    } catch (const ExecutionError& e) {
-      fail(FailClass::kUnspecified, e.what());
-    }
-  };
-}
-
-std::uint64_t OffloadExecution::sched_after(double dt,
-                                            sim::Engine::Callback fn) {
-  return engine_.schedule_after(dt, guard(std::move(fn)), gen_);
+bool OffloadExecution::admit_event() {
+  if (failed_) return false;  // the domain is sealed
+  if (opts_.harness.step_budget > 0 &&
+      ++events_used_ >
+          static_cast<std::size_t>(opts_.harness.step_budget)) {
+    fail(FailClass::kStepBudget,
+         "job step budget (" + std::to_string(opts_.harness.step_budget) +
+             " events) exhausted during offload of '" + kernel_.name +
+             "' — livelock or deadlock suspected");
+    return false;
+  }
+  return true;
 }
 
 void OffloadExecution::fail(FailClass cls, std::string what) {
-  if (ctx_ == nullptr || finished_ || failed_) return;
+  if (finished_ || failed_) return;
   failed_ = true;
   if (!cancelled_) {
     // A failure that lands while a cancellation is draining completes
@@ -1064,7 +1008,7 @@ void OffloadExecution::fail(FailClass cls, std::string what) {
 }
 
 void OffloadExecution::request_cancel(FailClass cls, std::string reason) {
-  if (ctx_ == nullptr || finished_ || failed_ || cancelled_) return;
+  if (finished_ || failed_ || cancelled_) return;
   cancelled_ = true;
   fail_class_ = cls;
   fail_error_ = std::move(reason);
@@ -1091,27 +1035,14 @@ void OffloadExecution::park_proxy(int slot) {
 }
 
 OffloadResult OffloadExecution::run() {
-  HOMP_REQUIRE(ctx_ == nullptr,
-               "OffloadExecution::run() drives a private engine; "
-               "shared-context executions use start()");
-  launch();
-  if (opts_.harness.step_budget > 0) {
-    // The fuzz harness's livelock watchdog: a wedged scheduler keeps the
-    // queue busy forever in bounded virtual time, which run_until cannot
-    // catch but an event budget can (docs/FUZZING.md).
-    engine_.run_bounded(static_cast<std::size_t>(opts_.harness.step_budget));
-    if (!engine_.idle()) {
-      throw OffloadError(
-          "engine step budget (" +
-          std::to_string(opts_.harness.step_budget) +
-          " events) exhausted with work still pending during offload of '" +
-              kernel_.name + "' — livelock or deadlock suspected",
-          FailClass::kStepBudget);
-    }
-  } else {
-    engine_.run();
-  }
-  return harvest();
+  std::optional<OffloadResult> res;
+  start([&res](OffloadResult&& r) { res = std::move(r); });
+  engine_.run();
+  // Drained without a delivery: harvest() names the device that never
+  // completed.
+  if (!res) res = harvest();
+  if (res->failed) throw OffloadError(res->error, res->fail_class);
+  return std::move(*res);
 }
 
 OffloadResult OffloadExecution::harvest() {
@@ -1121,7 +1052,7 @@ OffloadResult OffloadExecution::harvest() {
   res.cancelled = cancelled_;
   res.fail_class = fail_class_;
   res.error = fail_error_;
-  res.engine_events = engine_.events_processed() - events_at_launch_;
+  res.engine_events = engine_events_;
   res.algorithm_used = algorithm_used_;
   res.planned_weights = scheduler_->planned_weights();
   if (const auto* cut = scheduler_->cutoff()) {
@@ -1175,7 +1106,7 @@ OffloadResult OffloadExecution::harvest() {
     }
     // Stats times are job-relative (launch = 0) so imbalance() and the
     // throughput feedback read the same whether the execution ran
-    // standalone (start_time_ == 0: identity) or on a shared engine.
+    // on a fresh context (start_time_ == 0: identity) or a shared one.
     // Trace spans above stay absolute for multi-tenant interleaving.
     p->stats.finish_time = std::max(0.0, p->stats.finish_time - start_time_);
     if (p->stats.quarantined) {

@@ -3,6 +3,8 @@
 
 /// \file offload_exec.h
 /// Execution of one multi-device offload on the discrete-event engine.
+/// It runs on an ExecContext's engine (exec_context.h) through start();
+/// run() is start() plus a drain of that engine.
 ///
 /// Each participating device is driven by a proxy actor — the simulated
 /// counterpart of the paper's per-device host pthread proxies (§V, Fig. 4).
@@ -38,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/prng.h"
 #include "dist/distribution.h"
 #include "machine/device.h"
@@ -64,36 +67,33 @@ class OffloadExecution {
   ///        region; when given, data is already device-resident, so the
   ///        offload moves no bytes (entry/halo/exit transfers are the
   ///        region's) and `maps` should be empty.
-  /// \param ctx non-null to run on a *shared* engine + link lanes
-  ///        (exec_context.h): the execution schedules relative to the
-  ///        engine's current time and delivers its result through the
-  ///        callback given to start() instead of returning from run().
+  /// \param ctx the engine + link lanes to run on (exec_context.h): the
+  ///        execution schedules relative to the engine's current time.
   ///        The context must outlive this object.
-  OffloadExecution(const mach::MachineDescriptor& machine,
+  OffloadExecution(ExecContext& ctx, const mach::MachineDescriptor& machine,
                    const LoopKernel& kernel,
                    const std::vector<mem::MapSpec>& maps,
                    const OffloadOptions& opts,
                    const dist::Distribution* forced_loop_dist = nullptr,
                    const std::vector<mem::DeviceDataEnv>* region_envs =
-                       nullptr,
-                   const ExecContext* ctx = nullptr);
+                       nullptr);
 
   ~OffloadExecution();  // out-of-line: Proxy is a private type
 
-  /// Run the offload to completion on the *owned* engine; single use.
-  /// Standalone mode only (no ExecContext).
+  /// start() plus a drain of the context's engine; single use. A
+  /// contained failure is rethrown as OffloadError(error, fail_class).
   OffloadResult run();
 
-  /// Shared-engine mode: enqueue the offload's first events on the
+  /// Enqueue the offload's first events on the
   /// context's engine and return immediately. `on_complete` fires (as an
   /// engine event) once every device is done or quarantined and all
   /// redistribution/integrity work has settled; the caller drives the
-  /// shared engine. Times inside the result (total_time, per-device
+  /// engine. Times inside the result (total_time, per-device
   /// finish_time) are relative to launch; trace spans and event streams
   /// keep absolute virtual time so multi-tenant traces interleave
-  /// correctly. Single use, requires a context.
+  /// correctly. Single use.
   ///
-  /// Shared-mode executions are their own *failure domain*
+  /// Every execution is its own *failure domain*
   /// (docs/SERVING.md): an unrecoverable OffloadError raised inside any
   /// of this execution's events is captured, every timer the execution
   /// armed is revoked (cancel_generation), and on_complete receives a
@@ -103,8 +103,8 @@ class OffloadExecution {
   /// afterwards.
   void start(std::function<void(OffloadResult&&)> on_complete);
 
-  /// Cooperative cancellation (shared mode; no-op standalone or once the
-  /// result is already on its way). New work stops being fetched, idle
+  /// Cooperative cancellation (no-op once the result is already on its
+  /// way). New work stops being fetched, idle
   /// proxies park immediately, busy ones drain their in-flight transfer
   /// or compute and then park — no final static write-back is paid. The
   /// result arrives through on_complete with `cancelled` set, carrying
@@ -118,30 +118,35 @@ class OffloadExecution {
   struct Proxy;
 
   void validate_and_plan();
-  void build_proxies();
-  /// Schedule the offload's opening events (fetches, loss timers) at the
-  /// engine's current time; shared front half of run()/start().
-  void launch();
-  /// Collect the OffloadResult once every proxy has settled; shared back
-  /// half of run()/start().
+  void build_proxies(const ExecContext& ctx);
+  /// Collect the OffloadResult once every proxy has settled.
   OffloadResult harvest();
-  /// Shared-engine completion probe: when every proxy is done or lost
+  /// Completion probe: when every proxy is done or lost
   /// and no mandatory work remains, fire the start() callback exactly
   /// once (as a fresh engine event, so it never runs inside a commit
-  /// chain). No-op in standalone mode.
+  /// chain).
   void maybe_finish();
 
-  // Failure domain (shared mode; docs/SERVING.md "Job failure domains").
+  // Failure domain (docs/SERVING.md "Job failure domains").
   /// Event trampoline: every engine event and link-completion callback
-  /// this execution arms goes through here. Standalone it is the
-  /// identity (exceptions propagate out of run(), as ever). Shared, it
-  /// (a) goes inert once the owner destroyed the execution or the
+  /// this execution arms goes through here. It (a) goes inert once the
   /// domain is sealed by a failure, (b) charges the per-job step budget,
-  /// and (c) converts an escaping OffloadError/ExecutionError into
-  /// fail() instead of unwinding the shared engine.
-  sim::Engine::Callback guard(sim::Engine::Callback fn);
-  /// schedule_after through guard(), tagged with this job's generation.
-  std::uint64_t sched_after(double dt, sim::Engine::Callback fn);
+  /// and (c) converts an escaping OffloadError/ExecutionError into fail()
+  /// instead of unwinding the engine. The wrapper keeps `fn`'s own type,
+  /// so a small continuation stays in the Callback's inline buffer.
+  template <class F>
+  auto guard(F fn);
+  /// guard()'s entry test: false once the domain is sealed, or when this
+  /// event exhausts the step budget, which seals it.
+  bool admit_event();
+  /// schedule_after through guard(), tagged with this job's generation,
+  /// which finish_now() and the destructor revoke.
+  template <class F>
+  std::uint64_t sched_after(double dt, F fn);
+  /// `link`->transfer through guard(). A transfer is the lane's, not the
+  /// generation's, so its completion first checks the alive_ sentinel.
+  template <class F>
+  void transfer(sim::SharedLink* link, double bytes, F fn);
   /// Seal the domain: record the error, revoke every pending timer and
   /// deliver the failed result. Idempotent.
   void fail(FailClass cls, std::string what);
@@ -219,31 +224,21 @@ class OffloadExecution {
   const std::vector<mem::MapSpec>& maps_;
   OffloadOptions opts_;
 
-  /// Shared-engine mode (exec_context.h) when non-null: engine_ and the
-  /// link lanes are borrowed from the context, and completion is
-  /// delivered through on_complete_ instead of run()'s return.
-  const ExecContext* ctx_ = nullptr;
-  std::unique_ptr<sim::Engine> owned_engine_;  // standalone mode only
   sim::Engine& engine_;  // the engine this execution schedules on
-  /// Owned lanes (standalone) feeding the borrowed-or-owned views below.
-  std::vector<std::unique_ptr<sim::SharedLink>> owned_down_links_;
-  std::vector<std::unique_ptr<sim::SharedLink>> owned_up_links_;
-  std::vector<sim::SharedLink*> down_links_;  // per machine link
-  std::vector<sim::SharedLink*> up_links_;
-  /// Engine time at launch(); all result times are reported relative to
-  /// it (zero standalone, so nothing changes there).
+  /// Engine time at launch; all result times are reported relative to
+  /// it (zero on a fresh context).
   double start_time_ = 0.0;
   std::size_t events_at_launch_ = 0;
+  std::size_t engine_events_ = 0;  // launch to finish_now()
   std::function<void(OffloadResult&&)> on_complete_;
   bool finished_ = false;  // completion callback already scheduled
 
-  /// Failure-domain state (shared mode). `alive_` is the lifetime
+  /// Failure-domain state. `alive_` is the lifetime
   /// sentinel captured (weakly) by link-completion callbacks, which live
-  /// inside the server's SharedLinks and cannot be generation-tagged; it
+  /// inside the context's SharedLinks and cannot be generation-tagged; it
   /// dying with the execution makes them inert. `events_used_` is the
-  /// per-job step-budget meter — run_bounded() guards standalone runs,
-  /// but on a shared engine only a per-domain budget can pin a livelock
-  /// on the job that spins.
+  /// per-job step-budget meter: on a shared engine only a per-domain
+  /// budget can pin a livelock on the job that spins.
   sim::Engine::GenTag gen_ = 0;
   std::shared_ptr<bool> alive_;
   bool failed_ = false;
@@ -351,6 +346,33 @@ struct OffloadExecution::Proxy {
     return std::find(outputs.begin(), outputs.end(), rec) != outputs.end();
   }
 };
+
+template <class F>
+auto OffloadExecution::guard(F fn) {
+  return [this, fn = std::move(fn)]() mutable {
+    if (!admit_event()) return;
+    try {
+      fn();
+    } catch (const OffloadError& e) {
+      fail(e.fail_class(), e.what());
+    } catch (const ExecutionError& e) {
+      fail(FailClass::kUnspecified, e.what());
+    }
+  };
+}
+
+template <class F>
+std::uint64_t OffloadExecution::sched_after(double dt, F fn) {
+  return engine_.schedule_after(dt, guard(std::move(fn)), gen_);
+}
+
+template <class F>
+void OffloadExecution::transfer(sim::SharedLink* link, double bytes, F fn) {
+  link->transfer(bytes, [alive = std::weak_ptr<bool>(alive_),
+                         g = guard(std::move(fn))]() mutable {
+    if (!alive.expired()) g();
+  });
+}
 
 template <class Label>
 void OffloadExecution::span(Proxy& p, Phase phase, double t0, double t1,

@@ -90,9 +90,9 @@ struct IntegrityOptions {
 /// (src/fuzz, the homp-fuzz driver; docs/FUZZING.md). All off by default:
 /// a production offload pays nothing for them.
 struct HarnessOptions {
-  /// Engine step-budget watchdog: abort the offload with OffloadError once
-  /// the DES engine has processed this many events without draining its
-  /// queue. A scheduler livelock advances virtual time forever, so only an
+  /// Step-budget watchdog: fail the offload (kStepBudget) once more than
+  /// this many of its own events (timers and transfer completions) ran.
+  /// A scheduler livelock advances virtual time forever, so only an
   /// event budget — not a deadline — can catch it. 0 disables.
   long long step_budget = 0;
 
@@ -426,8 +426,8 @@ struct OffloadResult {
   /// later re-admitted): the offload ran degraded for a while.
   bool degraded = false;
 
-  /// DES engine events processed by this offload — the denominator of the
-  /// step-budget watchdog.
+  /// DES engine events processed from launch to the offload's completion
+  /// decision, on a shared engine other jobs' events among them.
   std::size_t engine_events = 0;
 
   /// Combined checksum over every copies-out host buffer after the final
@@ -438,8 +438,8 @@ struct OffloadResult {
   std::uint64_t result_checksum = 0;
   bool result_checksum_valid = false;
 
-  /// Failure-domain outcome (shared-context executions only; standalone
-  /// run() still throws). `failed` marks an unrecoverable error captured
+  /// Failure-domain outcome, delivered by start() (run() rethrows a
+  /// failure as OffloadError). `failed` marks an unrecoverable error captured
   /// by the execution's containment guard; `cancelled` marks cooperative
   /// cancellation (e.g. the serving layer revoking a job that blew its
   /// admitted deadline). When either is set the result carries whatever

@@ -228,13 +228,6 @@ std::optional<dist::Range> Resilience::next_chunk(
   return chunk_opt;
 }
 
-void Resilience::reclaim(int slot, const PendingChunk& c) {
-  if (release(c.recovery.get())) {
-    proxy(slot).stats.requeued_iterations += requeue(c.range);
-  }
-  kick_survivors();
-}
-
 WireFault Resilience::draw_wire_fault(const Proxy& p) {
   // Whether this transfer attempt fails is drawn when it is issued; the
   // failure surfaces when the transfer (virtually) completes, so a failed

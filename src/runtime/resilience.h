@@ -91,8 +91,6 @@ class Resilience {
   /// probation. `*recovery` is set for anything but a plain chunk.
   std::optional<dist::Range> next_chunk(
       int slot, std::shared_ptr<ChunkRecovery>* recovery);
-  /// A chunk fetched by a device quarantined inside its scheduling delay.
-  void reclaim(int slot, const PendingChunk& c);
   /// The one wire-fault draw of a transfer attempt (copy-in, copy-out or
   /// final write-back), made when the attempt is issued.
   WireFault draw_wire_fault(const Proxy& p);

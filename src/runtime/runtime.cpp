@@ -69,7 +69,8 @@ OffloadResult Runtime::offload(const LoopKernel& kernel,
   o.sched.history = &history_;
   o.sched.history_kernel = kernel.name;
   o.sched.history_device_ids = o.device_ids;
-  OffloadExecution exec(machine_, kernel, maps, o);
+  ExecContext ctx(machine_);  // before exec, which revokes timers on it
+  OffloadExecution exec(ctx, machine_, kernel, maps, o);
   OffloadResult res = exec.run();
 
   // Feed observed throughput back for HISTORY_AUTO. The rate is the

@@ -91,7 +91,7 @@ struct OffloadServer::TenantState {
 OffloadServer::OffloadServer(mach::MachineDescriptor machine,
                              std::vector<TenantSpec> tenants,
                              ServeOptions opts)
-    : machine_(std::move(machine)), opts_(std::move(opts)) {
+    : machine_(std::move(machine)), opts_(std::move(opts)), ctx_(machine_) {
   machine_.validate();
   if (tenants.empty()) {
     throw ConfigError("OffloadServer needs at least one tenant");
@@ -116,20 +116,7 @@ OffloadServer::OffloadServer(mach::MachineDescriptor machine,
     throw ConfigError(
         "breaker cooldown needs base > 0, growth >= 1, cap >= base");
   }
-  gen_ = engine_.new_generation();
-
-  // Shared link lanes: one down/up pair per machine link, borrowed by
-  // every execution — PCIe contention between tenants falls out of the
-  // lanes' processor sharing.
-  for (const auto& link : machine_.links) {
-    down_lanes_.push_back(std::make_unique<sim::SharedLink>(
-        engine_, link.name + ".down", link.latency_s, link.bandwidth_Bps));
-    up_lanes_.push_back(std::make_unique<sim::SharedLink>(
-        engine_, link.name + ".up", link.latency_s, link.bandwidth_Bps));
-  }
-  ctx_.engine = &engine_;
-  for (auto& l : down_lanes_) ctx_.down_links.push_back(l.get());
-  for (auto& l : up_lanes_) ctx_.up_links.push_back(l.get());
+  gen_ = ctx_.engine.new_generation();
 
   for (std::size_t i = 0; i < machine_.devices.size(); ++i) {
     if (!machine_.devices[i].is_host()) pool_.push_back(static_cast<int>(i));
@@ -169,7 +156,7 @@ OffloadServer::OffloadServer(mach::MachineDescriptor machine,
   }
 }
 
-OffloadServer::~OffloadServer() { engine_.cancel_generation(gen_); }
+OffloadServer::~OffloadServer() { ctx_.engine.cancel_generation(gen_); }
 
 int OffloadServer::tenant_index(const std::string& name) const {
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
@@ -182,7 +169,7 @@ void OffloadServer::note_event(ServeEventKind kind, int tenant,
                                std::uint64_t job_id,
                                const std::string& detail) {
   ServeEvent e;
-  e.time = engine_.now();
+  e.time = ctx_.engine.now();
   e.kind = kind;
   e.job_id = job_id;
   e.detail = detail;
@@ -270,7 +257,7 @@ SubmitResult OffloadServer::submit(
   const int t = tenant_index(tenant);
   auto& ts = tenants_[t];
   auto& c = report_.counts[t];
-  const double now = engine_.now();
+  const double now = ctx_.engine.now();
 
   if (job.n <= 0) throw ConfigError("JobSpec::n must be positive");
   if (job.devices < 1) throw ConfigError("JobSpec::devices must be >= 1");
@@ -398,7 +385,7 @@ void OffloadServer::admit(int tenant, const PendingJob& pj) {
 }
 
 void OffloadServer::unblock(int tenant, PendingJob& pj) {
-  pj.blocked_s = engine_.now() - pj.vestibule_since;
+  pj.blocked_s = ctx_.engine.now() - pj.vestibule_since;
   note_event(ServeEventKind::kUnblock, tenant, pj.job_id,
              "waited " + format_seconds(pj.blocked_s));
   admit(tenant, pj);
@@ -415,7 +402,7 @@ void OffloadServer::mark_probe(int tenant, std::uint64_t job_id) {
 void OffloadServer::arm_deadline(int tenant, PendingJob& pj) {
   if (pj.spec.deadline_s <= 0.0) return;
   const std::uint64_t job_id = pj.job_id;
-  pj.deadline_event = engine_.schedule_after(
+  pj.deadline_event = ctx_.engine.schedule_after(
       pj.spec.deadline_s,
       [this, tenant, job_id] { on_deadline(tenant, job_id); }, gen_);
 }
@@ -423,7 +410,7 @@ void OffloadServer::arm_deadline(int tenant, PendingJob& pj) {
 void OffloadServer::schedule_dispatch() {
   if (dispatch_pending_) return;
   dispatch_pending_ = true;
-  engine_.schedule_after(0.0, [this] { dispatch(); }, gen_);
+  ctx_.engine.schedule_after(0.0, [this] { dispatch(); }, gen_);
 }
 
 int OffloadServer::pick_class() const {
@@ -512,7 +499,7 @@ void OffloadServer::dispatch() {
 void OffloadServer::place(int tenant, PendingJob&& pj,
                           const std::vector<int>& devices) {
   auto& ts = tenants_[tenant];
-  const double now = engine_.now();
+  const double now = ctx_.engine.now();
 
   auto aj = std::make_unique<ActiveJob>();
   aj->tenant = tenant;
@@ -557,7 +544,7 @@ void OffloadServer::place(int tenant, PendingJob&& pj,
   // Built before any grant is recorded: its constructor validates the
   // options and throws on a bad combination.
   aj->exec = std::make_unique<rt::OffloadExecution>(
-      machine_, aj->kernel, aj->maps, o, nullptr, nullptr, &ctx_);
+      ctx_, machine_, aj->kernel, aj->maps, o);
 
   ts.service += pj.predicted_s * static_cast<double>(devices.size());
   ts.backlog_s = std::max(0.0, ts.backlog_s - pj.predicted_s);
@@ -598,7 +585,7 @@ void OffloadServer::promote_vestibule(int tenant) {
 void OffloadServer::on_job_done(ActiveJob* job, rt::OffloadResult&& res) {
   // Resources come back whatever the outcome — fault containment means
   // a failed job's grants and memory never leak.
-  if (job->deadline_event != 0) engine_.cancel(job->deadline_event);
+  if (job->deadline_event != 0) ctx_.engine.cancel(job->deadline_event);
   for (int id : job->devices) {
     auto& d = devices_[static_cast<std::size_t>(id)];
     d.holder = 0;
@@ -607,7 +594,7 @@ void OffloadServer::on_job_done(ActiveJob* job, rt::OffloadResult&& res) {
   active_pred_s_ = std::max(0.0, active_pred_s_ - job->record.predicted_s);
 
   JobRecord rec = std::move(job->record);
-  rec.finish_time = engine_.now();
+  rec.finish_time = ctx_.engine.now();
   rec.iterations_done = res.total_iterations();
   if (opts_.collect_trace) rec.trace = std::move(res.trace);
 
@@ -684,7 +671,7 @@ void OffloadServer::on_deadline(int tenant, std::uint64_t job_id) {
 void OffloadServer::cancel_pending(int tenant, PendingJob&& pj,
                                    const std::string& why) {
   const auto& ts = tenants_[tenant];
-  const double now = engine_.now();
+  const double now = ctx_.engine.now();
 
   JobRecord rec;
   rec.job_id = pj.job_id;
@@ -764,7 +751,7 @@ void OffloadServer::trip_breaker(int tenant) {
           std::pow(opts_.breaker_cooldown_growth,
                    static_cast<double>(trips - 1)));
   ts.breaker_open = true;
-  ts.breaker_open_until = engine_.now() + cooldown;
+  ts.breaker_open_until = ctx_.engine.now() + cooldown;
   ts.probe_outstanding = false;
   note_event(ServeEventKind::kBreakerOpen, tenant, 0,
              "trip " + std::to_string(trips) + "; cooldown " +
@@ -773,8 +760,8 @@ void OffloadServer::trip_breaker(int tenant) {
 
 void OffloadServer::run() {
   schedule_dispatch();
-  engine_.run();
-  report_.makespan_s = engine_.now();
+  ctx_.engine.run();
+  report_.makespan_s = ctx_.engine.now();
 }
 
 }  // namespace homp::serve

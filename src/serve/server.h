@@ -51,7 +51,6 @@
 #include "serve/report.h"
 #include "serve/tenant.h"
 #include "sim/engine.h"
-#include "sim/link.h"
 
 namespace homp::model {
 struct KernelCostProfile;
@@ -144,7 +143,7 @@ class OffloadServer {
   void run();
 
   /// The shared engine — the traffic generator schedules arrivals on it.
-  sim::Engine& engine() noexcept { return engine_; }
+  sim::Engine& engine() noexcept { return ctx_.engine; }
 
   const mach::MachineDescriptor& machine() const noexcept { return machine_; }
 
@@ -222,9 +221,7 @@ class OffloadServer {
 
   mach::MachineDescriptor machine_;
   ServeOptions opts_;
-  sim::Engine engine_;
-  std::vector<std::unique_ptr<sim::SharedLink>> down_lanes_, up_lanes_;
-  rt::ExecContext ctx_;
+  rt::ExecContext ctx_;  ///< the shared engine and link lanes
 
   /// deque: TenantState holds move-only queues, and deque growth never
   /// relocates (vector would instantiate a copy on reallocation).

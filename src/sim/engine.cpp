@@ -112,13 +112,6 @@ void Engine::run() {
   }
 }
 
-std::size_t Engine::run_bounded(std::size_t max_events) {
-  stopped_ = false;
-  std::size_t n = 0;
-  while (n < max_events && !stopped_ && pop_one()) ++n;
-  return n;
-}
-
 std::size_t Engine::run_until(Time deadline) {
   stopped_ = false;
   std::size_t n = 0;

@@ -106,15 +106,6 @@ class Engine {
   /// `deadline` are processed. Returns the number of events processed.
   std::size_t run_until(Time deadline);
 
-  /// Run until the queue is empty, stop() is called, or `max_events` more
-  /// events have been processed — the step-budget watchdog behind
-  /// OffloadOptions::harness.step_budget (docs/FUZZING.md): a scheduler
-  /// livelock spins in bounded virtual time, so a deadline cannot catch
-  /// it, but an event budget can. Returns the number of events this call
-  /// processed; afterwards idle() distinguishes "drained" from "budget
-  /// exhausted with work pending".
-  std::size_t run_bounded(std::size_t max_events);
-
   /// Request run()/run_until() to return after the current callback.
   void stop() noexcept { stopped_ = true; }
 

@@ -4,6 +4,8 @@
 # its stderr matches EXPECT_STDERR.
 execute_process(COMMAND "${CMD}" "${ARG}"
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+# Without the trailing newline, `$` in EXPECT_STDERR ends the message.
+string(STRIP "${err}" err)
 if(NOT rc STREQUAL EXPECT_EXIT)
   message(FATAL_ERROR "exit '${rc}', expected ${EXPECT_EXIT}; stderr:\n${err}")
 endif()

@@ -17,7 +17,6 @@
 #include "machine/parser.h"
 #include "runtime/runtime.h"
 #include "sched/algorithm.h"
-#include "sim/engine.h"
 
 namespace homp {
 namespace {
@@ -206,20 +205,6 @@ TEST(FuzzShrink, MinimizesWhilePreservingTheFailure) {
     if (v.invariant == invariant) still = true;
   }
   EXPECT_TRUE(still);
-}
-
-TEST(FuzzEngine, RunBoundedStopsAtBudgetAndResumes) {
-  sim::Engine e;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) {
-    e.schedule_after(static_cast<double>(i), [&] { ++fired; });
-  }
-  EXPECT_EQ(e.run_bounded(4), 4u);
-  EXPECT_EQ(fired, 4);
-  EXPECT_FALSE(e.idle());
-  EXPECT_EQ(e.run_bounded(100), 6u);
-  EXPECT_EQ(fired, 10);
-  EXPECT_TRUE(e.idle());
 }
 
 TEST(FuzzHarness, StepBudgetAbortsRunawayOffloadLoudly) {

@@ -43,7 +43,7 @@ def fx(*parts):
 
 
 BAD_FIXTURES = {
-    fx("bad_hl001.cpp"): ("HL001", 4),
+    fx("bad_hl001.cpp"): ("HL001", 6),
     fx("bad_hl002.cpp"): ("HL002", 6),
     fx("layering", "src", "sim", "bad_hl003.cpp"): ("HL003", 2),
     fx("bad_hl004.h"): ("HL004", 2),
@@ -51,6 +51,7 @@ BAD_FIXTURES = {
     fx("obs", "bad_hl005_names.h"): ("HL005", 2),
     fx("advise", "bad_hl005_keys.h"): ("HL005", 2),
     fx("serve", "src", "serve", "bad_hl006.cpp"): ("HL006", 4),
+    fx("runtime", "src", "runtime", "bad_hl006.cpp"): ("HL006", 2),
     fx("bad_hl007_report.cpp"): ("HL007", 2),
 }
 
@@ -175,7 +176,7 @@ class JsonContract(unittest.TestCase):
         doc = json.loads(r.stdout)
         self.assertEqual(doc["version"], 1)
         self.assertEqual(doc["files_scanned"], 1)
-        self.assertEqual(doc["counts"], {"HL001": 4})
+        self.assertEqual(doc["counts"], {"HL001": 6})
         for d in doc["diagnostics"]:
             self.assertEqual(sorted(d),
                              ["check", "file", "hint", "id", "line", "message"])

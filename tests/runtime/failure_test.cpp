@@ -372,6 +372,65 @@ TEST(FaultRecovery, AllDevicesLostThrowsExecutionError) {
   EXPECT_THROW(rt.offload(kernel, maps, o), ExecutionError);
 }
 
+/// Host, a `fast` accelerator whose first allocation takes 200 us (100 us
+/// for each of axpy's two maps) and a `slow` one, both discrete on one
+/// link. MODEL_1_AUTO gives every iteration of a small loop to `fast`;
+/// `slow` gets none and finishes at once.
+mach::MachineDescriptor alloc_window_machine() {
+  auto m = mach::testing_machine(2, /*shared_link=*/true);
+  m.devices[1].name = "fast";
+  m.devices[1].peak_gflops = m.devices[1].sustained_gflops = 10000.0;
+  m.devices[1].alloc_overhead_s = 100e-6;
+  m.devices[2].name = "slow";
+  m.devices[2].peak_gflops = m.devices[2].sustained_gflops = 1.0;
+  return m;
+}
+
+rt::OffloadOptions alloc_window_options(double fail_at_s) {
+  rt::OffloadOptions o;
+  o.device_ids = {1, 2};
+  o.sched.kind = sched::AlgorithmKind::kModel1Auto;
+  o.fault.extra.fail_at_s = fail_at_s;
+  return o;
+}
+
+TEST(FaultRecovery, LossInsideTheAllocWindowRequeuesTheFetchedChunk) {
+  // Both devices die at 5 us, while `fast` still pays the allocation for
+  // the chunk it fetched. Its quarantine requeues that chunk, which
+  // revives `slow`, and `slow`'s own loss then leaves no device: a clean
+  // all-devices-lost error. A chunk held only by its delay event was
+  // invisible to quarantine: the offload finished with none of its 8
+  // iterations covered and aborted.
+  rt::Runtime rt{alloc_window_machine()};
+  kern::AxpyCase c(8, /*materialize=*/true);
+  auto maps = c.maps();
+  auto kernel = c.kernel();
+  try {
+    rt.offload(kernel, maps, alloc_window_options(5e-6));
+    ADD_FAILURE() << "expected an OffloadError";
+  } catch (const OffloadError& e) {
+    EXPECT_EQ(e.fail_class(), FailClass::kAllDevicesLost) << e.what();
+  }
+}
+
+TEST(FaultRecovery, TimersEndWithTheOffload) {
+  // The offload ends at 0.2 ms. Completion revokes its timers, the device
+  // losses scheduled for t = 1 s among them, so no fault is reported and
+  // the engine events stop at the completion decision. Left armed, the
+  // losses reported two "device lost after completing its share" faults
+  // at t = 1 s and the offload counted 15 events instead of 11.
+  rt::Runtime rt{alloc_window_machine()};
+  kern::AxpyCase c(8, /*materialize=*/true);
+  auto maps = c.maps();
+  auto kernel = c.kernel();
+  const auto res = rt.offload(kernel, maps, alloc_window_options(1.0));
+  std::string why;
+  EXPECT_TRUE(c.verify(&why)) << why;
+  EXPECT_NEAR(res.total_time, 0.2e-3, 0.01e-3);
+  EXPECT_TRUE(res.fault_events.empty());
+  EXPECT_EQ(res.engine_events, 11u);
+}
+
 TEST(FaultRecovery, IdenticalSeedAndPlanGiveIdenticalResults) {
   auto run_once = [](std::uint64_t seed) {
     rt::Runtime rt{mach::testing_machine(3)};

@@ -444,6 +444,38 @@ TEST(FailureDomain, VestibulePromotionsOfFailingJobsKeepFifo) {
   expect_drained_flat(server);
 }
 
+// Both granted devices die at 5 us, while the fast one still pays the
+// allocation for the chunk it fetched. Its quarantine requeues that
+// chunk, which revives the slow device (it had no work under
+// MODEL_1_AUTO), and the slow device's own loss leaves none: a contained
+// kFail. A chunk held only by its delay event was invisible to
+// quarantine, and the job's delivery with none of its iterations covered
+// aborted the whole server.
+TEST(FailureDomain, LossInsideTheAllocWindowIsContained) {
+  auto m = mach::testing_machine(2, /*shared_link=*/true);
+  m.devices[1].name = "fast";
+  m.devices[1].peak_gflops = m.devices[1].sustained_gflops = 10000.0;
+  m.devices[1].alloc_overhead_s = 100e-6;  // per map: 200 us for axpy
+  m.devices[2].name = "slow";
+  m.devices[2].peak_gflops = m.devices[2].sustained_gflops = 1.0;
+  auto doomed = tenant("doomed");
+  doomed.fault.fail_at_s = 5e-6;
+  ServeOptions opts;
+  opts.materialize = true;
+  OffloadServer server(m, {doomed}, opts);
+  EXPECT_TRUE(
+      server.submit("doomed", job(8, 2, sched::AlgorithmKind::kModel1Auto))
+          .accepted());
+  server.run();
+
+  const auto& rep = server.report();
+  ASSERT_EQ(rep.jobs.size(), 1u);
+  EXPECT_EQ(rep.jobs[0].outcome, JobOutcome::kFail);
+  EXPECT_EQ(rep.jobs[0].error_class, "all_devices_lost");
+  EXPECT_TRUE(rep.validate().empty());
+  expect_drained_flat(server);
+}
+
 // Failure records flow into the summary JSON's per-tenant error-class
 // map and the exported metrics.
 TEST(FailureDomain, ErrorClassesReachSummaryAndMetrics) {

@@ -10,7 +10,8 @@ Checks
 ------
 HL001  deferred-ref-capture   Reference-capturing lambda ([&], [&x]) passed
                               to a deferred-execution site (Engine::schedule_at
-                              / schedule_after, Link::transfer).
+                              / schedule_after, Link::transfer, and the
+                              offload's sched_after / transfer wrappers).
                               The callback outlives the enclosing frame; a
                               by-reference capture of a stack local is a
                               use-after-return that ASan only catches when the
@@ -41,13 +42,15 @@ HL005  dead-telemetry         Every DeviceStats field / RecoveryAction
                               report code references is a finding kind that
                               can no longer be emitted.
 HL006  untagged-serve-timer   Engine::schedule_at / schedule_after called
-                              under src/serve without a generation-tag third
-                              argument.  The serving layer's memory-flatness
-                              contract (docs/SERVING.md "Timer lifecycle":
-                              zero pending events and zero live generations
+                              under src/serve or src/runtime without a
+                              generation-tag third argument.  The serving
+                              layer's memory-flatness contract
+                              (docs/SERVING.md "Timer lifecycle": zero
+                              pending events and zero live generations
                               after a drain) holds only because every server
-                              timer is cancellable via its tag; an untagged
-                              arm outlives the job that armed it.
+                              and offload timer is cancellable via its tag;
+                              an untagged arm outlives the job that armed it,
+                              on a server's engine as on an offload's own.
 HL007  unordered-export-iter  Range-for over a std::unordered_map /
                               unordered_set declared in the same file, inside
                               code that feeds exports, digests or oracles
@@ -286,7 +289,7 @@ def _require_acyclic(layers, path):
 # ---------------------------------------------------------------------------
 
 DEFERRED_SITE_RE = re.compile(
-    r"(?:\bschedule_at|\bschedule_after|[.>]\s*transfer)\s*\(")
+    r"(?:\bschedule_at|\bschedule_after|\bsched_after|\btransfer)\s*\(")
 LAMBDA_INTRO_RE = re.compile(r"\[([^\[\]]*)\]\s*(?=[({]|mutable\b|->)")
 
 
@@ -580,15 +583,18 @@ def check_hl005(files, diags, struct_name, enum_name):
 
 
 # ---------------------------------------------------------------------------
-# HL006 — untagged timers in the serving layer
+# HL006 — untagged timers in the serving and runtime layers
 # ---------------------------------------------------------------------------
 
 TIMER_SITE_RE = re.compile(r"\bschedule_(?:at|after)\s*\(")
 
 
-def _in_serve_layer(path):
+def _in_timer_layer(path):
+    """src/serve and src/runtime, whose every timer belongs to a server or
+    an offload execution that revokes it by generation."""
     parts = _parts(path)
-    return any(a == "src" and b == "serve" for a, b in zip(parts, parts[1:]))
+    return any(a == "src" and b in ("serve", "runtime")
+               for a, b in zip(parts, parts[1:]))
 
 
 def _top_level_commas(args):
@@ -608,7 +614,7 @@ def _top_level_commas(args):
 
 
 def check_hl006(sf, diags):
-    if not _in_serve_layer(sf.path):
+    if not _in_timer_layer(sf.path):
         return
     for m in TIMER_SITE_RE.finditer(sf.clean):
         open_idx = m.end() - 1
@@ -623,9 +629,9 @@ def check_hl006(sf, diags):
             continue
         diags.append(Diagnostic(
             "HL006", sf.path, line,
-            "schedule_at/schedule_after in src/serve without a generation "
-            "tag; an untagged timer cannot be cancelled and breaks the "
-            "drained-server memory-flatness contract",
+            "schedule_at/schedule_after in src/serve or src/runtime without "
+            "a generation tag; an untagged timer cannot be cancelled and "
+            "breaks the drained-server memory-flatness contract",
             "pass a sim::Engine::GenTag third argument (from "
             "Engine::new_generation()) so the owner can "
             "cancel_generation() it; a deliberately server-lifetime arm "
