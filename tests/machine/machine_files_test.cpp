@@ -3,30 +3,23 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
+#include "common/checksum.h"
 #include "machine/parser.h"
 #include "machine/profiles.h"
 
 namespace homp::mach {
 namespace {
 
+/// tests/CMakeLists.txt passes the source tree as HOMP_SOURCE_DIR, so the
+/// files are found from any build tree and a missing one fails the test.
 std::string repo_machine_path(const std::string& name) {
-  // Tests run from the build tree; the files live in <repo>/machines.
-  for (const char* prefix : {"machines/", "../machines/", "../../machines/",
-                             "../../../machines/"}) {
-    const std::string p = prefix + name + ".ini";
-    if (std::ifstream(p).good()) return p;
-  }
-  return {};
+  return std::string(HOMP_SOURCE_DIR) + "/machines/" + name + ".ini";
 }
 
 class MachineFiles : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(MachineFiles, LoadsAndMatchesBuiltin) {
-  const std::string path = repo_machine_path(GetParam());
-  if (path.empty()) GTEST_SKIP() << "machines/ not found from cwd";
-  auto from_file = load_machine_file(path);
+  auto from_file = load_machine_file(repo_machine_path(GetParam()));
   auto builtin_m = builtin(GetParam());
   ASSERT_EQ(from_file.devices.size(), builtin_m.devices.size());
   ASSERT_EQ(from_file.links.size(), builtin_m.links.size());
@@ -58,9 +51,7 @@ INSTANTIATE_TEST_SUITE_P(Shipped, MachineFiles,
 TEST(MachineFiles, FaultySampleLoadsWithFaultProfiles) {
   // gpu4-faulty.ini has no builtin counterpart; it documents the fault_*
   // keys (docs/RESILIENCE.md) on gpu4 hardware.
-  const std::string path = repo_machine_path("gpu4-faulty");
-  if (path.empty()) GTEST_SKIP() << "machines/ not found from cwd";
-  auto m = load_machine_file(path);
+  auto m = load_machine_file(repo_machine_path("gpu4-faulty"));
   ASSERT_EQ(m.devices.size(), 5u);
   EXPECT_FALSE(m.devices[0].fault.any());  // host is clean
   EXPECT_FALSE(m.devices[1].fault.any());  // K40-0 is clean
@@ -69,6 +60,16 @@ TEST(MachineFiles, FaultySampleLoadsWithFaultProfiles) {
   EXPECT_DOUBLE_EQ(m.devices[3].fault.slowdown_rate, 0.05);
   EXPECT_DOUBLE_EQ(m.devices[3].fault.slowdown_factor, 4.0);
   EXPECT_DOUBLE_EQ(m.devices[4].fault.fail_at_s, 0.1);
+}
+
+TEST(MachineFiles, FaultySampleTextBytesArePinned) {
+  // The one shipped file with fault keys, fault_fail_at_s included:
+  // checksum_bytes of its to_text as loaded, recorded when it was pinned.
+  const std::string text =
+      to_text(load_machine_file(repo_machine_path("gpu4-faulty")));
+  EXPECT_EQ(checksum_bytes(ChecksumKind::kMix64, text.data(), text.size()),
+            0xe46ccd4d1f0a2742)
+      << text;
 }
 
 }  // namespace
