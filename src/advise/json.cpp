@@ -1,10 +1,9 @@
 #include "advise/json.h"
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.h"
+#include "common/strings.h"
 
 namespace homp::advise {
 
@@ -261,11 +260,7 @@ Json Json::parse(const std::string& text) {
 }
 
 Json Json::parse_file(const std::string& path) {
-  std::ifstream in(path);
-  HOMP_REQUIRE(in.good(), "cannot read JSON file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
+  return parse(read_file(path, "JSON file"));
 }
 
 Json Json::make_bool(bool b) {

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "common/error.h"
 
@@ -122,6 +124,14 @@ std::string format_seconds(double seconds) {
     std::snprintf(buf, sizeof buf, "%.3f s", seconds);
   }
   return buf;
+}
+
+std::string read_file(const std::string& path, const std::string& what) {
+  std::ifstream in(path);
+  if (!in.good()) throw ConfigError("cannot open " + what + ": " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 }  // namespace homp

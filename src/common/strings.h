@@ -2,8 +2,8 @@
 #define HOMP_COMMON_STRINGS_H
 
 /// \file strings.h
-/// String helpers shared by the pragma parser and the machine-description
-/// file reader.
+/// String helpers shared by the pragma parser, the section/key reader
+/// (toml.h) and the file loaders.
 
 #include <string>
 #include <string_view>
@@ -41,6 +41,10 @@ std::string format_bytes(double bytes);
 
 /// Render seconds adaptively ("12.3 us", "4.56 ms", "1.23 s").
 std::string format_seconds(double seconds);
+
+/// The whole file at `path`. Throws ConfigError("cannot open <what>:
+/// <path>") if it cannot be opened.
+std::string read_file(const std::string& path, const std::string& what);
 
 }  // namespace homp
 

@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "fuzz/serve_driver.h"
 #include "fuzz/shrink.h"
 #include "machine/parser.h"
@@ -284,14 +285,9 @@ ServeFuzzSummary run_serve_fuzz(const ServeFuzzConfig& cfg) {
 }
 
 ReplayOutcome replay(const std::string& toml_path) {
-  std::ifstream in(toml_path);
-  if (!in.good()) throw ConfigError("cannot open repro file: " + toml_path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!is_serve_scenario(buf.str())) {
-    return replay_as<OffloadMode>(toml_path, buf.str());
-  }
-  ReplayOutcome out = replay_as<ServeMode>(toml_path, buf.str());
+  const std::string text = read_file(toml_path, "repro file");
+  if (!is_serve_scenario(text)) return replay_as<OffloadMode>(toml_path, text);
+  ReplayOutcome out = replay_as<ServeMode>(toml_path, text);
   out.serve = true;
   return out;
 }

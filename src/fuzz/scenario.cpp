@@ -7,6 +7,7 @@
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/strings.h"
+#include "common/toml.h"
 
 namespace homp::fuzz {
 
@@ -119,16 +120,8 @@ sim::FaultProfile make_fault_profile(Prng& rng, bool watchdog,
 const char* kKernelNames[6] = {"axpy",      "matvec", "matmul",
                                "stencil2d", "sum",    "bm2d"};
 
-sim::FaultKind parse_fault_kind(const TomlLine& l) {
-  for (int k = 0; k < sim::kNumCountedKinds; ++k) {
-    const auto kind = static_cast<sim::FaultKind>(k);
-    if (iequals(l.value, sim::to_string(kind))) return kind;
-  }
-  l.fail("unknown fault kind '" + l.value + "'");
-}
-
 // The field lists of the [sched], [options] and [fault.N] sections
-// (toml.h): to_toml writes and parse_scenario reads each key through
+// (common/toml.h): to_toml writes and parse_scenario reads each key through
 // the same entry.
 
 template <class V, class C>
@@ -145,8 +138,8 @@ void sched_fields(V&& v, C& c) {
 
 template <class V, class S>
 void option_fields(V&& v, S& s) {
-  v("noise_seed", s.noise_seed, &TomlLine::as_u64);
-  v("fault_seed", s.fault_seed, &TomlLine::as_u64);
+  v("noise_seed", s.noise_seed);
+  v("fault_seed", s.fault_seed);
   v("integrity", s.integrity);
   v("watchdog", s.watchdog);
   v("parallel_offload", s.parallel_offload);
@@ -156,7 +149,7 @@ void option_fields(V&& v, S& s) {
 template <class V, class F>
 void fault_fields(V&& v, F& f) {
   v("device", f.device_id);
-  v("kind", f.kind, parse_fault_kind);
+  v("kind", f.kind, &TomlLine::as_enum<sim::FaultKind, sim::kNumCountedKinds>);
   v("op", f.op);
   v("at_s", f.at_s);
   v("factor", f.factor);
@@ -358,7 +351,7 @@ ParsedScenario parse_scenario(const std::string& text) {
         l.fail("unknown section [" + l.section + "]");
       }
     } else if (l.section == "scenario") {
-      l("seed", s.seed, &TomlLine::as_u64);
+      l("seed", s.seed);
       l("kernel", s.kernel);
       l("n", s.n);
       l("machine_file", out.machine_file);

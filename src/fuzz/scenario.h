@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/prng.h"
-#include "fuzz/toml.h"
 #include "machine/device.h"
 #include "sched/scheduler.h"
 #include "sim/fault.h"
@@ -102,6 +101,16 @@ std::string to_toml(const ScenarioSpec& s,
                     const std::string& machine_file = "",
                     const std::string& invariant = "",
                     const std::string& algorithm = "");
+
+/// A parsed repro file: the scenario (machine left empty — load it from
+/// `machine_file`) plus the failure it records.
+template <class Spec>
+struct ParsedRepro {
+  Spec scenario;
+  std::string machine_file;
+  std::string invariant;
+  std::string algorithm;  ///< recorded by single-offload repros only
+};
 
 using ParsedScenario = ParsedRepro<ScenarioSpec>;
 

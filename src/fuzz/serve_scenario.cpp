@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/prng.h"
 #include "common/strings.h"
+#include "common/toml.h"
 #include "fuzz/scenario.h"
 #include "sched/algorithm.h"
 
@@ -72,30 +73,13 @@ sim::FaultProfile draw_tenant_fault(Prng& rng) {
   return f;
 }
 
-serve::PriorityClass parse_priority(const TomlLine& l) {
-  if (iequals(l.value, "gold")) return serve::PriorityClass::kGold;
-  if (iequals(l.value, "silver")) return serve::PriorityClass::kSilver;
-  if (iequals(l.value, "bronze")) return serve::PriorityClass::kBronze;
-  l.fail("unknown priority '" + l.value + "'");
-}
-
-serve::BackpressureMode parse_backpressure(const TomlLine& l) {
-  if (iequals(l.value, "reject")) return serve::BackpressureMode::kReject;
-  if (iequals(l.value, "block")) return serve::BackpressureMode::kBlock;
-  l.fail("unknown backpressure '" + l.value + "'");
-}
-
-sched::AlgorithmKind parse_algorithm(const TomlLine& l) {
-  return sched::algorithm_from_string(l.value);
-}
-
 // The field lists of the [serve] options and the [tenant.N] and [job.N]
-// sections (toml.h): serve_to_toml writes and parse_serve_scenario reads
+// sections (common/toml.h): serve_to_toml writes and parse_serve_scenario reads
 // each key through the same entry.
 
 template <class V, class O>
 void option_fields(V&& v, O& o) {
-  v("serve_seed", o.seed, &TomlLine::as_u64);
+  v("serve_seed", o.seed);
   v("device_mem_bytes", o.device_mem_bytes);
   v("max_devices_per_job", o.max_devices_per_job);
   v("shed_l1_depth", o.shed_l1_depth);
@@ -115,9 +99,11 @@ void option_fields(V&& v, O& o) {
 template <class V, class T>
 void tenant_fields(V&& v, T& t) {
   v("name", t.name);
-  v("priority", t.priority, parse_priority);
+  v("priority", t.priority,
+    &TomlLine::as_enum<serve::PriorityClass, serve::kNumClasses>);
   v("weight", t.weight);
-  v("backpressure", t.backpressure, parse_backpressure);
+  v("backpressure", t.backpressure,
+    &TomlLine::as_enum<serve::BackpressureMode, serve::kNumBackpressureModes>);
   v("max_queue_depth", t.max_queue_depth);
   v("transfer_fault_rate", t.fault.transfer_fault_rate);
   v("launch_fault_rate", t.fault.launch_fault_rate);
@@ -139,7 +125,8 @@ void job_fields(V&& v, E& e) {
   v("n", e.job.n);
   v("devices", e.job.devices);
   v("deadline_s", e.job.deadline_s);
-  v("algorithm", e.job.algorithm, parse_algorithm);
+  v("algorithm", e.job.algorithm,
+    &TomlLine::as_enum<sched::AlgorithmKind, sched::kNumEveryAlgorithm>);
 }
 
 }  // namespace
@@ -269,14 +256,12 @@ std::string serve_to_toml(const ServeScenarioSpec& s,
 }
 
 bool is_serve_scenario(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string t(trim(line));
-    if (t == "[serve]") return true;
-    if (!t.empty() && t.front() == '[') return false;  // first section wins
-  }
-  return false;
+  std::string first;  // the first section wins
+  read_toml(text, "repro file", [&](TomlLine& l) {
+    if (first.empty()) first = l.section;
+    l.consumed = true;
+  });
+  return first == "serve";
 }
 
 ParsedServeScenario parse_serve_scenario(const std::string& text) {
@@ -295,7 +280,7 @@ ParsedServeScenario parse_serve_scenario(const std::string& text) {
         l.fail("unknown section [" + l.section + "]");
       }
     } else if (l.section == "serve") {
-      l("seed", s.seed, &TomlLine::as_u64);
+      l("seed", s.seed);
       l("machine_file", out.machine_file);
       l("invariant", out.invariant);
       option_fields(l, s.options);

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/toml.h"
+#include "fuzz/scenario.h"
 #include "machine/device.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
@@ -75,8 +75,8 @@ using ParsedServeScenario = ParsedRepro<ServeScenarioSpec>;
 /// on malformed input.
 ParsedServeScenario parse_serve_scenario(const std::string& text);
 
-/// Whether repro-file text is a serve-mode scenario (has a [serve]
-/// section) — the --replay dispatcher's sniff.
+/// Whether repro-file text is a serve-mode scenario (its first section is
+/// [serve]) — the --replay dispatcher's sniff; malformed text throws.
 bool is_serve_scenario(const std::string& text);
 
 }  // namespace homp::fuzz

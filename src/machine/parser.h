@@ -28,10 +28,12 @@
 ///
 /// '#' starts a comment. Section and key order is free, except that exactly
 /// one host device must be declared; the host is placed first (device id 0)
-/// regardless of file order, and accelerators keep their file order. A key
-/// the format does not know (a misspelled `nosie`, say) is rejected, naming
-/// the first such key in file order and its line; a bad value is reported
-/// at its key's line.
+/// regardless of file order, and accelerators keep their file order. Every
+/// error names its line (the reader is common/toml.h): an unknown key (a
+/// misspelled `nosie`), a key repeated in its section, a header repeated
+/// anywhere, a number with more after it (`12 GB/s`), and an integer that
+/// is not whole or does not fit (`parallel_units = 2.7` or `1e12`). A
+/// missing required key fails at its section's header.
 
 #include <string>
 

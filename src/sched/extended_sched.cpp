@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.h"
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace homp::sched {
 
@@ -235,11 +235,7 @@ void ThroughputHistory::save_file(const std::string& path) const {
 }
 
 void ThroughputHistory::load_file(const std::string& path) {
-  std::ifstream in(path);
-  HOMP_REQUIRE(in.good(), "cannot open history file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  merge_text(buf.str());
+  merge_text(read_file(path, "history file"));
 }
 
 }  // namespace homp::sched

@@ -33,6 +33,8 @@ enum class BackpressureMode {
   kBlock,   ///< park the submission; it enters the queue when room opens
 };
 
+inline constexpr int kNumBackpressureModes = 2;
+
 const char* to_string(BackpressureMode m) noexcept;
 
 struct TenantSpec {
