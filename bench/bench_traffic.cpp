@@ -197,7 +197,9 @@ PhaseResult run_phase(bool overload) {
 /// the drain the server retains zero job objects and the engine holds
 /// zero pending events and zero live generations — constant state no
 /// matter how many jobs flowed through (docs/SERVING.md "Timer
-/// lifecycle").
+/// lifecycle") — and its generation table holds no more entries than
+/// owners were ever live at once: the server, the generator and one job
+/// per pool device.
 struct SoakResult {
   std::size_t submitted = 0;
   std::size_t completed = 0;
@@ -208,6 +210,8 @@ struct SoakResult {
   std::size_t retained_jobs = 0;
   std::size_t live_events = 0;
   std::size_t live_generations = 0;
+  std::size_t generation_slots = 0;
+  std::size_t peak_owners = 0;
   std::vector<std::string> breaches;
 };
 
@@ -256,6 +260,8 @@ SoakResult run_soak(std::size_t min_jobs) {
   out.retained_jobs = server.retained_jobs();
   out.live_events = server.engine().live_events();
   out.live_generations = server.engine().live_generations();
+  out.generation_slots = server.engine().generation_slots();
+  out.peak_owners = server.pool().size() + 2;
   out.breaches = server.report().validate();
   return out;
 }
@@ -299,6 +305,7 @@ int main(int argc, char** argv) {
     std::printf("%-22s %14zu\n", "retained jobs", r.retained_jobs);
     std::printf("%-22s %14zu\n", "live engine events", r.live_events);
     std::printf("%-22s %14zu\n", "live generations", r.live_generations);
+    std::printf("%-22s %14zu\n", "generation table", r.generation_slots);
     for (const auto& v : r.breaches) {
       std::printf("  VIOLATION: %s\n", v.c_str());
     }
@@ -317,6 +324,8 @@ int main(int argc, char** argv) {
     check(r.live_events == 0, "engine holds pending events after drain");
     check(r.live_generations == 0,
           "engine holds live generations after drain");
+    check(r.generation_slots <= r.peak_owners,
+          "generation table outgrew the owners live at once");
     if (failures > 0) return 1;
     std::printf("\nsoak: memory-flat after %zu submissions\n", r.submitted);
     return 0;

@@ -20,29 +20,35 @@ void TomlLine::fail(const std::string& why) const {
                     ": " + why);
 }
 
-void TomlLine::fail_int(std::errc ec, long long lo,
-                        unsigned long long hi) const {
+std::string int_field_error(std::string_view text, std::errc ec, long long lo,
+                            unsigned long long hi) {
   std::string need = "an integer";
-  if (lo == 0 && value.starts_with('-')) {
+  if (lo == 0 && text.starts_with('-')) {
     need = "an unsigned integer";
   } else if (ec == std::errc::result_out_of_range) {
     need += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
   }
   // from_chars read a whole number and stopped before the end.
-  fail("'" + key + "' needs " + need + ", got '" + value + "'" +
-       (ec == std::errc() ? " (trailing characters after the number)" : ""));
+  return "needs " + need + ", got '" + std::string(text) + "'" +
+         (ec == std::errc() ? " (trailing characters after the number)" : "");
+}
+
+std::string read_double(const std::string& text, double& out) {
+  std::size_t pos = 0;
+  try {
+    out = std::stod(text, &pos);
+  } catch (const std::exception&) {  // pos stays 0
+  }
+  if (pos > 0 && pos == text.size()) return {};
+  return "needs a number, got '" + text + "'" +
+         (pos > 0 ? " (trailing characters after the number)" : "");
 }
 
 double TomlLine::as_double() const {
-  std::size_t pos = 0;
   double v = 0.0;
-  try {
-    v = std::stod(value, &pos);
-  } catch (const std::exception&) {  // pos stays 0
-  }
-  if (pos > 0 && pos == value.size()) return v;
-  fail("'" + key + "' needs a number, got '" + value + "'" +
-       (pos > 0 ? " (trailing characters after the number)" : ""));
+  const std::string why = read_double(value, v);
+  if (why.empty()) return v;
+  fail("'" + key + "' " + why);
 }
 
 bool TomlLine::as_bool() const {

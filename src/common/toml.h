@@ -15,12 +15,17 @@
 /// not repeat; a key needs a section, may appear once in it and must be
 /// taken by an entry; a number must be the whole value, and an integer must
 /// fit its field's type. An empty value reaches its field as it is.
+///
+/// The number rules are also free functions (read_int, read_double), so a
+/// reader of another format (the throughput history's TAB fields) holds
+/// its fields to the same rule.
 
 #include <charconv>
 #include <functional>
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 
@@ -30,6 +35,27 @@ namespace homp {
 
 /// A double at %.17g, so repro files round-trip exactly.
 std::string fmt_double(double v);
+
+/// What an integer field of range [lo, hi] needs, for read_int.
+std::string int_field_error(std::string_view text, std::errc ec, long long lo,
+                            unsigned long long hi);
+
+/// Read all of `text` as a decimal integer of type T (digits after an
+/// optional '-') into `out`. Returns "" on success, else what the field
+/// needs: "needs an integer, got '2x' (trailing characters after the
+/// number)". A fraction ("2.7") and a value T cannot hold fail too.
+template <class T>
+std::string read_int(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc() && stop == end) return {};
+  return int_field_error(text, ec, std::numeric_limits<T>::min(),
+                         std::numeric_limits<T>::max());
+}
+
+/// Read all of `text` as a double (std::stod's syntax) into `out`, under
+/// read_int's rule: "" on success, else "needs a number, got '...'".
+std::string read_double(const std::string& text, double& out);
 
 /// One header or key line, as read_toml hands it over.
 struct TomlLine {
@@ -46,16 +72,15 @@ struct TomlLine {
   double as_double() const;
   bool as_bool() const;
 
-  /// The value as a whole decimal integer of type T (digits after an
-  /// optional '-'): a fraction ("2.7"), other characters after the digits
-  /// or a value T cannot hold fails the line.
+  /// The value as a whole decimal integer of type T (read_int): a
+  /// fraction ("2.7"), other characters after the digits or a value T
+  /// cannot hold fails the line.
   template <class T>
   T as_int() const {
     T v{};
-    const char* end = value.data() + value.size();
-    const auto [stop, ec] = std::from_chars(value.data(), end, v);
-    if (ec == std::errc() && stop == end) return v;
-    fail_int(ec, std::numeric_limits<T>::min(), std::numeric_limits<T>::max());
+    const std::string why = read_int(value, v);
+    if (why.empty()) return v;
+    fail("'" + key + "' " + why);
   }
 
   /// The value as the enumerator of E in [0, N) whose to_string() it
@@ -81,10 +106,6 @@ struct TomlLine {
     else if constexpr (std::is_same_v<T, std::string>) field = value;
     else field = as_int<T>();
   }
-
- private:
-  [[noreturn]] void fail_int(std::errc ec, long long lo,
-                             unsigned long long hi) const;
 };
 
 /// Field-list visitor printing `key = value` lines: integers and strings

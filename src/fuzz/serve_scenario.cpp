@@ -303,6 +303,12 @@ ParsedServeScenario parse_serve_scenario(const std::string& text) {
                         std::to_string(s.tenants.size()));
     }
   }
+  // Tenant faults follow the machine file's rules (sim::fault_rate_ok and
+  // the rest), checked here so a bad repro fails at load.
+  for (std::size_t t = 0; t < s.tenants.size(); ++t) {
+    s.tenants[t].fault.validate("serve scenario [tenant." +
+                                std::to_string(t) + "]");
+  }
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "machine/parser.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -30,15 +29,13 @@ struct Form {
 
 constexpr Form kRequired{.required = true};
 constexpr Form kMicros{.in = 1e-6, .out = 1e6};
-constexpr Form kRate{
-    .ok = [](double v) { return std::isfinite(v) && v >= 0.0 && v < 1.0; },
-    .range = "a probability in [0, 1)"};
-constexpr Form kFactor{
-    .ok = [](double v) { return std::isfinite(v) && v >= 1.0; },
-    .range = "a slowdown multiplier >= 1"};
-// -1 is "never", the default; other negatives are almost certainly typos.
+// The fault keys' rules are FaultProfile's own (sim/fault.h).
+constexpr Form kRate{.ok = sim::fault_rate_ok,
+                     .range = "a probability in [0, 1)"};
+constexpr Form kFactor{.ok = sim::fault_factor_ok,
+                       .range = "a slowdown multiplier >= 1"};
 constexpr Form kFailTime{
-    .ok = [](double v) { return v == -1.0 || (std::isfinite(v) && v >= 0.0); },
+    .ok = sim::fail_time_ok,
     .range = "a time >= 0 in virtual seconds (or -1 for never)",
     .only_when_set = true};
 

@@ -45,12 +45,12 @@ class DeviceDataEnv {
   void add(const std::string& name, DeviceMapping* mapping);
 
   /// New env containing this env's mappings, with room for `extra` more
-  /// — the base for a per-chunk overlay.
-  DeviceDataEnv fork(std::size_t extra = 0) const {
-    DeviceDataEnv env;
-    env.maps_.reserve(maps_.size() + extra);
-    env.maps_.assign(maps_.begin(), maps_.end());
-    return env;
+  /// — the base for a per-chunk overlay. It takes over `spare`'s
+  /// capacity, so a recycled env forks without allocating.
+  DeviceDataEnv fork(std::size_t extra = 0, DeviceDataEnv spare = {}) const {
+    spare.maps_.reserve(maps_.size() + extra);
+    spare.maps_.assign(maps_.begin(), maps_.end());
+    return spare;
   }
 
   bool contains(const std::string& name) const {

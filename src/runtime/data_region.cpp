@@ -13,7 +13,10 @@ namespace homp::rt {
 
 DataRegion::DataRegion(const mach::MachineDescriptor& machine,
                        std::vector<mem::MapSpec> maps, RegionOptions opts)
-    : machine_(machine), maps_(std::move(maps)), opts_(std::move(opts)) {
+    : machine_(machine),
+      maps_(std::move(maps)),
+      opts_(std::move(opts)),
+      ctx_(machine_) {
   check_device_ids(machine_, opts_.device_ids);
   HOMP_REQUIRE(!opts_.loop_domain.empty(),
                "data region needs a non-empty loop domain for its label");
@@ -103,8 +106,9 @@ OffloadResult DataRegion::offload(const LoopKernel& kernel, bool parallel) {
   o.parallel_offload = parallel;
   o.noise_seed = opts_.noise_seed;
   static const std::vector<mem::MapSpec> kNoMaps;
-  ExecContext ctx(machine_);
-  OffloadExecution exec(ctx, machine_, kernel, kNoMaps, o, &loop_dist_, &envs_);
+  ctx_.reset();
+  OffloadExecution exec(ctx_, machine_, kernel, kNoMaps, std::move(o),
+                        &loop_dist_, &envs_);
   OffloadResult res = exec.run();
   total_time_ += res.total_time;
   return res;

@@ -25,6 +25,7 @@
 #include "machine/device.h"
 #include "memory/data_env.h"
 #include "memory/map_spec.h"
+#include "runtime/exec_context.h"
 #include "runtime/kernel.h"
 #include "runtime/options.h"
 
@@ -76,7 +77,9 @@ class DataRegion {
   /// Run one parallel loop against the resident data. The kernel's
   /// iteration domain must equal the region's loop domain; its chunks are
   /// the region's fixed distribution (AUTO and ALIGN(label) both resolve
-  /// to it). The result is also accumulated into the region totals.
+  /// to it). The result is also accumulated into the region totals. Every
+  /// offload runs on the region's one context, reset first, so a kernel
+  /// body must not offload into the region it runs in.
   OffloadResult offload(const LoopKernel& kernel, bool parallel = true);
 
   /// Refresh the halo rows of `array` on every device from the owning
@@ -111,6 +114,8 @@ class DataRegion {
   const mach::MachineDescriptor& machine_;
   std::vector<mem::MapSpec> maps_;
   RegionOptions opts_;
+  /// Every offload of the region runs on it, reset before each.
+  ExecContext ctx_;
   dist::Distribution loop_dist_;
   mem::MappingStore store_;
   std::vector<mem::DeviceDataEnv> envs_;                     // per slot

@@ -5,19 +5,23 @@
 /// The engine and link lanes every offload runs on.
 ///
 /// An ExecContext holds one sim::Engine and one pair of full-duplex link
-/// lanes per machine link. Runtime::offload and DataRegion::offload build
-/// a fresh context per offload, so its clock starts at 0 and the whole
-/// machine belongs to that offload. A multi-tenant server (src/serve)
-/// keeps one context for every execution it launches, so N offloads
-/// advance on one virtual clock and their transfers contend on the same
-/// processor-shared lanes (sim/link.h), exactly as N tenants' DMA
-/// streams would contend on one PCIe switch.
+/// lanes per machine link. Each owner keeps one context for its life:
+/// Runtime and DataRegion reset() theirs before every offload, so its
+/// clock starts at 0, the whole machine belongs to that offload and the
+/// offload runs exactly as it would on a fresh context. A multi-tenant
+/// server (src/serve) never resets its context and launches every
+/// execution on it, so N offloads advance on one virtual clock and their
+/// transfers contend on the same processor-shared lanes (sim/link.h),
+/// exactly as N tenants' DMA streams would contend on one PCIe switch.
 ///
 /// Lifetime: the context must outlive every OffloadExecution launched
-/// against it; the execution's destructor still revokes its timers on the
-/// context's engine. An execution cancels its timer generation when it
-/// delivers its result, so after its completion callback has run nothing
-/// it scheduled can fire, and the owner may destroy it at once.
+/// against it; the execution's destructor retires its timer generation
+/// on the context's engine. An execution cancels its timer generation
+/// when it delivers its result, so after its completion callback has run
+/// nothing it scheduled can fire, and the owner may destroy it at once.
+/// Untagged work it leaves behind (link events and transfers, or events
+/// of an offload whose body threw through the drain) is dropped by the
+/// next reset().
 
 #include <memory>
 #include <vector>
@@ -38,6 +42,19 @@ struct ExecContext {
       up_links.push_back(std::make_unique<sim::SharedLink>(
           engine, l.name + ".up", l.latency_s, l.bandwidth_Bps));
     }
+  }
+
+  // The lanes hold a reference to `engine`.
+  ExecContext(const ExecContext&) = delete;
+  ExecContext& operator=(const ExecContext&) = delete;
+
+  /// Drop whatever earlier offloads left pending and restart the clock at
+  /// 0 on idle lanes, keeping every table's capacity. No execution may be
+  /// alive on the context.
+  void reset() {
+    engine.reset();
+    for (auto& l : down_links) l->reset();
+    for (auto& l : up_links) l->reset();
   }
 
   /// The clock. Executions schedule onto it relative to "now" (launch

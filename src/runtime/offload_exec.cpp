@@ -20,33 +20,55 @@ namespace {
 /// Cost of one chunk acquisition (shared-cursor CAS plus bookkeeping on
 /// the proxy thread).
 constexpr double kChunkSchedOverheadS = 1e-6;
+
+/// The last of `pool`'s spare records, or a fresh one.
+template <class T>
+T take_spare(std::vector<T>& pool) {
+  if (pool.empty()) return T{};
+  T spare = std::move(pool.back());
+  pool.pop_back();
+  return spare;
+}
 }  // namespace
+
+/// One transfer attempt in flight, with its own start, bytes, jitter and
+/// wire outcome. A retry, a requeue or the proxy's next chunk may change
+/// the proxy before the attempt completes; the attempt reads only these.
+struct OffloadExecution::WireAttempt {
+  int slot = -1;
+  int attempt = 1;
+  double start = 0.0;
+  double bytes = 0.0;
+  double jitter = 0.0;  ///< copy-in: delay from landing to input_ready
+  WireFault wire;
+  std::shared_ptr<OutRecord> rec;  ///< copy-out: the record it ships
+};
 
 OffloadExecution::~OffloadExecution() {
   // Revoke anything still pending (normally finish_now()
-  // already did — this covers owners tearing down mid-flight). The
-  // context's engine outlives the execution by contract.
-  engine_.cancel_generation(gen_);
+  // already did — this covers owners tearing down mid-flight) and hand
+  // the tag back. The context's engine outlives the execution by
+  // contract.
+  engine_.retire_generation(gen_);
 }
 
 OffloadExecution::OffloadExecution(ExecContext& ctx,
                                    const mach::MachineDescriptor& machine,
                                    const LoopKernel& kernel,
                                    const std::vector<mem::MapSpec>& maps,
-                                   const OffloadOptions& opts,
+                                   OffloadOptions opts,
                                    const dist::Distribution* forced_loop_dist,
                                    const std::vector<mem::DeviceDataEnv>*
                                        region_envs)
     : machine_(machine),
       kernel_(kernel),
       maps_(maps),
-      opts_(opts),
+      opts_(std::move(opts)),
       engine_(ctx.engine),
       region_envs_(region_envs) {
   HOMP_REQUIRE(ctx.down_links.size() == machine_.links.size() &&
                    ctx.up_links.size() == machine_.links.size(),
                "ExecContext link lanes do not match the machine's links");
-  gen_ = engine_.new_generation();
   alive_ = std::make_shared<bool>(true);
   // The one validation of every entry point (Runtime::offload,
   // DataRegion::offload, server jobs): bad knob combinations are rejected,
@@ -123,6 +145,9 @@ OffloadExecution::OffloadExecution(ExecContext& ctx,
 
   build_proxies(ctx);
   res_ = Resilience::build(*this);
+  // Last, so a constructor that throws holds no tag: only the destructor
+  // retires it.
+  gen_ = engine_.new_generation();
 }
 
 void OffloadExecution::validate_and_plan() {
@@ -197,6 +222,10 @@ void OffloadExecution::build_proxies(const ExecContext& ctx) {
       p->up = ctx.up_links[static_cast<std::size_t>(p->desc->link)].get();
     }
     p->noise = Prng(opts_.noise_seed ^ (0x9e37u * (slot + 1)));
+    if (opts_.sched.history != nullptr) {
+      p->history_rate = opts_.sched.history->rate(opts_.sched.history_kernel,
+                                                  p->device_id);
+    }
     p->stats.device_name = p->desc->name;
     p->stats.device_id = p->device_id;
     proxies_.push_back(std::move(p));
@@ -368,7 +397,8 @@ void OffloadExecution::try_fetch(int slot) {
   if (region_envs_ != nullptr) {
     p.alloc_paid = true;
     p.statics_loaded = true;
-    chunk.env = (*region_envs_)[static_cast<std::size_t>(slot)].fork();
+    chunk.env = (*region_envs_)[static_cast<std::size_t>(slot)].fork(
+        0, take_spare(p.spare_envs));
   } else if (!p.alloc_paid) {
     p.alloc_paid = true;
     if (p.desc->memory == mach::MemorySpace::kDiscrete &&
@@ -381,9 +411,11 @@ void OffloadExecution::try_fetch(int slot) {
   }
 
   if (region_envs_ == nullptr) {
+    chunk.chunk_maps = take_spare(p.spare_maps);
     chunk.chunk_maps.reserve(plans_.size());
     make_chunk_mappings(p, chunk.range, &chunk.chunk_maps);
-    chunk.env = p.static_env.fork(chunk.chunk_maps.size());
+    chunk.env = p.static_env.fork(chunk.chunk_maps.size(),
+                                  take_spare(p.spare_envs));
     for (auto* m : chunk.chunk_maps) chunk.env.add(m->spec().name, m);
 
     for (auto* m : chunk.chunk_maps) {
@@ -441,26 +473,50 @@ void OffloadExecution::issue_input(int slot, int attempt) {
   const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   if (attempt == 1) sample_queue_depth(p);
   adjust_outstanding_bytes(p, bytes);
-  transfer(p.down, bytes, [this, slot, start, jitter, bytes, attempt, wire] {
-    adjust_outstanding_bytes(*proxies_[static_cast<std::size_t>(slot)],
-                             -bytes);
-    sched_after(jitter, [this, slot, start, attempt, wire] {
-      Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
+  const std::uint32_t a =
+      open_attempt({slot, attempt, start, bytes, jitter, wire, nullptr});
+  transfer(p.down, bytes, [this, a] {
+    const WireAttempt& sent = attempts_[a];
+    adjust_outstanding_bytes(*proxies_[static_cast<std::size_t>(sent.slot)],
+                             -sent.bytes);
+    // The jitter event runs for a lost proxy too: it is an event of the
+    // offload either way.
+    sched_after(sent.jitter, [this, a] {
+      const WireAttempt w = close_attempt(a);
+      Proxy& q = *proxies_[static_cast<std::size_t>(w.slot)];
       if (q.lost || !q.inflight) return;  // quarantined mid-transfer
-      if (wire.lost) {
-        res_->lose_attempt(slot, start, attempt, "copy-in",
-                           &q.inflight->range, [this, slot, attempt] {
+      if (w.wire.lost) {
+        res_->lose_attempt(w.slot, w.start, w.attempt, "copy-in",
+                           &q.inflight->range,
+                           [this, slot = w.slot, attempt = w.attempt] {
                              issue_input(slot, attempt + 1);
                            });
         return;
       }
       q.stats.phase_time[static_cast<int>(Phase::kCopyIn)] +=
-          engine_.now() - start;
-      span(q, Phase::kCopyIn, start, engine_.now(),
+          engine_.now() - w.start;
+      span(q, Phase::kCopyIn, w.start, engine_.now(),
            [r = q.inflight->range] { return r.to_string(); });
-      on_input_done(slot, attempt, wire.corrupt_seed);
+      on_input_done(w.slot, w.attempt, w.wire.corrupt_seed);
     });
   });
+}
+
+std::uint32_t OffloadExecution::open_attempt(WireAttempt a) {
+  if (free_attempts_.empty()) {
+    attempts_.push_back(std::move(a));
+    return static_cast<std::uint32_t>(attempts_.size() - 1);
+  }
+  const std::uint32_t i = free_attempts_.back();
+  free_attempts_.pop_back();
+  attempts_[i] = std::move(a);
+  return i;
+}
+
+OffloadExecution::WireAttempt OffloadExecution::close_attempt(
+    std::uint32_t a) {
+  free_attempts_.push_back(a);
+  return std::move(attempts_[a]);
 }
 
 void OffloadExecution::on_input_done(int slot, int attempt,
@@ -572,6 +628,7 @@ void OffloadExecution::on_compute_done(int slot) {
   }
 
   if (res_ && res_->superseded(slot, chunk)) {
+    p.spare_envs.push_back(std::move(chunk.env));
     try_start_compute(slot);
     try_fetch(slot);
     check_completion(slot);
@@ -587,6 +644,7 @@ void OffloadExecution::on_compute_done(int slot) {
     out.reduction = kernel_.body(chunk.range, chunk.env);
   }
   out.recovery = std::move(chunk.recovery);
+  p.spare_envs.push_back(std::move(chunk.env));
   bool integ_settled = false;
 
   if (p.up != nullptr && chunk.bytes_out > 0.0) {
@@ -619,52 +677,60 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
                                     int attempt) {
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (p.lost || !p.holds(rec)) return;
-  const double start = engine_.now();
   const double bytes = rec->bytes_out;
   const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   adjust_outstanding_bytes(p, bytes);
-  transfer(p.up, bytes, [this, slot, rec, start, bytes, attempt, wire] {
-    Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
-    adjust_outstanding_bytes(q, -bytes);
-    if (q.lost || !q.holds(rec)) return;  // requeued at quarantine
-    if (wire.lost) {
-      res_->lose_attempt(slot, start, attempt, "copy-out", &rec->range,
-                         [this, slot, rec, attempt]() mutable {
+  const std::uint32_t a = open_attempt(
+      {slot, attempt, engine_.now(), bytes, 0.0, wire, std::move(rec)});
+  transfer(p.up, bytes, [this, a] {
+    const WireAttempt w = close_attempt(a);
+    Proxy& q = *proxies_[static_cast<std::size_t>(w.slot)];
+    adjust_outstanding_bytes(q, -w.bytes);
+    if (q.lost || !q.holds(w.rec)) return;  // requeued at quarantine
+    if (w.wire.lost) {
+      res_->lose_attempt(w.slot, w.start, w.attempt, "copy-out",
+                         &w.rec->range,
+                         [this, slot = w.slot, rec = w.rec,
+                          attempt = w.attempt]() mutable {
                            issue_output(slot, std::move(rec), attempt + 1);
                          });
       return;
     }
     q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] +=
-        engine_.now() - start;
-    span(q, Phase::kCopyOut, start, engine_.now(),
-         [r = rec->range] { return r.to_string(); });
-    q.stats.bytes_out += bytes;  // physically transferred either way
-    if (res_ && res_->land_output(slot, rec, wire.corrupt_seed, bytes)) {
+        engine_.now() - w.start;
+    span(q, Phase::kCopyOut, w.start, engine_.now(),
+         [r = w.rec->range] { return r.to_string(); });
+    q.stats.bytes_out += w.bytes;  // physically transferred either way
+    if (res_ &&
+        res_->land_output(w.slot, w.rec, w.wire.corrupt_seed, w.bytes)) {
       return;  // the verified commit follows its checksum scan
     }
     // Unverified commit: only now do the chunk's results reach the host —
     // and only for the first copy of a speculated chunk
     // (first-commit-wins).
-    commit(slot, *rec);
-    std::erase(q.outputs, rec);
+    commit(w.slot, *w.rec);
+    std::erase(q.outputs, w.rec);
     sample_queue_depth(q);
     // Draining the last output may let this proxy enter (and possibly
     // release) the stage barrier, or finish the offload.
-    try_fetch(slot);
-    check_completion(slot);
+    try_fetch(w.slot);
+    check_completion(w.slot);
   });
 }
 
-void OffloadExecution::commit(int slot, const OutRecord& rec) {
+void OffloadExecution::commit(int slot, OutRecord& rec) {
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
-  if (res_ && !res_->claim(slot, rec)) return;
-  if (opts_.execute_bodies) {
-    for (auto* m : rec.maps) m->copy_out();
+  if (!res_ || res_->claim(slot, rec)) {
+    if (opts_.execute_bodies) {
+      for (auto* m : rec.maps) m->copy_out();
+    }
+    p.partial_reduction += rec.reduction;
+    p.stats.iterations += rec.range.size();
+    record_counter(p, CounterTrack::kIterations,
+                   static_cast<double>(p.stats.iterations));
   }
-  p.partial_reduction += rec.reduction;
-  p.stats.iterations += rec.range.size();
-  record_counter(p, CounterTrack::kIterations,
-                 static_cast<double>(p.stats.iterations));
+  rec.maps.clear();
+  p.spare_maps.push_back(std::move(rec.maps));
 }
 
 void OffloadExecution::rouse(Proxy& q) {
@@ -745,13 +811,7 @@ void OffloadExecution::predict_chunk(const Proxy& p, const dist::Range& chunk,
   }
   *model1_s = m1;
   *model2_s = m2;
-  *profile_s = -1.0;
-  if (opts_.sched.history != nullptr &&
-      opts_.sched.history->has(opts_.sched.history_kernel, p.device_id)) {
-    const double rate =
-        opts_.sched.history->rate(opts_.sched.history_kernel, p.device_id);
-    if (rate > 0.0) *profile_s = iters / rate;
-  }
+  *profile_s = p.history_rate > 0.0 ? iters / p.history_rate : -1.0;
 }
 
 void OffloadExecution::accumulate_prediction_error(Proxy& p,
@@ -862,28 +922,31 @@ void OffloadExecution::finalize_device(int slot) {
 void OffloadExecution::issue_finalize(int slot, double bytes, int attempt) {
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (p.lost) return;
-  const double start = engine_.now();
   const WireFault wire = res_ ? res_->draw_wire_fault(p) : WireFault{};
   adjust_outstanding_bytes(p, bytes);
-  transfer(p.up, bytes, [this, slot, start, bytes, attempt, wire] {
-    Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
-    adjust_outstanding_bytes(q, -bytes);
+  const std::uint32_t a =
+      open_attempt({slot, attempt, engine_.now(), bytes, 0.0, wire, nullptr});
+  transfer(p.up, bytes, [this, a] {
+    const WireAttempt w = close_attempt(a);
+    Proxy& q = *proxies_[static_cast<std::size_t>(w.slot)];
+    adjust_outstanding_bytes(q, -w.bytes);
     if (q.lost) return;  // quarantined mid-write-back
-    if (wire.lost) {
-      res_->lose_attempt(slot, start, attempt, "write-back", nullptr,
-                         [this, slot, bytes, attempt] {
+    if (w.wire.lost) {
+      res_->lose_attempt(w.slot, w.start, w.attempt, "write-back", nullptr,
+                         [this, slot = w.slot, bytes = w.bytes,
+                          attempt = w.attempt] {
                            issue_finalize(slot, bytes, attempt + 1);
                          });
       return;
     }
     q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] +=
-        engine_.now() - start;
-    q.stats.bytes_out += bytes;
-    if (wire.corrupt_seed != 0 &&
-        res_->resend_write_back(slot, attempt, bytes)) {
+        engine_.now() - w.start;
+    q.stats.bytes_out += w.bytes;
+    if (w.wire.corrupt_seed != 0 &&
+        res_->resend_write_back(w.slot, w.attempt, w.bytes)) {
       return;
     }
-    complete_finalize(slot);
+    complete_finalize(w.slot);
   });
 }
 
@@ -1106,7 +1169,7 @@ OffloadResult OffloadExecution::harvest() {
     }
     // Stats times are job-relative (launch = 0) so imbalance() and the
     // throughput feedback read the same whether the execution ran
-    // on a fresh context (start_time_ == 0: identity) or a shared one.
+    // on a reset context (start_time_ == 0: identity) or a shared one.
     // Trace spans above stay absolute for multi-tenant interleaving.
     p->stats.finish_time = std::max(0.0, p->stats.finish_time - start_time_);
     if (p->stats.quarantined) {

@@ -70,15 +70,16 @@ class OffloadExecution {
   /// \param ctx the engine + link lanes to run on (exec_context.h): the
   ///        execution schedules relative to the engine's current time.
   ///        The context must outlive this object.
+  /// \param opts taken by value: callers move their copy in.
   OffloadExecution(ExecContext& ctx, const mach::MachineDescriptor& machine,
                    const LoopKernel& kernel,
-                   const std::vector<mem::MapSpec>& maps,
-                   const OffloadOptions& opts,
+                   const std::vector<mem::MapSpec>& maps, OffloadOptions opts,
                    const dist::Distribution* forced_loop_dist = nullptr,
                    const std::vector<mem::DeviceDataEnv>* region_envs =
                        nullptr);
 
-  ~OffloadExecution();  // out-of-line: Proxy is a private type
+  /// Retires the timer generation; out-of-line: Proxy is a private type.
+  ~OffloadExecution();
 
   /// start() plus a drain of the context's engine; single use. A
   /// contained failure is rethrown as OffloadError(error, fail_class).
@@ -116,6 +117,7 @@ class OffloadExecution {
   struct PendingChunk;
   struct OutRecord;
   struct Proxy;
+  struct WireAttempt;
 
   void validate_and_plan();
   void build_proxies(const ExecContext& ctx);
@@ -170,11 +172,17 @@ class OffloadExecution {
   void start_launch(int slot, int attempt);
   void on_compute_done(int slot);
   void issue_output(int slot, std::shared_ptr<OutRecord> rec, int attempt);
+  /// A pooled WireAttempt for one transfer attempt; its index is what the
+  /// completion captures, so the guarded continuation stays inline.
+  std::uint32_t open_attempt(WireAttempt a);
+  /// The attempt's record, handed back to the pool.
+  WireAttempt close_attempt(std::uint32_t a);
   /// The one commit: the first-commit-wins claim (plus probation
   /// bookkeeping) when recovering, then, for the winning copy, the host
   /// effects: copy-out, partial reduction, iteration count and counter
-  /// sample.
-  void commit(int slot, const OutRecord& rec);
+  /// sample. Every caller is done with `rec` afterwards, so its map list
+  /// goes back to the proxy for the next fetch.
+  void commit(int slot, OutRecord& rec);
   void check_stage_barrier();
   /// End `p`'s stage-barrier wait, if any: the wait is barrier time, and
   /// `label` (if non-null) names its trace span.
@@ -226,7 +234,7 @@ class OffloadExecution {
 
   sim::Engine& engine_;  // the engine this execution schedules on
   /// Engine time at launch; all result times are reported relative to
-  /// it (zero on a fresh context).
+  /// it (zero on a reset context).
   double start_time_ = 0.0;
   std::size_t events_at_launch_ = 0;
   std::size_t engine_events_ = 0;  // launch to finish_now()
@@ -260,6 +268,10 @@ class OffloadExecution {
 
   /// The recovery policy; null on a fault-free offload (resilience.h).
   std::unique_ptr<Resilience> res_;
+
+  /// Transfer attempts in flight, and the indices free for reuse.
+  std::vector<WireAttempt> attempts_;
+  std::vector<std::uint32_t> free_attempts_;
 
   /// Scheduler decision audit trail (collect_audit / collect_trace) and
   /// counter-track samples (collect_trace), in virtual-time order.
@@ -309,6 +321,10 @@ struct OffloadExecution::Proxy {
 
   mem::MappingStore store;
   mem::DeviceDataEnv static_env;
+  /// Map lists and envs of finished chunks, kept for their capacity and
+  /// reused by the next fetch.
+  std::vector<std::vector<mem::DeviceMapping*>> spare_maps;
+  std::vector<mem::DeviceDataEnv> spare_envs;
   bool statics_loaded = false;
   bool alloc_paid = false;
   bool setup_signalled = false;  ///< for serialized (!parallel) offloading
@@ -328,6 +344,9 @@ struct OffloadExecution::Proxy {
   bool lost = false;        ///< quarantined (possibly re-admitted later)
   std::uint64_t compute_serial = 0;  ///< guards stale watchdog events
   double ewma_iter_s = 0.0;     ///< observed per-iteration time (EWMA)
+  /// The ThroughputHistory rate of this kernel on this device, read once
+  /// at launch (the history only changes between offloads); 0 when none.
+  double history_rate = 0.0;
 
   double partial_reduction = 0.0;
   double outstanding_bytes = 0.0;  ///< transfer bytes currently in flight

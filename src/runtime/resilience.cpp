@@ -865,15 +865,10 @@ double Resilience::predicted_chunk_seconds(const Proxy& p,
   // optimistic), loosened by what the device has actually demonstrated —
   // its cross-offload throughput history and this offload's per-iteration
   // EWMA — so a legitimately slow device is not hounded by false fires.
-  const auto& cfg = x_.opts_.sched;
   double iter_s = model::model2_iter_time(
       x_.loop_context_.kernel,
       x_.loop_context_.devices[static_cast<std::size_t>(p.slot)]);
-  if (cfg.history != nullptr &&
-      cfg.history->has(cfg.history_kernel, p.device_id)) {
-    const double rate = cfg.history->rate(cfg.history_kernel, p.device_id);
-    if (rate > 0.0) iter_s = std::max(iter_s, 1.0 / rate);
-  }
+  if (p.history_rate > 0.0) iter_s = std::max(iter_s, 1.0 / p.history_rate);
   if (p.ewma_iter_s > 0.0) iter_s = std::max(iter_s, p.ewma_iter_s);
   double t = static_cast<double>(chunk.size()) * iter_s +
              p.desc->launch_overhead_s;

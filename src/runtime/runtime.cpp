@@ -69,8 +69,9 @@ OffloadResult Runtime::offload(const LoopKernel& kernel,
   o.sched.history = &history_;
   o.sched.history_kernel = kernel.name;
   o.sched.history_device_ids = o.device_ids;
-  ExecContext ctx(machine_);  // before exec, which revokes timers on it
-  OffloadExecution exec(ctx, machine_, kernel, maps, o);
+  if (!ctx_) ctx_ = std::make_unique<ExecContext>(machine_);
+  ctx_->reset();
+  OffloadExecution exec(*ctx_, machine_, kernel, maps, std::move(o));
   OffloadResult res = exec.run();
 
   // Feed observed throughput back for HISTORY_AUTO. The rate is the

@@ -5,6 +5,11 @@
 /// Public facade of the HOMP runtime: owns the machine description and
 /// launches offloads and data regions. One Runtime per simulated node.
 ///
+/// Lifetime: a Runtime builds one execution context (exec_context.h) at
+/// its first offload and keeps it, resetting it before every offload, so
+/// each offload starts at virtual time 0 on idle lanes without
+/// rebuilding the engine and the lanes.
+///
 /// Typical use (the axpy_homp_v2 pattern of Fig. 2):
 ///
 ///   auto rt = homp::rt::Runtime::from_builtin("gpu4");
@@ -21,6 +26,7 @@
 #include "machine/device.h"
 #include "memory/map_spec.h"
 #include "runtime/data_region.h"
+#include "runtime/exec_context.h"
 #include "runtime/kernel.h"
 #include "runtime/options.h"
 #include "sched/extended_sched.h"
@@ -82,6 +88,8 @@ class Runtime {
  private:
   mach::MachineDescriptor machine_;
   mutable sched::ThroughputHistory history_;
+  /// The engine and lanes every offload runs on, built at the first.
+  mutable std::unique_ptr<ExecContext> ctx_;
   /// In-flight guard for offload()'s single-offload invariant. Held by
   /// shared_ptr so Runtime stays movable (from_builtin returns by
   /// value); the flag itself never moves.

@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "common/strings.h"
+#include "common/toml.h"
 
 namespace homp::sched {
 
@@ -209,22 +210,24 @@ void ThroughputHistory::merge_text(const std::string& text) {
     HOMP_REQUIRE(t1 != std::string::npos && t2 != std::string::npos,
                  "throughput history line " + std::to_string(lineno) +
                      " is not kernel<TAB>device<TAB>rate");
-    try {
-      const std::string kernel = line.substr(0, t1);
-      HOMP_REQUIRE(!kernel.empty(), "empty kernel name in history line " +
-                                        std::to_string(lineno));
-      const int device = std::stoi(line.substr(t1 + 1, t2 - t1 - 1));
-      const double rate = std::stod(line.substr(t2 + 1));
-      HOMP_REQUIRE(rate >= 0.0 && std::isfinite(rate),
-                   "bad rate in history line " + std::to_string(lineno));
-      upsert(kernel, device, rate, /*alpha=*/1.0);  // overwrite on merge
-    } catch (const std::invalid_argument&) {
-      throw ConfigError("malformed throughput history line " +
-                        std::to_string(lineno));
-    } catch (const std::out_of_range&) {
-      throw ConfigError("out-of-range value in throughput history line " +
-                        std::to_string(lineno));
-    }
+    const std::string kernel = line.substr(0, t1);
+    HOMP_REQUIRE(!kernel.empty(), "empty kernel name in history line " +
+                                      std::to_string(lineno));
+    // Each field must be one whole number, as in a machine file.
+    const auto bad = [lineno](const char* field, const std::string& why) {
+      throw ConfigError("throughput history line " + std::to_string(lineno) +
+                        ": " + field + " " + why);
+    };
+    int device = 0;
+    double rate = 0.0;
+    std::string why = read_int(
+        std::string_view(line).substr(t1 + 1, t2 - t1 - 1), device);
+    if (!why.empty()) bad("device", why);
+    why = read_double(line.substr(t2 + 1), rate);
+    if (!why.empty()) bad("rate", why);
+    HOMP_REQUIRE(rate >= 0.0 && std::isfinite(rate),
+                 "bad rate in history line " + std::to_string(lineno));
+    upsert(kernel, device, rate, /*alpha=*/1.0);  // overwrite on merge
   }
 }
 

@@ -156,7 +156,7 @@ OffloadServer::OffloadServer(mach::MachineDescriptor machine,
   }
 }
 
-OffloadServer::~OffloadServer() { ctx_.engine.cancel_generation(gen_); }
+OffloadServer::~OffloadServer() { ctx_.engine.retire_generation(gen_); }
 
 int OffloadServer::tenant_index(const std::string& name) const {
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
@@ -544,7 +544,7 @@ void OffloadServer::place(int tenant, PendingJob&& pj,
   // Built before any grant is recorded: its constructor validates the
   // options and throws on a bad combination.
   aj->exec = std::make_unique<rt::OffloadExecution>(
-      ctx_, machine_, aj->kernel, aj->maps, o);
+      ctx_, machine_, aj->kernel, aj->maps, std::move(o));
 
   ts.service += pj.predicted_s * static_cast<double>(devices.size());
   ts.backlog_s = std::max(0.0, ts.backlog_s - pj.predicted_s);

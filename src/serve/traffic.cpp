@@ -29,6 +29,8 @@ TrafficGen::TrafficGen(OffloadServer& server, std::vector<TenantLoad> loads)
   gen_ = server_.engine().new_generation();
 }
 
+TrafficGen::~TrafficGen() { server_.engine().retire_generation(gen_); }
+
 long long TrafficGen::draw_size(Stream& s) {
   const auto& l = s.load;
   if (l.size_min == l.size_max) return l.size_min;

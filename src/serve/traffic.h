@@ -52,6 +52,10 @@ struct TenantLoad {
 class TrafficGen {
  public:
   TrafficGen(OffloadServer& server, std::vector<TenantLoad> loads);
+  ~TrafficGen();  // retires the generation on the server's engine
+
+  TrafficGen(const TrafficGen&) = delete;
+  TrafficGen& operator=(const TrafficGen&) = delete;
 
   /// Schedule every tenant's opening arrivals on the server's engine.
   void start();
@@ -75,8 +79,8 @@ class TrafficGen {
   std::vector<Stream> streams_;
   std::size_t submitted_ = 0;
   /// Generation tag for every timer this generator arms (homp-lint
-  /// HL006): all pending arrivals are cancellable as one unit and the
-  /// drained engine retires the generation, keeping `--soak` flat.
+  /// HL006): all pending arrivals are cancellable as one unit, and the
+  /// destructor retires the tag, keeping `--soak` flat.
   sim::Engine::GenTag gen_ = 0;
 };
 

@@ -22,8 +22,8 @@ class Callback {
  public:
   /// Inline capacity: 56 bytes makes the Callback one 64-byte line. On
   /// perfbench's allocation counts, 48 bytes cost under 1% more and 64
-  /// bytes saved under 5%; OffloadExecution's guard wrapper nests a whole
-  /// Callback and takes the heap at any capacity.
+  /// bytes saved under 5%. OffloadExecution's guarded link completions
+  /// (a weak_ptr, the guard's `this`, and `this` plus an index) fit.
   static constexpr std::size_t kInlineBytes = 56;
 
   Callback() noexcept = default;

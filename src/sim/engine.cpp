@@ -20,15 +20,17 @@ std::uint64_t Engine::schedule_at(Time t, Callback fn, GenTag tag) {
   Slot& slot = slots_[s];
   slot.fn = std::move(fn);
   slot.seq = next_seq_++;
-  slot.tag = tag;
+  slot.gen = kNone;
   slot.prev = kNone;
   slot.next = kNone;
   if (tag != 0) {
-    GenList& gen = gens_[tag];
+    HOMP_ASSERT(find_gen(tag) != nullptr);  // issued and not retired
+    slot.gen = static_cast<std::uint32_t>(tag);
+    GenList& gen = gens_[slot.gen];
     slot.next = gen.head;
     if (gen.head != kNone) slots_[gen.head].prev = s;
     gen.head = s;
-    ++gen.size;
+    if (gen.size++ == 0) ++live_gens_;
   }
   heap_.push_back(Key{t, slot.seq, s});
   std::push_heap(heap_.begin(), heap_.end(), later);
@@ -38,17 +40,16 @@ std::uint64_t Engine::schedule_at(Time t, Callback fn, GenTag tag) {
 
 Callback Engine::release(std::uint32_t s) {
   Slot& slot = slots_[s];
-  if (slot.tag != 0) {
-    const auto it = gens_.find(slot.tag);
-    GenList& gen = it->second;
+  if (slot.gen != kNone) {
+    GenList& gen = gens_[slot.gen];
     if (slot.prev != kNone) {
       slots_[slot.prev].next = slot.next;
     } else {
       gen.head = slot.next;
     }
     if (slot.next != kNone) slots_[slot.next].prev = slot.prev;
-    if (--gen.size == 0) gens_.erase(it);
-    slot.tag = 0;
+    if (--gen.size == 0) --live_gens_;
+    slot.gen = kNone;
   }
   Callback fn = std::move(slot.fn);
   slot.prev = kNone;
@@ -68,21 +69,67 @@ bool Engine::cancel(std::uint64_t handle) {
   return true;
 }
 
+Engine::GenTag Engine::new_generation() noexcept {
+  std::uint32_t g = free_gen_;
+  if (g != kNone) {
+    free_gen_ = gens_[g].head;
+    gens_[g].head = kNone;
+  } else {
+    HOMP_ASSERT(gens_.size() < kNone);
+    g = static_cast<std::uint32_t>(gens_.size());
+    gens_.emplace_back();
+  }
+  return (GenTag{gens_[g].stamp} << 32) | g;
+}
+
 std::size_t Engine::cancel_generation(GenTag tag) {
-  if (tag == 0) return 0;
   std::size_t n = 0;
   // Look the generation up afresh each time: a destroyed callback's
-  // captures may schedule or cancel on this engine.
-  for (auto it = gens_.find(tag); it != gens_.end(); it = gens_.find(tag)) {
-    release(it->second.head);
+  // captures may schedule, cancel or retire on this engine.
+  for (const GenList* gen = find_gen(tag); gen != nullptr && gen->size > 0;
+       gen = find_gen(tag)) {
+    release(gen->head);
     ++n;
   }
   return n;
 }
 
+std::size_t Engine::retire_generation(GenTag tag) {
+  const std::size_t n = cancel_generation(tag);
+  if (find_gen(tag) == nullptr) return n;  // 0 or already retired
+  const auto g = static_cast<std::uint32_t>(tag);
+  GenList& gen = gens_[g];
+  if (++gen.stamp == 0) gen.stamp = 1;
+  gen.head = free_gen_;
+  free_gen_ = g;
+  return n;
+}
+
 std::size_t Engine::pending_in(GenTag tag) const {
-  const auto it = gens_.find(tag);
-  return it == gens_.end() ? 0 : it->second.size;
+  const GenList* gen = find_gen(tag);
+  return gen == nullptr ? 0 : gen->size;
+}
+
+void Engine::reset() {
+  // Release slot by slot, so every generation list empties; a destroyed
+  // callback's captures may still schedule on this engine, hence the
+  // outer loop.
+  while (live_ != 0) {
+    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+      if (slots_[s].fn) release(s);
+    }
+  }
+  heap_.clear();
+  // Hand slots out in index order again, as a fresh engine does.
+  free_head_ = kNone;
+  for (auto s = static_cast<std::uint32_t>(slots_.size()); s-- > 0;) {
+    slots_[s].next = free_head_;
+    free_head_ = s;
+  }
+  now_ = 0.0;
+  next_seq_ = 0;
+  processed_ = 0;
+  stopped_ = false;
 }
 
 void Engine::purge_cancelled_top() {

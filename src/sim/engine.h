@@ -36,10 +36,19 @@
 /// at once; only its 24-byte key stays in the heap until it surfaces.
 /// A running callback has already been moved out of its slot, so it may
 /// cancel its own generation or schedule into the slot it left.
+///
+/// Generations. new_generation() hands out an index of a dense table and
+/// the stamp that index holds; an owner retires its tag when it ends, and
+/// the index comes back to a later owner under a new stamp, which no old
+/// tag carries. The table is therefore bounded by the peak number of live
+/// owners, and a steady-state engine allocates nothing per generation.
+///
+/// Lifetime. One engine may serve many runs: reset() drops pending work
+/// and restarts the clock, seq counter and processed count at 0, keeping
+/// the tables' capacity, so the next run pops in a fresh engine's order.
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/callback.h"
@@ -57,6 +66,7 @@ class Engine {
   /// domains (docs/SERVING.md): a finishing job revokes every watchdog /
   /// probation / deadline timer it ever armed, so nothing it scheduled
   /// can fire after its owner is destroyed. Tag 0 means "untagged".
+  /// A tag carries its table index and that index's stamp.
   using GenTag = std::uint64_t;
 
   Engine() = default;
@@ -66,8 +76,16 @@ class Engine {
   /// Current virtual time. Valid inside and outside callbacks.
   Time now() const noexcept { return now_; }
 
-  /// Mint a fresh, never-before-issued generation tag (never 0).
-  GenTag new_generation() noexcept { return ++next_gen_; }
+  /// Issue a generation tag (never 0) that no earlier owner holds: a
+  /// retired index returns under a new stamp.
+  GenTag new_generation() noexcept;
+
+  /// Drop every pending event, destroying its callback, and restart the
+  /// clock, the seq counter and the processed count at 0. Capacity, slot
+  /// stamps and issued generation tags are kept, so events scheduled
+  /// after a reset pop in the order a fresh engine gives them and no
+  /// earlier handle reaches them. Not from inside a callback.
+  void reset();
 
   /// Schedule `fn` at absolute virtual time `t`. `t` must be >= now().
   /// Returns a non-zero handle usable with cancel(). A non-zero `tag`
@@ -84,10 +102,15 @@ class Engine {
   bool cancel(std::uint64_t handle);
 
   /// Cancel every still-pending event in `tag`'s generation, destroying
-  /// their callbacks, and retire the generation's bookkeeping. Returns
-  /// how many events were cancelled. Safe to call for a generation with
-  /// no pending events (returns 0); the tag may be re-armed afterwards.
+  /// their callbacks. Returns how many events were cancelled. Safe to
+  /// call for a generation with no pending events (returns 0); the tag
+  /// may be re-armed afterwards.
   std::size_t cancel_generation(GenTag tag);
+
+  /// cancel_generation(), then hand `tag`'s index back to the table for a
+  /// later new_generation(). The owner calls it when it ends: a retired
+  /// tag cancels and counts nothing, and scheduling with it is an error.
+  std::size_t retire_generation(GenTag tag);
 
   /// Pending (scheduled, not yet run or cancelled) events in `tag`'s
   /// generation.
@@ -95,7 +118,11 @@ class Engine {
 
   /// Number of generations that currently have at least one pending
   /// event — the memory-flatness gauge: a drained server must read 0.
-  std::size_t live_generations() const { return gens_.size(); }
+  std::size_t live_generations() const noexcept { return live_gens_; }
+
+  /// Generation table entries, issued or retired: the peak number of
+  /// tags held at once.
+  std::size_t generation_slots() const noexcept { return gens_.size(); }
 
   /// Run until the queue is empty (or stop() is called from a callback).
   /// stop() only interrupts the current drain: a later run()/run_until()
@@ -129,23 +156,34 @@ class Engine {
   struct Slot {
     Callback fn;  // empty while the slot is free
     std::uint64_t seq = 0;
-    GenTag tag = 0;
-    std::uint32_t stamp = 1;  // bumped on every free; never 0
+    std::uint32_t gen = kNone;  // generation table index; kNone: untagged
+    std::uint32_t stamp = 1;    // bumped on every free; never 0
     /// Neighbours in the generation's list; `next` links the free list
     /// while the slot is free.
     std::uint32_t prev = kNone;
     std::uint32_t next = kNone;
   };
 
-  /// A generation's pending events, linked through their slots.
+  /// A generation's pending events, linked through their slots. While
+  /// the entry is retired, `head` links the table's free list.
   struct GenList {
     std::uint32_t head = kNone;
+    std::uint32_t stamp = 1;  // bumped on every retire; never 0
     std::size_t size = 0;
   };
 
   static bool later(const Key& a, const Key& b) noexcept {
     if (a.t != b.t) return a.t > b.t;
     return a.seq > b.seq;
+  }
+
+  /// `tag`'s table entry, or null for 0 and for a retired tag.
+  const GenList* find_gen(GenTag tag) const noexcept {
+    const auto g = static_cast<std::uint32_t>(tag);
+    if (tag == 0 || g >= gens_.size() || gens_[g].stamp != tag >> 32) {
+      return nullptr;
+    }
+    return &gens_[g];
   }
 
   bool pop_one();  // runs the next event; false if queue exhausted
@@ -162,13 +200,12 @@ class Engine {
   std::vector<Key> heap_;  // min-heap on (t, seq) via later()
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNone;
-  /// One entry per generation with a pending event; it disappears when
-  /// its last pending event runs or is cancelled, so long-lived engines
-  /// stay flat.
-  std::unordered_map<GenTag, GenList> gens_;
+  /// One entry per issued tag, reused once its owner retires it.
+  std::vector<GenList> gens_;
+  std::uint32_t free_gen_ = kNone;
+  std::size_t live_gens_ = 0;  // entries with a pending event
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  GenTag next_gen_ = 0;
   std::size_t live_ = 0;
   std::size_t processed_ = 0;
   bool stopped_ = false;

@@ -30,17 +30,30 @@ const char* to_string(FaultKind k) noexcept {
   return "?";
 }
 
+bool fault_rate_ok(double v) noexcept {
+  return std::isfinite(v) && v >= 0.0 && v < 1.0;
+}
+
+bool fault_factor_ok(double v) noexcept {
+  return std::isfinite(v) && v >= 1.0;
+}
+
+bool fail_time_ok(double v) noexcept {
+  return v == -1.0 || (std::isfinite(v) && v >= 0.0);
+}
+
 std::vector<std::string> FaultProfile::violations(
     const std::string& who) const {
   std::vector<std::string> out;
   auto rate = [&](double v, const char* key) {
-    if (!(v >= 0.0 && v < 1.0)) {
+    if (!fault_rate_ok(v)) {
       out.push_back(who + ": " + key + " must be in [0, 1)");
     }
   };
   auto factor = [&](double v, const char* key) {
-    if (!(v >= 1.0)) out.push_back(who + ": " + std::string(key) +
-                                   " must be >= 1");
+    if (!fault_factor_ok(v)) {
+      out.push_back(who + ": " + key + " must be a finite number >= 1");
+    }
   };
   rate(transfer_fault_rate, "fault_transfer_rate");
   rate(launch_fault_rate, "fault_launch_rate");
@@ -51,6 +64,10 @@ std::vector<std::string> FaultProfile::violations(
   factor(degrade_factor, "fault_degrade_factor");
   rate(corrupt_transfer_rate, "fault_corrupt_transfer_rate");
   rate(corrupt_compute_rate, "fault_corrupt_compute_rate");
+  if (!fail_time_ok(fail_at_s)) {
+    out.push_back(who + ": fault_fail_at_s must be -1 (never) or a finite "
+                        "time >= 0");
+  }
   return out;
 }
 

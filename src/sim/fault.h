@@ -52,6 +52,16 @@ inline constexpr int kNumCountedKinds =
 
 const char* to_string(FaultKind k) noexcept;
 
+/// The value rules of FaultProfile's fields, the one definition behind
+/// FaultProfile::violations() and the machine file's `fault_*` keys.
+/// A rate is a finite probability in [0, 1).
+bool fault_rate_ok(double v) noexcept;
+/// A factor is a finite multiplier >= 1.
+bool fault_factor_ok(double v) noexcept;
+/// A loss time is -1 (never) or a finite time >= 0; other negatives are
+/// almost certainly typos.
+bool fail_time_ok(double v) noexcept;
+
 /// Per-device fault characteristics. Lives on DeviceDescriptor (parsed
 /// from machines/*.ini `fault_*` keys) and/or on OffloadOptions as
 /// offload-wide extra rates.
@@ -91,7 +101,7 @@ struct FaultProfile {
   /// region holds flipped bits. In [0, 1).
   double corrupt_compute_rate = 0.0;
 
-  /// Virtual time at which the device is permanently lost; < 0 = never.
+  /// Virtual time at which the device is permanently lost; -1 = never.
   double fail_at_s = -1.0;
 
   bool any() const noexcept {

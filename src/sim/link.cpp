@@ -47,6 +47,19 @@ void SharedLink::transfer(double bytes, Callback done) {
   engine_.schedule_after(latency_, [this] { admit(); });
 }
 
+void SharedLink::reset() {
+  waiting_.clear();
+  waiting_head_ = 0;
+  active_.clear();
+  finished_.clear();
+  last_update_ = 0.0;
+  pending_event_ = 0;
+  has_pending_event_ = false;
+  bytes_delivered_ = 0.0;
+  busy_time_ = 0.0;
+  completed_ = 0;
+}
+
 void SharedLink::admit() {
   advance();
   active_.push_back(std::move(waiting_[waiting_head_++]));

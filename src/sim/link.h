@@ -45,6 +45,11 @@ class SharedLink {
   /// link must outlive its transfers.
   void transfer(double bytes, Callback done);
 
+  /// Drop every transfer in flight, destroying its callback, and zero
+  /// the counters, keeping capacity. Only together with the engine's
+  /// reset(), which drops the link's pending events.
+  void reset();
+
   const std::string& name() const noexcept { return name_; }
   double bandwidth() const noexcept { return bandwidth_; }
   double latency() const noexcept { return latency_; }

@@ -173,6 +173,23 @@ TEST(ServeScenario, ParserRejectsGarbageWithLineNumbers) {
       "line 4: duplicate section [tenant.0] (first declared at line 3)"));
 }
 
+TEST(ServeScenario, InfiniteTenantSlowdownFactorFailsAtLoad) {
+  // A tenant fault takes the machine file's rules: an infinite factor,
+  // which once loaded and ran, fails when the repro is read.
+  const std::string text =
+      "[serve]\nseed = 1\n[tenant.0]\nname = t\nslowdown_factor = inf\n"
+      "[job.0]\ntenant = 0\n";
+  try {
+    fuzz::parse_serve_scenario(text);
+    ADD_FAILURE() << "an infinite slowdown_factor loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "[tenant.0]: fault_slowdown_factor must be a finite number"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServeScenario, MolassesTenantsDrawValidSlowdownRates) {
   // Seed 618 draws the molasses band's top step, which once yielded
   // slowdown_rate == 1.0 and made generation throw.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -140,6 +141,35 @@ TEST(ThroughputHistory, MergeOverwritesExisting) {
   h.merge_text("k\t0\t99\nother\t2\t5\n");
   EXPECT_EQ(h.rate("k", 0), 99.0);
   EXPECT_EQ(h.rate("other", 2), 5.0);
+}
+
+/// The ConfigError merge_text throws for `text`, or "" when it throws none.
+std::string merge_error(const std::string& text) {
+  ThroughputHistory h;
+  try {
+    h.merge_text(text);
+  } catch (const homp::ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ThroughputHistory, DeviceWithTrailingCharactersFailsAtItsLine) {
+  EXPECT_EQ(merge_error("k\t0\t1\naxpy\t2x\t1.5\n"),
+            "throughput history line 2: device needs an integer, got '2x' "
+            "(trailing characters after the number)");
+}
+
+TEST(ThroughputHistory, FractionalDeviceFailsAtItsLine) {
+  EXPECT_EQ(merge_error("axpy\t1.9\t1.5\n"),
+            "throughput history line 1: device needs an integer, got '1.9' "
+            "(trailing characters after the number)");
+}
+
+TEST(ThroughputHistory, RateWithTrailingCharactersFailsAtItsLine) {
+  EXPECT_EQ(merge_error("k\t0\t1\n\naxpy\t1\t1.5junk\n"),
+            "throughput history line 3: rate needs a number, got '1.5junk' "
+            "(trailing characters after the number)");
 }
 
 TEST(ThroughputHistory, MalformedTextRejected) {

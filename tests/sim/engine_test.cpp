@@ -326,5 +326,91 @@ TEST(Engine, RunningCallbackHasLeftItsSlot) {
   EXPECT_EQ(e.live_generations(), 0u);
 }
 
+TEST(Engine, RetiredTagCancelsNothingAfterItsIndexIsReused) {
+  Engine e;
+  const auto old_tag = e.new_generation();
+  e.schedule_after(1.0, [] {}, old_tag);
+  EXPECT_EQ(e.retire_generation(old_tag), 1u);  // its pending event dies
+  const auto reused = e.new_generation();       // same index, new stamp
+  EXPECT_NE(reused, old_tag);
+  EXPECT_NE(reused, 0u);
+  EXPECT_EQ(e.generation_slots(), 1u);
+
+  int fired = 0;
+  e.schedule_after(1.0, [&] { ++fired; }, reused);
+  EXPECT_EQ(e.pending_in(old_tag), 0u);
+  EXPECT_EQ(e.cancel_generation(old_tag), 0u);
+  EXPECT_EQ(e.retire_generation(old_tag), 0u);
+  EXPECT_EQ(e.pending_in(reused), 1u);
+  EXPECT_EQ(e.live_generations(), 1u);
+  e.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(e.live_generations(), 0u);
+  e.retire_generation(reused);
+
+  // Owners that come and go keep the table at their peak count.
+  for (int round = 0; round < 100; ++round) {
+    const auto a = e.new_generation();
+    const auto b = e.new_generation();
+    e.schedule_after(1.0, [] {}, a);
+    e.schedule_after(1.0, [] {}, b);
+    e.run();
+    e.retire_generation(a);
+    e.retire_generation(b);
+  }
+  EXPECT_EQ(e.generation_slots(), 2u);
+}
+
+/// A fixed schedule with same-time ties, a tagged half and a callback
+/// that schedules; returns the order its events ran in.
+std::vector<int> scripted_pops(Engine& e) {
+  std::vector<int> order;
+  const auto gen = e.new_generation();
+  for (int i = 0; i < 6; ++i) {
+    const auto handle = e.schedule_at(
+        static_cast<double>(i % 3),
+        [&order, &e, i] {
+          order.push_back(i);
+          if (i == 1) e.schedule_after(0.0, [&order] { order.push_back(10); });
+        },
+        i % 2 == 0 ? gen : 0);
+    EXPECT_NE(handle, 0u);
+  }
+  e.run();
+  EXPECT_EQ(e.now(), 2.0);
+  EXPECT_EQ(e.events_processed(), 7u);
+  e.retire_generation(gen);
+  return order;
+}
+
+TEST(Engine, ResetRunsLikeAFreshEngine) {
+  Engine fresh;
+  const std::vector<int> want = scripted_pops(fresh);
+
+  Engine used;
+  const auto gen = used.new_generation();
+  int dropped = 0;
+  used.schedule_at(1.0, [&] { ++dropped; });
+  const auto pending = used.schedule_at(3.0, [&] { ++dropped; }, gen);
+  used.schedule_at(5.0, [&] { ++dropped; });
+  used.run_until(2.0);
+  EXPECT_EQ(dropped, 1);
+
+  used.reset();
+  EXPECT_EQ(used.now(), 0.0);
+  EXPECT_EQ(used.events_processed(), 0u);
+  EXPECT_TRUE(used.idle());
+  EXPECT_EQ(used.live_generations(), 0u);
+  EXPECT_EQ(used.pending_in(gen), 0u);
+  EXPECT_EQ(scripted_pops(used), want);
+  EXPECT_EQ(dropped, 1);  // what reset() dropped never runs
+  EXPECT_FALSE(used.cancel(pending));
+
+  // The kept tag may still be armed; the table did not grow.
+  used.schedule_after(1.0, [] {}, gen);
+  EXPECT_EQ(used.pending_in(gen), 1u);
+  EXPECT_EQ(used.generation_slots(), 2u);
+}
+
 }  // namespace
 }  // namespace homp::sim

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -26,6 +28,26 @@ TEST(FaultProfile, ValidateRejectsOutOfRangeRates) {
   p = FaultProfile{};
   p.transfer_fault_rate = 0.5;
   EXPECT_NO_THROW(p.validate("dev"));
+}
+
+TEST(FaultProfile, InfiniteFactorsAndANegativeLossTimeEachViolate) {
+  // The machine file's rules: finite factors, and a loss time of -1
+  // (never) or a finite time >= 0.
+  FaultProfile p;
+  p.slowdown_factor = std::numeric_limits<double>::infinity();
+  p.degrade_factor = std::numeric_limits<double>::infinity();
+  p.fail_at_s = -5.0;
+  const std::vector<std::string> v = p.violations("dev");
+  ASSERT_EQ(v.size(), 3u);
+  EXPECT_NE(v[0].find("fault_slowdown_factor"), std::string::npos) << v[0];
+  EXPECT_NE(v[1].find("fault_degrade_factor"), std::string::npos) << v[1];
+  EXPECT_NE(v[2].find("fault_fail_at_s"), std::string::npos) << v[2];
+
+  p = FaultProfile{};
+  p.fail_at_s = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(p.violations("dev").size(), 1u);
+  p.fail_at_s = 0.0;
+  EXPECT_TRUE(p.violations("dev").empty());
 }
 
 TEST(FaultProfile, CombinedTreatsSourcesAsIndependent) {
